@@ -254,6 +254,7 @@ EnumResult temporal_johnson_cycles(const TemporalGraph& graph,
   ClosingTimeState state(n);
   TemporalReachScratch reach;
   reach.init(n);
+  const ClosableStarts closable(graph, window, options, nullptr);
   for (const auto& e0 : graph.edges_by_time()) {
     if (e0.src == e0.dst) {
       result.num_cycles += 1;
@@ -261,6 +262,9 @@ EnumResult temporal_johnson_cycles(const TemporalGraph& graph,
       if (sink != nullptr) {
         sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
       }
+      continue;
+    }
+    if (!closable.passes(e0.id)) {
       continue;
     }
     result.num_cycles += search.search_from(e0, state, &reach);
@@ -304,6 +308,7 @@ EnumResult coarse_temporal_johnson_cycles(const TemporalGraph& graph,
   SharedResult shared;
   ScratchPool<TemporalScratch> pool(
       [n] { return std::make_unique<TemporalScratch>(n); });
+  const ClosableStarts closable(graph, window, options, &sched);
   const auto edges = graph.edges_by_time();
   parallel_for_each_index(sched, 0, edges.size(), [&](std::size_t i) {
     const TemporalEdge& e0 = edges[i];
@@ -314,6 +319,9 @@ EnumResult coarse_temporal_johnson_cycles(const TemporalGraph& graph,
       WorkCounters counters;
       counters.cycles_found = 1;
       shared.merge(1, counters);
+      return;
+    }
+    if (!closable.passes(e0.id)) {
       return;
     }
     auto scratch = pool.acquire();
@@ -351,7 +359,8 @@ struct FineTemporalRun {
           scratch->init(n);
           return scratch;
         }),
-        counter_sinks(sched_) {}
+        counter_sinks(sched_),
+        closable(graph_, window_, options_, &sched_) {}
 
   const TemporalGraph& graph;
   Timestamp window;
@@ -367,6 +376,8 @@ struct FineTemporalRun {
   // Per-worker sinks, summed once after the run's final wait.
   PerWorkerCounters counter_sinks;
   std::atomic<std::uint64_t> instances{0};
+  // Starts that may close a cycle; the rest are skipped before any state.
+  const ClosableStarts closable;
 
   void merge_counters(const WorkCounters& counters) {
     counter_sinks.merge(counters);
@@ -652,6 +663,9 @@ void temporal_search_root(FineTemporalRun& run, const TemporalEdge& e0) {
     WorkCounters counters;
     counters.cycles_found = 1;
     run.merge_counters(counters);
+    return;
+  }
+  if (!run.closable.passes(e0.id)) {
     return;
   }
   auto reach = run.reach_pool.acquire();

@@ -323,6 +323,7 @@ EnumResult temporal_read_tarjan_cycles(const TemporalGraph& graph,
     return result;
   }
   TRTScratch scratch(n);
+  const ClosableStarts closable(graph, window, options, nullptr);
   for (const auto& e0 : graph.edges_by_time()) {
     if (e0.src == e0.dst) {
       result.num_cycles += 1;
@@ -330,6 +331,9 @@ EnumResult temporal_read_tarjan_cycles(const TemporalGraph& graph,
       if (sink != nullptr) {
         sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
       }
+      continue;
+    }
+    if (!closable.passes(e0.id)) {
       continue;
     }
     result.num_cycles += run_start(graph, e0, window, options, sink, scratch);
@@ -354,6 +358,7 @@ EnumResult coarse_temporal_read_tarjan_cycles(const TemporalGraph& graph,
   SharedResult shared;
   ScratchPool<TRTScratch> pool(
       [n] { return std::make_unique<TRTScratch>(n); });
+  const ClosableStarts closable(graph, window, options, &sched);
   const auto edges = graph.edges_by_time();
   parallel_for_each_index(sched, 0, edges.size(), [&](std::size_t i) {
     const TemporalEdge& e0 = edges[i];
@@ -364,6 +369,9 @@ EnumResult coarse_temporal_read_tarjan_cycles(const TemporalGraph& graph,
       WorkCounters counters;
       counters.cycles_found = 1;
       shared.merge(1, counters);
+      return;
+    }
+    if (!closable.passes(e0.id)) {
       return;
     }
     auto scratch = pool.acquire();
@@ -399,7 +407,8 @@ struct FineTRTRun {
           scratch->init(n);
           return scratch;
         }),
-        counter_sinks(sched_) {}
+        counter_sinks(sched_),
+        closable(graph_, window_, options_, &sched_) {}
 
   const TemporalGraph& graph;
   Timestamp window;
@@ -413,6 +422,8 @@ struct FineTRTRun {
 
   // Per-worker sinks, summed once after the run's final wait.
   PerWorkerCounters counter_sinks;
+  // Starts that may close a cycle; the rest are skipped before any state.
+  const ClosableStarts closable;
 
   void merge_counters(const WorkCounters& counters) {
     counter_sinks.merge(counters);
@@ -512,6 +523,9 @@ void trt_search_root(FineTRTRun& run, const TemporalEdge& e0) {
     WorkCounters counters;
     counters.cycles_found = 1;
     run.merge_counters(counters);
+    return;
+  }
+  if (!run.closable.passes(e0.id)) {
     return;
   }
   auto reach = run.reach_pool.acquire();

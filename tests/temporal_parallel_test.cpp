@@ -7,6 +7,7 @@
 #include "graph/generators.hpp"
 #include "support/prng.hpp"
 #include "temporal/brute.hpp"
+#include "temporal/cycle_union.hpp"
 #include "temporal/temporal_johnson.hpp"
 #include "temporal/temporal_read_tarjan.hpp"
 
@@ -125,6 +126,64 @@ TEST(TemporalParallel, FineReadTarjanIsWorkEfficient) {
   const auto fine = fine_temporal_read_tarjan_cycles(g, 300, sched, {}, popts);
   EXPECT_EQ(fine.num_cycles, serial.num_cycles);
   EXPECT_EQ(fine.work.edges_visited, serial.work.edges_visited);
+}
+
+// Most starts of this graph fail the reachability pre-pass (a short window
+// over a long, sparse history), so the closable-starts bitmap skips most
+// roots. Every driver must still agree with the brute-force oracle, with the
+// pre-pass on and off, and Read-Tarjan's edge visits must not depend on the
+// schedule.
+TEST(TemporalParallel, SkippedStartsKeepCountsExact) {
+  ScaleFreeTemporalParams params;
+  params.num_vertices = 15;
+  params.num_edges = 600;
+  params.time_span = 20000;
+  params.attachment = 0.6;
+  params.seed = 131;
+  const TemporalGraph g = scale_free_temporal(params);
+  const Timestamp window = 1500;
+  const auto oracle = brute_temporal_cycles(g, window);
+  ASSERT_GT(oracle.num_cycles, 100u);
+
+  const ClosableStarts closable(g, window, {}, nullptr);
+  std::size_t skipped = 0;
+  for (const TemporalEdge& e : g.edges_by_time()) {
+    skipped += closable.passes(e.id) ? 0 : 1;
+  }
+  ASSERT_GT(skipped, g.num_edges() / 2);
+
+  for (const bool use_cycle_union : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "use_cycle_union " << use_cycle_union);
+    EnumOptions options;
+    options.use_cycle_union = use_cycle_union;
+    const auto sj = temporal_johnson_cycles(g, window, options);
+    const auto sr = temporal_read_tarjan_cycles(g, window, options);
+    EXPECT_EQ(sj.num_cycles, oracle.num_cycles);
+    EXPECT_EQ(sr.num_cycles, oracle.num_cycles);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      Scheduler sched(threads);
+      const auto cj = coarse_temporal_johnson_cycles(g, window, sched, options);
+      const auto cr =
+          coarse_temporal_read_tarjan_cycles(g, window, sched, options);
+      EXPECT_EQ(cj.num_cycles, oracle.num_cycles) << threads << " threads";
+      EXPECT_EQ(cr.num_cycles, oracle.num_cycles) << threads << " threads";
+      EXPECT_EQ(cr.work.edges_visited, sr.work.edges_visited)
+          << threads << " threads";
+      for (const SpawnPolicy policy :
+           {SpawnPolicy::kAlways, SpawnPolicy::kAdaptive}) {
+        ParallelOptions popts;
+        popts.spawn_policy = policy;
+        const auto fj =
+            fine_temporal_johnson_cycles(g, window, sched, options, popts);
+        const auto fr =
+            fine_temporal_read_tarjan_cycles(g, window, sched, options, popts);
+        EXPECT_EQ(fj.num_cycles, oracle.num_cycles) << threads << " threads";
+        EXPECT_EQ(fr.num_cycles, oracle.num_cycles) << threads << " threads";
+        EXPECT_EQ(fr.work.edges_visited, sr.work.edges_visited)
+            << threads << " threads";
+      }
+    }
+  }
 }
 
 TEST(TemporalParallel, WindowSweep) {

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "support/scheduler.hpp"
 
 namespace parcycle {
 namespace {
@@ -82,18 +85,151 @@ TEST(TemporalReach, EarliestArrivalIsEarliest) {
 
 TEST(TemporalReach, ScratchReusableAcrossStarts) {
   const TemporalGraph g = uniform_temporal(20, 100, 500, 5);
-  TemporalReachScratch reach;
-  reach.init(g.num_vertices());
-  // Just exercise repeated computes; correctness is covered by the
-  // equivalence tests (cycle-union on/off must agree).
+  TemporalReachScratch reused;
+  reused.init(g.num_vertices());
   int successes = 0;
   for (const auto& e : g.edges_by_time()) {
-    if (e.src != e.dst && reach.compute(g, e, e.ts + 200)) {
-      successes += 1;
-      EXPECT_TRUE(reach.contains(e.dst) || !reach.contains(e.dst));
+    TemporalReachScratch fresh;
+    fresh.init(g.num_vertices());
+    const bool closes = fresh.compute(g, e, e.ts + 200);
+    ASSERT_EQ(reused.compute(g, e, e.ts + 200), closes) << "start " << e.id;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(reused.contains(v), fresh.contains(v))
+          << "start " << e.id << " vertex " << v;
+    }
+    successes += closes ? 1 : 0;
+  }
+  EXPECT_GT(successes, 0);
+}
+
+// Brute-force cycle-union of one start: v is in it iff some time-respecting
+// walk head -> ... -> tail with every timestamp in (t0, t0 + window] passes
+// through v. Decided per edge of the window, quadratically: usable[k] (the
+// walk can reach and take edge k) and closes[k] (after edge k it can still
+// reach the tail).
+std::vector<bool> brute_union(const TemporalGraph& g, const TemporalEdge& e0,
+                              Timestamp window) {
+  std::vector<TemporalEdge> slice;
+  for (const TemporalEdge& e : g.edges_by_time()) {
+    if (e.ts > e0.ts && e.ts <= e0.ts + window) {
+      slice.push_back(e);
     }
   }
-  SUCCEED() << successes;
+  const std::size_t m = slice.size();
+  std::vector<bool> usable(m, false);
+  std::vector<bool> closes(m, false);
+  for (std::size_t k = 0; k < m; ++k) {
+    usable[k] = slice[k].src == e0.dst;
+    for (std::size_t p = 0; p < k && !usable[k]; ++p) {
+      usable[k] = usable[p] && slice[p].dst == slice[k].src &&
+                  slice[p].ts < slice[k].ts;
+    }
+  }
+  for (std::size_t k = m; k-- > 0;) {
+    closes[k] = slice[k].dst == e0.src;
+    for (std::size_t q = k + 1; q < m && !closes[k]; ++q) {
+      closes[k] = closes[q] && slice[q].src == slice[k].dst &&
+                  slice[q].ts > slice[k].ts;
+    }
+  }
+  std::vector<bool> on_walk(g.num_vertices(), false);
+  for (std::size_t k = 0; k < m; ++k) {
+    if (usable[k] && closes[k]) {
+      on_walk[slice[k].src] = true;
+      on_walk[slice[k].dst] = true;
+    }
+  }
+  return on_walk;
+}
+
+struct Tally {
+  std::size_t starts = 0;
+  std::size_t closable = 0;
+  std::size_t comparisons = 0;  // contains() calls checked
+};
+
+// Checks every start of `g`: the closable bit (serial and 2-worker fills)
+// equals compute(), and after a successful compute contains() equals the
+// brute-force union for every vertex.
+void check_against_brute_force(const TemporalGraph& g, Timestamp window,
+                               Tally& tally) {
+  const ClosableStarts serial(g, window, {}, nullptr);
+  const ClosableStarts parallel =
+      Scheduler::with_pool(2, [&](Scheduler& sched) {
+        return ClosableStarts(g, window, {}, &sched);
+      });
+  TemporalReachScratch reach;
+  reach.init(g.num_vertices());
+  for (const TemporalEdge& e0 : g.edges_by_time()) {
+    const bool closes = reach.compute(g, e0, e0.ts + window);
+    ASSERT_EQ(serial.passes(e0.id), closes) << "start " << e0.id;
+    ASSERT_EQ(parallel.passes(e0.id), closes) << "start " << e0.id;
+    tally.starts += 1;
+    tally.closable += closes ? 1 : 0;
+    if (e0.src == e0.dst) {
+      ASSERT_TRUE(closes);
+      continue;
+    }
+    const std::vector<bool> expected = brute_union(g, e0, window);
+    ASSERT_EQ(closes, expected[e0.src]) << "start " << e0.id;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(reach.contains(v), closes && expected[v])
+          << "start " << e0.id << " vertex " << v;
+      tally.comparisons += 1;
+    }
+  }
+}
+
+TEST(TemporalReach, MatchesBruteForceOnRandomGraphs) {
+  Tally tally;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const bool ties = seed % 2 == 0;
+    ScaleFreeTemporalParams params;
+    params.num_vertices = 24;
+    params.num_edges = 700;  // ten full blocks and a partial one
+    // Heavy ties: about ten edges share each timestamp.
+    params.time_span = ties ? 70 : 7000;
+    params.attachment = 0.6;
+    params.allow_self_loops = seed % 4 == 1;
+    params.seed = seed;
+    const TemporalGraph g = scale_free_temporal(params);
+    const Timestamp window = ties ? 12 : 1200;
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    check_against_brute_force(g, window, tally);
+  }
+  // Both outcomes well represented, so neither answer passes by default.
+  EXPECT_GT(tally.closable, tally.starts / 5);
+  EXPECT_LT(tally.closable, tally.starts * 4 / 5);
+  EXPECT_GT(tally.comparisons, 100000u);
+}
+
+TEST(TemporalReach, SelfLoopBlocksAndZeroWindow) {
+  // Block 0 holds only self-loops; block 1 mixes a triangle with more
+  // self-loops; block 2 is a partial block of three edges.
+  GraphBuilder builder(4);
+  for (Timestamp t = 0; t < 64; ++t) {
+    builder.add_edge(static_cast<VertexId>(t % 4), static_cast<VertexId>(t % 4),
+                     t);
+  }
+  for (Timestamp t = 64; t < 131; ++t) {
+    if (t % 3 == 0) {
+      builder.add_edge(3, 3, t);
+    } else {
+      builder.add_edge(static_cast<VertexId>(t % 3),
+                       static_cast<VertexId>((t + 1) % 3), t);
+    }
+  }
+  const TemporalGraph g = builder.build_temporal();
+  ASSERT_EQ(g.num_edges(), 131u);
+  Tally tally;
+  for (const Timestamp window : {0, 1, 2, 5, 200}) {
+    SCOPED_TRACE(testing::Message() << "window " << window);
+    check_against_brute_force(g, window, tally);
+  }
+  const ClosableStarts zero(g, 0, {}, nullptr);
+  for (const TemporalEdge& e : g.edges_by_time()) {
+    EXPECT_EQ(zero.passes(e.id), e.src == e.dst) << "start " << e.id;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the substrate kernels: deque
-// operations, scheduler fork-join overhead, state copy/repair costs, and the
-// graph window queries the hot loops depend on.
+// operations, scheduler fork-join overhead, state copy/repair costs, the
+// graph window queries the hot loops depend on, and the temporal
+// cycle-union pre-pass.
 #include <benchmark/benchmark.h>
 
 #include "core/johnson_state.hpp"
@@ -11,6 +12,7 @@
 #include "support/dynamic_bitset.hpp"
 #include "support/scheduler.hpp"
 #include "support/task_slab.hpp"
+#include "temporal/cycle_union.hpp"
 
 namespace parcycle {
 namespace {
@@ -191,6 +193,61 @@ void BM_SccTarjan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SccTarjan);
+
+// The perfbench temporal-batch input at a tenth of its edges and time span
+// (same edge density, same window).
+const TemporalGraph& temporal_batch_graph() {
+  static const TemporalGraph graph = [] {
+    ScaleFreeTemporalParams params;
+    params.num_vertices = 400;
+    params.num_edges = 60000;
+    params.time_span = 300000;
+    params.attachment = 0.6;
+    params.burstiness = 0.6;
+    params.seed = 104;
+    return scale_free_temporal(params);
+  }();
+  return graph;
+}
+constexpr Timestamp kTemporalBatchWindow = 9600;
+
+// Single-start cycle-unions: compute() for every start that passes the cheap
+// neighbour rejection, as the enumerators did before the block pass.
+void BM_TemporalReachPerStart(benchmark::State& state) {
+  const TemporalGraph& graph = temporal_batch_graph();
+  TemporalReachScratch reach;
+  reach.init(graph.num_vertices());
+  for (auto _ : state) {
+    std::size_t closable = 0;
+    for (const TemporalEdge& e0 : graph.edges_by_time()) {
+      const Timestamp hi = e0.ts + kTemporalBatchWindow;
+      if (e0.src == e0.dst ||
+          graph.out_edges_in_window(e0.dst, e0.ts + 1, hi).empty() ||
+          graph.in_edges_in_window(e0.src, e0.ts + 1, hi).empty()) {
+        continue;
+      }
+      closable += reach.compute(graph, e0, hi) ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(closable);
+  }
+  state.SetItemsProcessed(state.iterations() * graph.num_edges());
+}
+BENCHMARK(BM_TemporalReachPerStart)->Unit(benchmark::kMillisecond);
+
+// The same unions from one forward + backward scan per 64 starts.
+void BM_TemporalBlockUnion(benchmark::State& state) {
+  const TemporalGraph& graph = temporal_batch_graph();
+  CycleUnionBlock block(graph, kTemporalBatchWindow);
+  for (auto _ : state) {
+    std::size_t closable = 0;
+    for (const TemporalEdge& e0 : graph.edges_by_time()) {
+      closable += block.view(e0.id).contains(e0.dst) ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(closable);
+  }
+  state.SetItemsProcessed(state.iterations() * graph.num_edges());
+}
+BENCHMARK(BM_TemporalBlockUnion)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace parcycle

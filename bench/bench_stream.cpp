@@ -53,7 +53,7 @@ constexpr const char* kUsage =
     "  [--window-scale X] [--window-scales X1,X2,...] [--slack S] "
     "[--shuffle] [--no-prune]\n"
     "  [--dataset-dir <dir>] [--json <path>] [--trace-out <file>]\n"
-    "  [--profile-out <file>] [--profile-hz N]\n"
+    "  [--profile-out <file>] [--profile-hz N] [--profile-clock cpu|wall]\n"
     "Replays each dataset's edges as a temporal stream through the "
     "StreamEngine and reports ingest\nthroughput, cycles and per-edge latency "
     "percentiles per thread count, against the batch temporal\nenumerator on "
@@ -75,7 +75,8 @@ constexpr const char* kUsage =
     "writes flamegraph.pl collapsed-stack text, overwritten\nper replay like "
     "--trace-out. Without the flag the profiler is never constructed: the "
     "replay adds\nzero signals, clock reads or allocations, and the --json "
-    "baseline is bit-identical.\n";
+    "baseline is bit-identical.\n--profile-clock wall samples in wall time "
+    "instead, so idle workers show their wait stacks\n(default cpu).\n";
 
 std::vector<unsigned> parse_threads(const std::string& arg) {
   std::vector<unsigned> threads;
@@ -162,6 +163,7 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string profile_path;
   long profile_hz = 0;  // 0 = library default
+  std::string profile_clock = "cpu";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
@@ -190,6 +192,8 @@ int main(int argc, char** argv) {
       profile_path = argv[++i];
     } else if (arg == "--profile-hz" && i + 1 < argc) {
       profile_hz = std::atol(argv[++i]);
+    } else if (arg == "--profile-clock" && i + 1 < argc) {
+      profile_clock = argv[++i];
     } else if ((arg == "--json" || arg == "--dataset-dir") && i + 1 < argc) {
       ++i;  // parsed by json_output_path / dataset_dir_from_cli
     } else if (arg == "all") {
@@ -207,6 +211,11 @@ int main(int argc, char** argv) {
   }
   if (names.empty()) {
     names = {"BA", "CO", "EM"};
+  }
+  if (profile_clock != "cpu" && profile_clock != "wall") {
+    std::cerr << "invalid --profile-clock '" << profile_clock
+              << "' (use cpu or wall)\n";
+    return 2;
   }
   if (thread_counts.empty() || batch_size == 0 || window_scales.empty()) {
     std::cerr
@@ -372,6 +381,9 @@ int main(int argc, char** argv) {
       ProfilerOptions prof_options;
       if (profile_hz > 0) {
         prof_options.sample_hz = static_cast<int>(profile_hz);
+      }
+      if (profile_clock == "wall") {
+        prof_options.clock = ProfileClock::kWall;
       }
       StackProfiler profiler(std::max(1u, threads), prof_options,
                              /*enabled=*/!profile_path.empty());

@@ -172,13 +172,12 @@ StartCosts collect_temporal_start_costs(const TemporalGraph& graph,
   StartCosts costs;
   detail::TemporalJohnsonSearch search(graph, window, options, nullptr);
   ClosingTimeState state(graph.num_vertices());
-  TemporalReachScratch reach;
-  reach.init(graph.num_vertices());
+  CycleUnionBlock block(graph, window, options.use_cycle_union);
   costs.jobs.reserve(graph.num_edges());
   for (const auto& e0 : graph.edges_by_time()) {
     double cost = 0.0;
     if (e0.src != e0.dst) {
-      search.search_from(e0, state, &reach);
+      search.search_from(e0, state, block.view(e0.id));
       cost = static_cast<double>(state.counters.edges_visited +
                                  state.counters.vertices_visited + 1);
     }

@@ -1,10 +1,8 @@
 #include "temporal/cycle_union.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
-#include <utility>
-
-#include "support/scheduler.hpp"
 
 namespace parcycle {
 
@@ -12,7 +10,6 @@ namespace {
 
 constexpr Timestamp kNever = std::numeric_limits<Timestamp>::max();
 constexpr Timestamp kNegInf = std::numeric_limits<Timestamp>::min();
-constexpr std::size_t kBlock = 64;
 
 // Index of the first edge at or after `from` with ts > bound.
 std::size_t first_after(std::span<const TemporalEdge> edges, std::size_t from,
@@ -26,65 +23,87 @@ std::size_t first_after(std::span<const TemporalEdge> edges, std::size_t from,
       edges.begin());
 }
 
-// Per-vertex words of one block's forward pass, all zero between blocks.
-// Cache-line aligned: workers push to their own scratch's vectors, and
-// neighbouring headers in one line would ping-pong between cores.
-struct alignas(64) BlockScratch {
-  std::vector<std::uint64_t> reached;  // bit j: start j has arrived here
-  std::vector<std::uint64_t> tail_of;  // bit j: this vertex is start j's tail
-  std::vector<VertexId> touched;       // vertices with reached != 0
-  std::vector<VertexId> tails;         // vertices with tail_of != 0
-  std::vector<std::pair<VertexId, std::uint64_t>> group;  // deferred arrivals
+// Bits 0 .. k-1.
+constexpr std::uint64_t low_bits(std::size_t k) {
+  return k >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
+}
 
-  void reach(VertexId v, std::uint64_t bits) {
-    if (reached[v] == 0) {
-      touched.push_back(v);
-    }
-    reached[v] |= bits;
+}  // namespace
+
+CycleUnionView CycleUnionBlock::view(EdgeId start) {
+  if (!enabled_) {
+    return {};
   }
-};
+  if (block_ != start / kStarts) {
+    compute(start / kStarts);
+  }
+  return {union_.data(), std::uint64_t{1} << (start % kStarts)};
+}
 
-// Closable bits of the starts [first, first + 64) ∩ edges: one ascending scan
-// over (t0_first, t0_last + window] carrying every start at once. Start j is
-// seeded at its head once the scan passes t0_j and goes dead once it passes
-// t0_j + window; an edge (u -> v, t) carries the live bits of u to v. Edges
-// sharing a timestamp all read the state from before their group, so equal
-// timestamps never chain.
-std::uint64_t closable_block(std::span<const TemporalEdge> edges,
-                             Timestamp window, std::size_t first,
-                             BlockScratch& s) {
-  const std::size_t count = std::min(kBlock, edges.size() - first);
+// Lists v for the next reset the first time `bits` lands in its coreach.
+void CycleUnionBlock::touch(VertexId v, std::uint64_t bits) noexcept {
+  touched_[num_touched_] = v;
+  num_touched_ += static_cast<std::size_t>(bits != 0 && coreach_[v] == 0);
+}
+
+void CycleUnionBlock::reserve_log(std::size_t size) {
+  if (log_.size() < size) {
+    log_.resize(std::max(size, 2 * log_.size()));
+  }
+}
+
+void CycleUnionBlock::compute(std::size_t block) {
+  const auto edges = graph_->edges_by_time();
+  if (union_.empty()) {
+    const VertexId n = graph_->num_vertices();
+    reached_.assign(n, 0);
+    coreach_.assign(n, 0);
+    union_.assign(n, 0);
+    touched_.resize(std::size_t{n} + kStarts + 1);
+  }
+  for (std::size_t k = 0; k < num_touched_; ++k) {
+    coreach_[touched_[k]] = 0;
+    union_[touched_[k]] = 0;
+  }
+  num_touched_ = 0;
+  block_ = block;
+  const std::size_t first = block * kStarts;
+  const std::size_t count = std::min(kStarts, edges.size() - first);
   const TemporalEdge* starts = edges.data() + first;
-  std::uint64_t closable = 0;
-  std::uint64_t open = 0;  // non-self-loop starts, undecided until resolved
+  std::uint64_t open = 0;  // non-self-loop starts
   for (std::size_t j = 0; j < count; ++j) {
     const std::uint64_t bit = std::uint64_t{1} << j;
+    touch(starts[j].src, bit);
     if (starts[j].src == starts[j].dst) {
-      closable |= bit;  // a self-loop is its own cycle
-      continue;
+      union_[starts[j].src] |= bit;  // a self-loop is its own cycle
+    } else {
+      open |= bit;
+      coreach_[starts[j].src] |= bit;  // the tail needs no further hop
     }
-    open |= bit;
-    if (s.tail_of[starts[j].src] == 0) {
-      s.tails.push_back(starts[j].src);
-    }
-    s.tail_of[starts[j].src] |= bit;
   }
 
-  const Timestamp end_ts = starts[count - 1].ts + window;
-  std::uint64_t live = 0;  // seeded, not yet dead, not yet resolved
+  // Forward: start j is seeded at its head once the scan passes t0_j and
+  // dies once it passes t0_j + window; an edge (u -> v, t) carries the live
+  // bits of u to v. Arrivals are logged in ascending time.
+  const Timestamp end_ts = starts[count - 1].ts + window_;
+  const std::size_t begin = first_after(edges, first, starts[0].ts);
+  std::size_t num_log = 0;
+  std::uint64_t live = 0;
   std::size_t seeded = 0;
   std::size_t dead = 0;
-  std::size_t i = first_after(edges, first, starts[0].ts);
+  std::size_t i = begin;
   while (i < edges.size() && edges[i].ts <= end_ts) {
     const Timestamp t = edges[i].ts;
+    reserve_log(num_log + kStarts + 1);
     for (; seeded < count && starts[seeded].ts < t; ++seeded) {
-      const std::uint64_t bit = std::uint64_t{1} << seeded;
-      if ((open & bit) != 0) {
-        s.reach(starts[seeded].dst, bit);
+      const std::uint64_t bit = open & (std::uint64_t{1} << seeded);
+      if (bit != 0) {
+        reached_[starts[seeded].dst] |= bit;
+        log_[num_log++] = {starts[seeded].ts, starts[seeded].dst, bit};
         live |= bit;
       }
     }
-    for (; dead < seeded && starts[dead].ts + window < t; ++dead) {
+    for (; dead < seeded && starts[dead].ts + window_ < t; ++dead) {
       live &= ~(std::uint64_t{1} << dead);
     }
     if (live == 0) {
@@ -95,68 +114,100 @@ std::uint64_t closable_block(std::span<const TemporalEdge> edges,
       i = first_after(edges, i, starts[seeded].ts);
       continue;
     }
-    s.group.clear();
+    if (i + 1 == edges.size() || edges[i + 1].ts != t) {
+      // A group of one edge has nothing to defer.
+      const TemporalEdge& e = edges[i++];
+      const std::uint64_t bits = reached_[e.src] & live & ~reached_[e.dst];
+      reached_[e.dst] |= bits;
+      log_[num_log] = {t, e.dst, bits};
+      num_log += static_cast<std::size_t>(bits != 0);
+      continue;
+    }
+    group_.clear();
     for (; i < edges.size() && edges[i].ts == t; ++i) {
-      const std::uint64_t bits = s.reached[edges[i].src] & live;
-      if ((bits & ~s.reached[edges[i].dst]) != 0) {
-        s.group.emplace_back(edges[i].dst, bits);
+      const std::uint64_t bits =
+          reached_[edges[i].src] & live & ~reached_[edges[i].dst];
+      if (bits != 0) {
+        group_.emplace_back(edges[i].dst, bits);
       }
     }
-    for (const auto& [v, bits] : s.group) {
-      s.reach(v, bits);
-      const std::uint64_t resolved = bits & s.tail_of[v];
-      closable |= resolved;
-      live &= ~resolved;
+    reserve_log(num_log + group_.size());
+    for (const auto& [v, bits] : group_) {
+      const std::uint64_t fresh = bits & ~reached_[v];
+      reached_[v] |= fresh;
+      log_[num_log] = {t, v, fresh};
+      num_log += static_cast<std::size_t>(fresh != 0);
+    }
+  }
+  const std::size_t end = i;
+  const std::size_t logged = num_log;
+
+  // Only starts whose tail was reached have a cycle.
+  std::uint64_t closable = 0;
+  for (std::size_t j = 0; j < count; ++j) {
+    closable |= reached_[starts[j].src] & open & (std::uint64_t{1} << j);
+  }
+
+  // Backward: bit j is live while t0_j < t <= t0_j + window. Log entries at
+  // or after t are undone first, so reached_ holds the arrivals before t.
+  // Below t0_j no arrival of j is left, so ending j there only lets the scan
+  // skip ahead sooner.
+  std::size_t born = count;   // starts [born, count) have t <= t0 + window
+  std::size_t dying = count;  // starts [dying, count) have t <= t0
+  live = 0;
+  i = end;
+  while (i > begin) {
+    const Timestamp t = edges[i - 1].ts;
+    for (; born > 0 && t <= starts[born - 1].ts + window_; --born) {
+      live |= closable & (std::uint64_t{1} << (born - 1));
+    }
+    for (; dying > 0 && starts[dying - 1].ts >= t; --dying) {
+      live &= ~(std::uint64_t{1} << (dying - 1));
+    }
+    if (live == 0) {
+      const std::uint64_t pending = closable & low_bits(born);
+      if (pending == 0) {
+        break;
+      }
+      // Nothing in flight: resume at the last edge of the next window.
+      const std::size_t next = 63 - static_cast<std::size_t>(
+                                        std::countl_zero(pending));
+      i = first_after(edges.first(i), begin, starts[next].ts + window_);
+      continue;
+    }
+    for (; num_log > 0 && log_[num_log - 1].ts >= t; --num_log) {
+      reached_[log_[num_log - 1].v] &= ~log_[num_log - 1].bits;
+    }
+    if (i - 1 == begin || edges[i - 2].ts != t) {
+      const TemporalEdge& e = edges[--i];
+      const std::uint64_t valid = coreach_[e.dst] & live;
+      touch(e.src, valid);
+      union_[e.src] |= valid & reached_[e.src];
+      coreach_[e.src] |= valid;
+      continue;
+    }
+    group_.clear();
+    for (; i > begin && edges[i - 1].ts == t; --i) {
+      const TemporalEdge& e = edges[i - 1];
+      const std::uint64_t valid = coreach_[e.dst] & live;
+      if (valid != 0) {
+        union_[e.src] |= valid & reached_[e.src];
+        group_.emplace_back(e.src, valid);
+      }
+    }
+    for (const auto& [v, bits] : group_) {
+      touch(v, bits);
+      coreach_[v] |= bits;
     }
   }
 
-  for (const VertexId v : s.touched) {
-    s.reached[v] = 0;
+  // A reached tail closes its own cycle.
+  for (std::size_t j = 0; j < count; ++j) {
+    union_[starts[j].src] |= closable & (std::uint64_t{1} << j);
   }
-  for (const VertexId v : s.tails) {
-    s.tail_of[v] = 0;
+  for (std::size_t k = 0; k < logged; ++k) {
+    reached_[log_[k].v] = 0;
   }
-  s.touched.clear();
-  s.tails.clear();
-  return closable;
-}
-
-}  // namespace
-
-ClosableStarts::ClosableStarts(const TemporalGraph& graph, Timestamp window,
-                               const EnumOptions& options, Scheduler* sched) {
-  if (!options.use_cycle_union) {
-    return;
-  }
-  const auto edges = graph.edges_by_time();
-  const std::size_t num_blocks = (edges.size() + kBlock - 1) / kBlock;
-  words_.assign(num_blocks, 0);
-  const VertexId n = graph.num_vertices();
-  const auto fill = [&](BlockScratch& s, std::size_t block) {
-    if (s.reached.empty()) {
-      s.reached.assign(n, 0);
-      s.tail_of.assign(n, 0);
-    }
-    words_[block] = closable_block(edges, window, block * kBlock, s);
-  };
-  if (sched == nullptr) {
-    BlockScratch scratch;
-    for (std::size_t block = 0; block < num_blocks; ++block) {
-      fill(scratch, block);
-    }
-    return;
-  }
-  // A block body never waits on other tasks, so a worker runs one block at a
-  // time and a per-worker scratch is never shared.
-  std::vector<BlockScratch> per_worker(sched->num_workers());
-  const std::size_t num_chunks =
-      std::max<std::size_t>(std::size_t{32} * sched->num_workers(), 1);
-  parallel_for_chunked(*sched, 0, num_blocks, num_chunks,
-                       [&](std::size_t block) {
-                         fill(per_worker[static_cast<std::size_t>(
-                                  Scheduler::current_worker_id())],
-                              block);
-                       });
 }
 
 void TemporalReachScratch::init(VertexId n) {

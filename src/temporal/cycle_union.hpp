@@ -4,34 +4,43 @@
 // the cycle-union is the set of vertices that can lie on a temporal cycle
 // through e0: vertices v whose earliest strictly-time-increasing arrival from
 // `head` (departing after t0) precedes the latest departure from v that still
-// reaches `tail` by the end of the window.
+// reaches `tail` by the end of the window. A temporal cycle through e0 exists
+// iff the head is in it.
 //
-// Two layers share the work:
+// CycleUnionBlock computes the union of 64 consecutive starts of
+// edges_by_time() at once, bit j of a word standing for start j:
 //
-//  * ClosableStarts decides, for every start of a run at once, whether the
-//    tail is temporally reachable from the head at all (a temporal cycle
-//    through e0 exists iff it is). One ascending scan over the edges of
-//    (t0_first, t0_last + delta] answers 64 consecutive starts with one
-//    machine word per vertex, so a start costs about (window edges) / 64 —
-//    the linear-time, embarrassingly parallel replacement for 2SCENT's
-//    sequential preprocessing that the paper contributes, batched.
-//  * TemporalReachScratch computes the per-vertex cycle-union of one start
-//    that passed that filter, for the DFS to prune with. Edge ids are global
-//    time ranks, so every edge of a head -> tail path lies in the id range
-//    from the head's first out-edge to the tail's last in-edge inside the
-//    window: both passes scan only that slice.
+//  * a forward ascending scan of (t0_first, t0_last + delta] keeps
+//    reached[v] (start j has arrived at v) and logs every new arrival as
+//    (t, v, bits), a head's seed at t0_j;
+//  * a backward descending scan of the same edges keeps coreach[v] (v can
+//    still depart later within j's window on a path to tail_j). Before each
+//    timestamp group it rewinds the log so reached[v] holds only arrivals
+//    strictly before the group, and an edge (v -> w, t) live for j puts bit
+//    j in union[v] when v was reached before t and w reaches the tail after.
+//
+// Edges sharing a timestamp read the state from before their group in both
+// scans, so equal timestamps never chain. A block costs about
+// 2 * (window edges + 64) word-wide edge steps — a start about 1/32 of one
+// window — and holds three words per vertex (reached, coreach, union) plus
+// the arrival log. A start's union is then one bit test per vertex: the
+// linear-time, embarrassingly parallel replacement for 2SCENT's sequential
+// preprocessing that the paper contributes, batched.
+//
+// TemporalReachScratch computes the union of a single start with two
+// per-vertex passes over a trimmed edge slice. The enumerators use the
+// block; the single-start passes are the oracle it is tested against.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "core/options.hpp"
 #include "graph/temporal_graph.hpp"
 #include "graph/types.hpp"
 
 namespace parcycle {
-
-class Scheduler;
 
 class TemporalReachScratch {
  public:
@@ -65,24 +74,57 @@ class TemporalReachScratch {
   std::vector<VertexId> touched_;
 };
 
-// One bit per starting edge of edges_by_time(): may a temporal cycle within
-// `window` begin with this edge? Equal to TemporalReachScratch::compute(
-// graph, e0, e0.ts + window) for every start, so a driver can skip a start
-// whose bit is clear before touching any per-start state.
-class ClosableStarts {
- public:
-  // Fills the bitmap, one 64-start block per loop index, as chunked tasks on
-  // `sched` (call from the thread that owns it) or serially when null. With
-  // options.use_cycle_union off nothing is computed and every start passes.
-  ClosableStarts(const TemporalGraph& graph, Timestamp window,
-                 const EnumOptions& options, Scheduler* sched);
+// One start's cycle-union as computed by its block. A default view (no
+// words) prunes nothing.
+struct CycleUnionView {
+  const std::uint64_t* words = nullptr;
+  std::uint64_t bit = 0;
 
-  bool passes(EdgeId start) const noexcept {
-    return words_.empty() || ((words_[start / 64] >> (start % 64)) & 1U) != 0;
+  // Same answer as TemporalReachScratch::contains after compute(); for the
+  // head it is the answer of compute() itself.
+  bool contains(VertexId v) const noexcept {
+    return words == nullptr || (words[v] & bit) != 0;
   }
+};
+
+// Cycle-unions of one block of 64 starts, recomputed on demand. A view stays
+// valid until the object computes another block. Cache-line aligned: drivers
+// keep one per worker.
+class alignas(64) CycleUnionBlock {
+ public:
+  static constexpr std::size_t kStarts = 64;
+
+  // With `enabled` false nothing is computed and every view prunes nothing.
+  CycleUnionBlock(const TemporalGraph& graph, Timestamp window,
+                  bool enabled = true)
+      : graph_(&graph), window_(window), enabled_(enabled) {}
+
+  // The union of starting edge `start` (an id of edges_by_time()) within
+  // [ts, ts + window]; computes the start's block first unless it is held.
+  CycleUnionView view(EdgeId start);
 
  private:
-  std::vector<std::uint64_t> words_;
+  struct Arrival {
+    Timestamp ts;
+    VertexId v;
+    std::uint64_t bits;
+  };
+
+  void compute(std::size_t block);
+  void touch(VertexId v, std::uint64_t bits) noexcept;
+  void reserve_log(std::size_t size);
+
+  const TemporalGraph* graph_;
+  Timestamp window_;
+  bool enabled_;
+  std::size_t block_ = static_cast<std::size_t>(-1);
+  std::vector<std::uint64_t> reached_;  // zero between blocks
+  std::vector<std::uint64_t> coreach_;  // zero outside touched_
+  std::vector<std::uint64_t> union_;    // zero outside touched_
+  std::vector<VertexId> touched_;  // capacity; vertices listed by touch()
+  std::size_t num_touched_ = 0;
+  std::vector<Arrival> log_;  // capacity; the entries in use are counted
+  std::vector<std::pair<VertexId, std::uint64_t>> group_;  // deferred words
 };
 
 }  // namespace parcycle

@@ -24,20 +24,18 @@ namespace detail {
 
 bool TemporalJohnsonSearch::prepare_root(const TemporalGraph& graph,
                                          const TemporalEdge& e0,
-                                         Timestamp window, bool use_cycle_union,
-                                         TemporalReachScratch* reach,
+                                         Timestamp window,
+                                         CycleUnionView cycle_union,
                                          ClosingTimeState& state,
                                          Timestamp& hi_out) {
   const Timestamp hi = e0.ts + window;
   hi_out = hi;
-  // The head must have a strictly-later out-edge and the tail a later
-  // in-edge, or no temporal cycle through e0 exists.
-  if (graph.out_edges_in_window(e0.dst, e0.ts + 1, hi).empty() ||
+  // A head outside the union means no temporal cycle through e0; so does a
+  // head without a strictly-later out-edge or a tail without a later
+  // in-edge.
+  if (!cycle_union.contains(e0.dst) ||
+      graph.out_edges_in_window(e0.dst, e0.ts + 1, hi).empty() ||
       graph.in_edges_in_window(e0.src, e0.ts + 1, hi).empty()) {
-    return false;
-  }
-  if (use_cycle_union && reach != nullptr &&
-      !reach->compute(graph, e0, hi)) {
     return false;
   }
   state.reset();
@@ -93,16 +91,15 @@ void TemporalJohnsonSearch::report_instances(const ClosingTimeState& state,
 
 std::uint64_t TemporalJohnsonSearch::search_from(const TemporalEdge& e0,
                                                  ClosingTimeState& state,
-                                                 TemporalReachScratch* reach) {
+                                                 CycleUnionView cycle_union) {
   state.reset();
   Timestamp hi = 0;
-  if (!prepare_root(graph_, e0, window_, options_.use_cycle_union, reach,
-                    state, hi)) {
+  if (!prepare_root(graph_, e0, window_, cycle_union, state, hi)) {
     return 0;
   }
   tail_ = e0.src;
   hi_ = hi;
-  reach_ = options_.use_cycle_union ? reach : nullptr;
+  union_ = cycle_union;
   instances_found_ = 0;
   const bool bounded = options_.max_cycle_length > 0;
   const std::int32_t rem0 = bounded ? options_.max_cycle_length - 1
@@ -185,7 +182,7 @@ bool TemporalJohnsonSearch::explore(ClosingTimeState& st, std::int32_t rem) {
       continue;
     }
 
-    if (reach_ != nullptr && !reach_->contains(w)) {
+    if (!union_.contains(w)) {
       i = j;  // never on any cycle of this start: nothing to register
       continue;
     }
@@ -252,9 +249,7 @@ EnumResult temporal_johnson_cycles(const TemporalGraph& graph,
   }
   detail::TemporalJohnsonSearch search(graph, window, options, sink);
   ClosingTimeState state(n);
-  TemporalReachScratch reach;
-  reach.init(n);
-  const ClosableStarts closable(graph, window, options, nullptr);
+  CycleUnionBlock block(graph, window, options.use_cycle_union);
   for (const auto& e0 : graph.edges_by_time()) {
     if (e0.src == e0.dst) {
       result.num_cycles += 1;
@@ -264,10 +259,7 @@ EnumResult temporal_johnson_cycles(const TemporalGraph& graph,
       }
       continue;
     }
-    if (!closable.passes(e0.id)) {
-      continue;
-    }
-    result.num_cycles += search.search_from(e0, state, &reach);
+    result.num_cycles += search.search_from(e0, state, block.view(e0.id));
     result.work += state.counters;
   }
   return result;
@@ -278,12 +270,6 @@ EnumResult temporal_johnson_cycles(const TemporalGraph& graph,
 // ---------------------------------------------------------------------------
 
 namespace {
-
-struct TemporalScratch {
-  explicit TemporalScratch(VertexId n) : state(n) { reach.init(n); }
-  ClosingTimeState state;
-  TemporalReachScratch reach;
-};
 
 struct SharedResult {
   Spinlock lock;
@@ -306,9 +292,12 @@ EnumResult coarse_temporal_johnson_cycles(const TemporalGraph& graph,
     return {};
   }
   SharedResult shared;
-  ScratchPool<TemporalScratch> pool(
-      [n] { return std::make_unique<TemporalScratch>(n); });
-  const ClosableStarts closable(graph, window, options, &sched);
+  ScratchPool<ClosingTimeState> pool(
+      [n] { return std::make_unique<ClosingTimeState>(n); });
+  // A start task never waits, so a worker's cached block is never shared.
+  std::vector<CycleUnionBlock> blocks(
+      sched.num_workers(),
+      CycleUnionBlock(graph, window, options.use_cycle_union));
   const auto edges = graph.edges_by_time();
   parallel_for_each_index(sched, 0, edges.size(), [&](std::size_t i) {
     const TemporalEdge& e0 = edges[i];
@@ -321,15 +310,17 @@ EnumResult coarse_temporal_johnson_cycles(const TemporalGraph& graph,
       shared.merge(1, counters);
       return;
     }
-    if (!closable.passes(e0.id)) {
+    const CycleUnionView cycle_union =
+        blocks[static_cast<std::size_t>(Scheduler::current_worker_id())].view(
+            e0.id);
+    if (!cycle_union.contains(e0.dst)) {
       return;
     }
-    auto scratch = pool.acquire();
+    auto state = pool.acquire();
     detail::TemporalJohnsonSearch search(graph, window, options, sink);
-    const std::uint64_t cycles =
-        search.search_from(e0, scratch->state, &scratch->reach);
-    shared.merge(cycles, scratch->state.counters);
-    pool.release(std::move(scratch));
+    const std::uint64_t cycles = search.search_from(e0, *state, cycle_union);
+    shared.merge(cycles, state->counters);
+    pool.release(std::move(state));
   });
   return shared.result;
 }
@@ -354,13 +345,10 @@ struct FineTemporalRun {
         state_pool([n = graph_.num_vertices()] {
           return std::make_unique<ClosingTimeState>(n);
         }),
-        reach_pool([n = graph_.num_vertices()] {
-          auto scratch = std::make_unique<TemporalReachScratch>();
-          scratch->init(n);
-          return scratch;
+        block_pool([&graph_, window_, on = options_.use_cycle_union] {
+          return std::make_unique<CycleUnionBlock>(graph_, window_, on);
         }),
-        counter_sinks(sched_),
-        closable(graph_, window_, options_, &sched_) {}
+        counter_sinks(sched_) {}
 
   const TemporalGraph& graph;
   Timestamp window;
@@ -371,13 +359,13 @@ struct FineTemporalRun {
   bool bounded;
 
   ScratchPool<ClosingTimeState> state_pool;
-  ScratchPool<TemporalReachScratch> reach_pool;
+  // Pooled, not per worker: a worker waiting inside a root can run another
+  // root chunk while the first block's unions are still being read.
+  ScratchPool<CycleUnionBlock> block_pool;
 
   // Per-worker sinks, summed once after the run's final wait.
   PerWorkerCounters counter_sinks;
   std::atomic<std::uint64_t> instances{0};
-  // Starts that may close a cycle; the rest are skipped before any state.
-  const ClosableStarts closable;
 
   void merge_counters(const WorkCounters& counters) {
     counter_sinks.merge(counters);
@@ -398,7 +386,7 @@ struct TemporalSearchContext {
   FineTemporalRun& run;
   VertexId tail = kInvalidVertex;
   Timestamp hi = 0;
-  const TemporalReachScratch* reach = nullptr;
+  CycleUnionView cycle_union;
 };
 
 bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
@@ -558,7 +546,7 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
       continue;
     }
 
-    if (search.reach != nullptr && !search.reach->contains(w)) {
+    if (!search.cycle_union.contains(w)) {
       i = j;
       continue;
     }
@@ -654,7 +642,8 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
   return found;
 }
 
-void temporal_search_root(FineTemporalRun& run, const TemporalEdge& e0) {
+void temporal_search_root(FineTemporalRun& run, const TemporalEdge& e0,
+                          CycleUnionView cycle_union) {
   if (e0.src == e0.dst) {
     if (run.sink != nullptr) {
       run.sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
@@ -665,19 +654,15 @@ void temporal_search_root(FineTemporalRun& run, const TemporalEdge& e0) {
     run.merge_counters(counters);
     return;
   }
-  if (!run.closable.passes(e0.id)) {
-    return;
+  if (!cycle_union.contains(e0.dst)) {
+    return;  // no cycle: skipped before any state
   }
-  auto reach = run.reach_pool.acquire();
   auto state = run.state_pool.acquire();
   state->reset();
   Timestamp hi = 0;
-  if (detail::TemporalJohnsonSearch::prepare_root(
-          run.graph, e0, run.window, run.options.use_cycle_union, reach.get(),
-          *state, hi)) {
-    TemporalSearchContext search{
-        run, e0.src, hi,
-        run.options.use_cycle_union ? reach.get() : nullptr};
+  if (detail::TemporalJohnsonSearch::prepare_root(run.graph, e0, run.window,
+                                                  cycle_union, *state, hi)) {
+    TemporalSearchContext search{run, e0.src, hi, cycle_union};
     const std::int32_t rem0 = run.bounded ? run.options.max_cycle_length - 1
                                           : detail::kUnboundedRem;
     if (rem0 >= 1) {
@@ -686,7 +671,6 @@ void temporal_search_root(FineTemporalRun& run, const TemporalEdge& e0) {
   }
   run.merge_counters(state->counters);
   run.state_pool.release(std::move(state));
-  run.reach_pool.release(std::move(reach));
 }
 
 }  // namespace
@@ -701,10 +685,20 @@ EnumResult fine_temporal_johnson_cycles(const TemporalGraph& graph,
   }
   FineTemporalRun run(graph, window, sched, options, popts, sink);
   const auto edges = graph.edges_by_time();
+  const std::size_t num_blocks =
+      (edges.size() + CycleUnionBlock::kStarts - 1) / CycleUnionBlock::kStarts;
   const std::size_t num_chunks =
       std::max<std::size_t>(std::size_t{32} * sched.num_workers(), 1);
-  parallel_for_chunked(sched, 0, edges.size(), num_chunks, [&](std::size_t i) {
-    temporal_search_root(run, edges[i]);
+  parallel_for_chunked(sched, 0, num_blocks, num_chunks, [&](std::size_t b) {
+    // Every root of the block, stolen children included, has finished
+    // reading its union before the block goes back to the pool.
+    auto block = run.block_pool.acquire();
+    const std::size_t last =
+        std::min(edges.size(), (b + 1) * CycleUnionBlock::kStarts);
+    for (std::size_t i = b * CycleUnionBlock::kStarts; i < last; ++i) {
+      temporal_search_root(run, edges[i], block->view(edges[i].id));
+    }
+    run.block_pool.release(std::move(block));
   });
   EnumResult result;
   result.work = run.counter_sinks.total();

@@ -33,19 +33,19 @@ class TemporalJohnsonSearch {
                         const EnumOptions& options, CycleSink* sink)
       : graph_(graph), window_(window), options_(options), sink_(sink) {}
 
-  // Runs the full search rooted at starting edge e0. Counters accumulate in
-  // state.counters; returns the number of temporal cycle instances.
+  // Runs the full search rooted at starting edge e0, pruned to its
+  // cycle-union. Counters accumulate in state.counters; returns the number
+  // of temporal cycle instances.
   std::uint64_t search_from(const TemporalEdge& e0, ClosingTimeState& state,
-                            TemporalReachScratch* reach);
+                            CycleUnionView cycle_union);
 
   // Shared helpers ------------------------------------------------------------
 
   // Sets up the root: returns false if the start can be skipped. On success
   // the state holds hops [tail, head] with the head's bundle = {e0}.
   static bool prepare_root(const TemporalGraph& graph, const TemporalEdge& e0,
-                           Timestamp window, bool use_cycle_union,
-                           TemporalReachScratch* reach, ClosingTimeState& state,
-                           Timestamp& hi_out);
+                           Timestamp window, CycleUnionView cycle_union,
+                           ClosingTimeState& state, Timestamp& hi_out);
 
   // Expands and reports every instance of the current path closed by
   // `closing`, in lockstep with the DP count. Thread-safe given a
@@ -62,7 +62,7 @@ class TemporalJohnsonSearch {
   CycleSink* sink_;
   VertexId tail_ = kInvalidVertex;
   Timestamp hi_ = 0;
-  const TemporalReachScratch* reach_ = nullptr;
+  CycleUnionView union_;
   std::uint64_t instances_found_ = 0;
 };
 

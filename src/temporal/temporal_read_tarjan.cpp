@@ -49,11 +49,11 @@ class TemporalRTCore {
         bounded_(options.max_cycle_length > 0) {}
 
   void bind(TemporalRTState& state, VertexId tail, Timestamp hi,
-            const TemporalReachScratch* reach) {
+            CycleUnionView cycle_union) {
     state_ = &state;
     tail_ = tail;
     hi_ = hi;
-    reach_ = reach;
+    union_ = cycle_union;
   }
 
   bool find_root_extension(TExtPath& out) {
@@ -139,7 +139,7 @@ class TemporalRTCore {
 
  private:
   bool admissible(VertexId w, Timestamp ts) const {
-    if (reach_ != nullptr && !reach_->contains(w)) {
+    if (!union_.contains(w)) {
       return false;
     }
     // In bounded mode the fail marks only ever describe the live DFS stack
@@ -221,7 +221,7 @@ class TemporalRTCore {
   TemporalRTState* state_ = nullptr;
   VertexId tail_ = kInvalidVertex;
   Timestamp hi_ = 0;
-  const TemporalReachScratch* reach_ = nullptr;
+  CycleUnionView union_;
   std::vector<VertexId> vertex_scratch_;
   std::vector<EdgeId> edge_scratch_;
 };
@@ -230,25 +230,19 @@ class TemporalRTCore {
 // the state holds [tail, head] and `core` is bound.
 bool prepare_start(const TemporalGraph& graph, const TemporalEdge& e0,
                    Timestamp window, const EnumOptions& options,
-                   TemporalReachScratch& reach, TemporalRTState& state,
+                   CycleUnionView cycle_union, TemporalRTState& state,
                    TemporalRTCore& core) {
   state.reset();
   const Timestamp hi = e0.ts + window;
-  if (graph.out_edges_in_window(e0.dst, e0.ts + 1, hi).empty() ||
+  if (!cycle_union.contains(e0.dst) ||
+      graph.out_edges_in_window(e0.dst, e0.ts + 1, hi).empty() ||
       graph.in_edges_in_window(e0.src, e0.ts + 1, hi).empty()) {
     return false;
-  }
-  const TemporalReachScratch* reach_ptr = nullptr;
-  if (options.use_cycle_union) {
-    if (!reach.compute(graph, e0, hi)) {
-      return false;
-    }
-    reach_ptr = &reach;
   }
   if (options.max_cycle_length == 1) {
     return false;  // only self-loops, handled by the drivers
   }
-  core.bind(state, e0.src, hi, reach_ptr);
+  core.bind(state, e0.src, hi, cycle_union);
   state.push(e0.src, kInvalidEdge, e0.ts);  // tail pinned; arrival unused
   state.push(e0.dst, e0.id, e0.ts);
   return true;
@@ -272,9 +266,8 @@ std::uint64_t drain(TemporalRTCore& core, TemporalRTState& state,
 }
 
 struct TRTScratch {
-  explicit TRTScratch(VertexId n) : state(n) { reach.init(n); }
+  explicit TRTScratch(VertexId n) : state(n) {}
   TemporalRTState state;
-  TemporalReachScratch reach;
   std::vector<TRTChild> pending;
 };
 
@@ -290,9 +283,10 @@ struct SharedResult {
 
 std::uint64_t run_start(const TemporalGraph& graph, const TemporalEdge& e0,
                         Timestamp window, const EnumOptions& options,
-                        CycleSink* sink, TRTScratch& scratch) {
+                        CycleSink* sink, CycleUnionView cycle_union,
+                        TRTScratch& scratch) {
   TemporalRTCore core(graph, options, sink);
-  if (!prepare_start(graph, e0, window, options, scratch.reach, scratch.state,
+  if (!prepare_start(graph, e0, window, options, cycle_union, scratch.state,
                      core)) {
     return 0;
   }
@@ -323,7 +317,7 @@ EnumResult temporal_read_tarjan_cycles(const TemporalGraph& graph,
     return result;
   }
   TRTScratch scratch(n);
-  const ClosableStarts closable(graph, window, options, nullptr);
+  CycleUnionBlock block(graph, window, options.use_cycle_union);
   for (const auto& e0 : graph.edges_by_time()) {
     if (e0.src == e0.dst) {
       result.num_cycles += 1;
@@ -333,10 +327,8 @@ EnumResult temporal_read_tarjan_cycles(const TemporalGraph& graph,
       }
       continue;
     }
-    if (!closable.passes(e0.id)) {
-      continue;
-    }
-    result.num_cycles += run_start(graph, e0, window, options, sink, scratch);
+    result.num_cycles += run_start(graph, e0, window, options, sink,
+                                   block.view(e0.id), scratch);
     result.work += scratch.state.counters;
   }
   return result;
@@ -358,7 +350,10 @@ EnumResult coarse_temporal_read_tarjan_cycles(const TemporalGraph& graph,
   SharedResult shared;
   ScratchPool<TRTScratch> pool(
       [n] { return std::make_unique<TRTScratch>(n); });
-  const ClosableStarts closable(graph, window, options, &sched);
+  // A start task never waits, so a worker's cached block is never shared.
+  std::vector<CycleUnionBlock> blocks(
+      sched.num_workers(),
+      CycleUnionBlock(graph, window, options.use_cycle_union));
   const auto edges = graph.edges_by_time();
   parallel_for_each_index(sched, 0, edges.size(), [&](std::size_t i) {
     const TemporalEdge& e0 = edges[i];
@@ -371,12 +366,15 @@ EnumResult coarse_temporal_read_tarjan_cycles(const TemporalGraph& graph,
       shared.merge(1, counters);
       return;
     }
-    if (!closable.passes(e0.id)) {
+    const CycleUnionView cycle_union =
+        blocks[static_cast<std::size_t>(Scheduler::current_worker_id())].view(
+            e0.id);
+    if (!cycle_union.contains(e0.dst)) {
       return;
     }
     auto scratch = pool.acquire();
     const std::uint64_t cycles =
-        run_start(graph, e0, window, options, sink, *scratch);
+        run_start(graph, e0, window, options, sink, cycle_union, *scratch);
     shared.merge(cycles, scratch->state.counters);
     pool.release(std::move(scratch));
   });
@@ -402,13 +400,10 @@ struct FineTRTRun {
         state_pool([n = graph_.num_vertices()] {
           return std::make_unique<TemporalRTState>(n);
         }),
-        reach_pool([n = graph_.num_vertices()] {
-          auto scratch = std::make_unique<TemporalReachScratch>();
-          scratch->init(n);
-          return scratch;
+        block_pool([&graph_, window_, on = options_.use_cycle_union] {
+          return std::make_unique<CycleUnionBlock>(graph_, window_, on);
         }),
-        counter_sinks(sched_),
-        closable(graph_, window_, options_, &sched_) {}
+        counter_sinks(sched_) {}
 
   const TemporalGraph& graph;
   Timestamp window;
@@ -418,12 +413,12 @@ struct FineTRTRun {
   CycleSink* sink;
 
   ScratchPool<TemporalRTState> state_pool;
-  ScratchPool<TemporalReachScratch> reach_pool;
+  // Pooled, not per worker: a worker waiting inside a root can run another
+  // root chunk while the first block's unions are still being read.
+  ScratchPool<CycleUnionBlock> block_pool;
 
   // Per-worker sinks, summed once after the run's final wait.
   PerWorkerCounters counter_sinks;
-  // Starts that may close a cycle; the rest are skipped before any state.
-  const ClosableStarts closable;
 
   void merge_counters(const WorkCounters& counters) {
     counter_sinks.merge(counters);
@@ -444,7 +439,7 @@ struct FineTRTContext {
   FineTRTRun& run;
   VertexId tail = kInvalidVertex;
   Timestamp hi = 0;
-  const TemporalReachScratch* reach = nullptr;
+  CycleUnionView cycle_union;
 };
 
 void trt_exec_call(FineTRTContext& search, TemporalRTState& st,
@@ -487,7 +482,7 @@ void trt_exec_call(FineTRTContext& search, TemporalRTState& st,
   st.set_floor(child.path_len);
 
   TemporalRTCore core(run.graph, run.options, run.sink);
-  core.bind(st, search.tail, search.hi, search.reach);
+  core.bind(st, search.tail, search.hi, search.cycle_union);
 
   std::vector<TRTChild> collected;
   core.walk(child.ext, child.excluded, [&collected](TRTChild&& c) {
@@ -515,7 +510,8 @@ void trt_exec_call(FineTRTContext& search, TemporalRTState& st,
   st.set_floor(saved_floor);
 }
 
-void trt_search_root(FineTRTRun& run, const TemporalEdge& e0) {
+void trt_search_root(FineTRTRun& run, const TemporalEdge& e0,
+                     CycleUnionView cycle_union) {
   if (e0.src == e0.dst) {
     if (run.sink != nullptr) {
       run.sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
@@ -525,17 +521,14 @@ void trt_search_root(FineTRTRun& run, const TemporalEdge& e0) {
     run.merge_counters(counters);
     return;
   }
-  if (!run.closable.passes(e0.id)) {
-    return;
+  if (!cycle_union.contains(e0.dst)) {
+    return;  // no cycle: skipped before any state
   }
-  auto reach = run.reach_pool.acquire();
   auto state = run.state_pool.acquire();
   TemporalRTCore core(run.graph, run.options, run.sink);
-  if (prepare_start(run.graph, e0, run.window, run.options, *reach, *state,
-                    core)) {
-    FineTRTContext search{
-        run, e0.src, e0.ts + run.window,
-        run.options.use_cycle_union ? reach.get() : nullptr};
+  if (prepare_start(run.graph, e0, run.window, run.options, cycle_union,
+                    *state, core)) {
+    FineTRTContext search{run, e0.src, e0.ts + run.window, cycle_union};
     TExtPath root_ext;
     if (core.find_root_extension(root_ext)) {
       trt_exec_call(search, *state,
@@ -547,7 +540,6 @@ void trt_search_root(FineTRTRun& run, const TemporalEdge& e0) {
   }
   run.merge_counters(state->counters);
   run.state_pool.release(std::move(state));
-  run.reach_pool.release(std::move(reach));
 }
 
 }  // namespace
@@ -562,10 +554,21 @@ EnumResult fine_temporal_read_tarjan_cycles(const TemporalGraph& graph,
   }
   FineTRTRun run(graph, window, sched, options, popts, sink);
   const auto edges = graph.edges_by_time();
+  const std::size_t num_blocks =
+      (edges.size() + CycleUnionBlock::kStarts - 1) / CycleUnionBlock::kStarts;
   const std::size_t num_chunks =
       std::max<std::size_t>(std::size_t{32} * sched.num_workers(), 1);
-  parallel_for_chunked(sched, 0, edges.size(), num_chunks,
-                       [&](std::size_t i) { trt_search_root(run, edges[i]); });
+  parallel_for_chunked(sched, 0, num_blocks, num_chunks, [&](std::size_t b) {
+    // Every root of the block, stolen children included, has finished
+    // reading its union before the block goes back to the pool.
+    auto block = run.block_pool.acquire();
+    const std::size_t last =
+        std::min(edges.size(), (b + 1) * CycleUnionBlock::kStarts);
+    for (std::size_t i = b * CycleUnionBlock::kStarts; i < last; ++i) {
+      trt_search_root(run, edges[i], block->view(edges[i].id));
+    }
+    run.block_pool.release(std::move(block));
+  });
   EnumResult result;
   result.work = run.counter_sinks.total();
   result.num_cycles = result.work.cycles_found;

@@ -137,7 +137,7 @@ EnumResult two_scent_cycles(const TemporalGraph& graph, Timestamp window,
     if (!seeds.test(e0.id)) {
       continue;
     }
-    result.num_cycles += search.search_from(e0, state, nullptr);
+    result.num_cycles += search.search_from(e0, state, {});
     result.work += state.counters;
   }
   return result;

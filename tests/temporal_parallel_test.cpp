@@ -128,10 +128,11 @@ TEST(TemporalParallel, FineReadTarjanIsWorkEfficient) {
   EXPECT_EQ(fine.work.edges_visited, serial.work.edges_visited);
 }
 
-// Most starts of this graph fail the reachability pre-pass (a short window
-// over a long, sparse history), so the closable-starts bitmap skips most
-// roots. Every driver must still agree with the brute-force oracle, with the
-// pre-pass on and off, and Read-Tarjan's edge visits must not depend on the
+// Most starts of this graph have no cycle (a short window over a long,
+// sparse history), so the block cycle-unions skip most roots. Every driver
+// must still agree with the brute-force oracle, with the unions on and off;
+// the coarse drivers (one cached block per worker) must do exactly the
+// serial work, and Read-Tarjan's edge visits must not depend on the
 // schedule.
 TEST(TemporalParallel, SkippedStartsKeepCountsExact) {
   ScaleFreeTemporalParams params;
@@ -145,10 +146,11 @@ TEST(TemporalParallel, SkippedStartsKeepCountsExact) {
   const auto oracle = brute_temporal_cycles(g, window);
   ASSERT_GT(oracle.num_cycles, 100u);
 
-  const ClosableStarts closable(g, window, {}, nullptr);
+  TemporalReachScratch reach;
+  reach.init(g.num_vertices());
   std::size_t skipped = 0;
   for (const TemporalEdge& e : g.edges_by_time()) {
-    skipped += closable.passes(e.id) ? 0 : 1;
+    skipped += reach.compute(g, e, e.ts + window) ? 0 : 1;
   }
   ASSERT_GT(skipped, g.num_edges() / 2);
 
@@ -167,7 +169,13 @@ TEST(TemporalParallel, SkippedStartsKeepCountsExact) {
           coarse_temporal_read_tarjan_cycles(g, window, sched, options);
       EXPECT_EQ(cj.num_cycles, oracle.num_cycles) << threads << " threads";
       EXPECT_EQ(cr.num_cycles, oracle.num_cycles) << threads << " threads";
+      EXPECT_EQ(cj.work.edges_visited, sj.work.edges_visited)
+          << threads << " threads";
+      EXPECT_EQ(cj.work.vertices_visited, sj.work.vertices_visited)
+          << threads << " threads";
       EXPECT_EQ(cr.work.edges_visited, sr.work.edges_visited)
+          << threads << " threads";
+      EXPECT_EQ(cr.work.vertices_visited, sr.work.vertices_visited)
           << threads << " threads";
       for (const SpawnPolicy policy :
            {SpawnPolicy::kAlways, SpawnPolicy::kAdaptive}) {
@@ -183,6 +191,57 @@ TEST(TemporalParallel, SkippedStartsKeepCountsExact) {
             << threads << " threads";
       }
     }
+  }
+}
+
+// Serial counters recorded before the cycle-unions moved to 64-start blocks:
+// the prune set is unchanged, so every count must be exactly the same.
+TEST(TemporalParallel, SerialCountersPinned) {
+  struct Pin {
+    std::uint64_t cycles;
+    std::uint64_t edges_visited;
+    std::uint64_t vertices_visited;
+  };
+  struct Case {
+    ScaleFreeTemporalParams params;
+    Timestamp window;
+    bool use_cycle_union;
+    Pin johnson;
+    Pin read_tarjan;
+  };
+  ScaleFreeTemporalParams ties;  // about ten edges per timestamp
+  ties.num_vertices = 24;
+  ties.num_edges = 700;
+  ties.time_span = 70;
+  ties.attachment = 0.6;
+  ties.seed = 2;
+  ScaleFreeTemporalParams sparse;  // most starts have no cycle
+  sparse.num_vertices = 15;
+  sparse.num_edges = 600;
+  sparse.time_span = 20000;
+  sparse.attachment = 0.6;
+  sparse.seed = 131;
+  const Case cases[] = {
+      {ties, 12, true, {1260, 7891, 1629}, {1260, 14355, 2412}},
+      {ties, 12, false, {1260, 17029, 8813}, {1260, 26046, 12870}},
+      {sparse, 1500, true, {655, 3365, 747}, {655, 6153, 936}},
+      {sparse, 1500, false, {655, 6164, 3572}, {655, 9437, 4293}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "seed " << c.params.seed
+                                    << " use_cycle_union "
+                                    << c.use_cycle_union);
+    const TemporalGraph g = scale_free_temporal(c.params);
+    EnumOptions options;
+    options.use_cycle_union = c.use_cycle_union;
+    const auto sj = temporal_johnson_cycles(g, c.window, options);
+    const auto sr = temporal_read_tarjan_cycles(g, c.window, options);
+    EXPECT_EQ(sj.num_cycles, c.johnson.cycles);
+    EXPECT_EQ(sj.work.edges_visited, c.johnson.edges_visited);
+    EXPECT_EQ(sj.work.vertices_visited, c.johnson.vertices_visited);
+    EXPECT_EQ(sr.num_cycles, c.read_tarjan.cycles);
+    EXPECT_EQ(sr.work.edges_visited, c.read_tarjan.edges_visited);
+    EXPECT_EQ(sr.work.vertices_visited, c.read_tarjan.vertices_visited);
   }
 }
 

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "core/johnson_state.hpp"  // ScratchPool
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "support/scheduler.hpp"
@@ -145,27 +148,71 @@ std::vector<bool> brute_union(const TemporalGraph& g, const TemporalEdge& e0,
 struct Tally {
   std::size_t starts = 0;
   std::size_t closable = 0;
-  std::size_t comparisons = 0;  // contains() calls checked
+  std::size_t comparisons = 0;  // union bits checked
 };
 
-// Checks every start of `g`: the closable bit (serial and 2-worker fills)
-// equals compute(), and after a successful compute contains() equals the
-// brute-force union for every vertex.
-void check_against_brute_force(const TemporalGraph& g, Timestamp window,
-                               Tally& tally) {
-  const ClosableStarts serial(g, window, {}, nullptr);
-  const ClosableStarts parallel =
-      Scheduler::with_pool(2, [&](Scheduler& sched) {
-        return ClosableStarts(g, window, {}, &sched);
-      });
+// Union bits of every start as the drivers read them, unions[start][v]:
+// serially from one block object walked in start order, or from pooled
+// block objects filled by two workers over chunks of blocks (so a pooled
+// object is reused for a block that does not follow its last one).
+std::vector<std::vector<bool>> block_unions(const TemporalGraph& g,
+                                            Timestamp window, bool pooled) {
+  const std::size_t m = g.num_edges();
+  std::vector<std::vector<bool>> unions(m);
+  const auto fill = [&](CycleUnionBlock& block, std::size_t start) {
+    const CycleUnionView view = block.view(static_cast<EdgeId>(start));
+    unions[start].resize(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      unions[start][v] = view.contains(v);
+    }
+  };
+  if (!pooled) {
+    CycleUnionBlock block(g, window);
+    for (std::size_t start = 0; start < m; ++start) {
+      fill(block, start);
+    }
+    return unions;
+  }
+  constexpr std::size_t kStarts = CycleUnionBlock::kStarts;
+  Scheduler::with_pool(2, [&](Scheduler& sched) {
+    ScratchPool<CycleUnionBlock> pool(
+        [&] { return std::make_unique<CycleUnionBlock>(g, window); });
+    parallel_for_chunked(sched, 0, (m + kStarts - 1) / kStarts, 3,
+                         [&](std::size_t b) {
+                           auto block = pool.acquire();
+                           for (std::size_t start = b * kStarts;
+                                start < std::min(m, (b + 1) * kStarts);
+                                ++start) {
+                             fill(*block, start);
+                           }
+                           pool.release(std::move(block));
+                         });
+  });
+  return unions;
+}
+
+// Checks every start of `g`: the block's closable bit (its head's union
+// bit) equals compute() and its union bit equals contains(v) for every
+// vertex, on both the serial and the pooled path; and compute() itself
+// matches the brute-force union.
+void check_against_oracle(const TemporalGraph& g, Timestamp window,
+                          Tally& tally) {
+  const auto serial = block_unions(g, window, false);
+  const auto pooled = block_unions(g, window, true);
   TemporalReachScratch reach;
   reach.init(g.num_vertices());
   for (const TemporalEdge& e0 : g.edges_by_time()) {
     const bool closes = reach.compute(g, e0, e0.ts + window);
-    ASSERT_EQ(serial.passes(e0.id), closes) << "start " << e0.id;
-    ASSERT_EQ(parallel.passes(e0.id), closes) << "start " << e0.id;
+    ASSERT_EQ(serial[e0.id][e0.dst], closes) << "start " << e0.id;
     tally.starts += 1;
     tally.closable += closes ? 1 : 0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(serial[e0.id][v], reach.contains(v))
+          << "start " << e0.id << " vertex " << v;
+      ASSERT_EQ(pooled[e0.id][v], reach.contains(v))
+          << "start " << e0.id << " vertex " << v;
+      tally.comparisons += 1;
+    }
     if (e0.src == e0.dst) {
       ASSERT_TRUE(closes);
       continue;
@@ -175,12 +222,11 @@ void check_against_brute_force(const TemporalGraph& g, Timestamp window,
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       ASSERT_EQ(reach.contains(v), closes && expected[v])
           << "start " << e0.id << " vertex " << v;
-      tally.comparisons += 1;
     }
   }
 }
 
-TEST(TemporalReach, MatchesBruteForceOnRandomGraphs) {
+TEST(TemporalReach, BlockMatchesOracleOnRandomGraphs) {
   Tally tally;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     const bool ties = seed % 2 == 0;
@@ -195,12 +241,12 @@ TEST(TemporalReach, MatchesBruteForceOnRandomGraphs) {
     const TemporalGraph g = scale_free_temporal(params);
     const Timestamp window = ties ? 12 : 1200;
     SCOPED_TRACE(testing::Message() << "seed " << seed);
-    check_against_brute_force(g, window, tally);
+    check_against_oracle(g, window, tally);
   }
   // Both outcomes well represented, so neither answer passes by default.
   EXPECT_GT(tally.closable, tally.starts / 5);
   EXPECT_LT(tally.closable, tally.starts * 4 / 5);
-  EXPECT_GT(tally.comparisons, 100000u);
+  EXPECT_GT(tally.comparisons, 200000u);
 }
 
 TEST(TemporalReach, SelfLoopBlocksAndZeroWindow) {
@@ -224,12 +270,58 @@ TEST(TemporalReach, SelfLoopBlocksAndZeroWindow) {
   Tally tally;
   for (const Timestamp window : {0, 1, 2, 5, 200}) {
     SCOPED_TRACE(testing::Message() << "window " << window);
-    check_against_brute_force(g, window, tally);
+    check_against_oracle(g, window, tally);
   }
-  const ClosableStarts zero(g, 0, {}, nullptr);
+  CycleUnionBlock zero(g, 0);
   for (const TemporalEdge& e : g.edges_by_time()) {
-    EXPECT_EQ(zero.passes(e.id), e.src == e.dst) << "start " << e.id;
+    EXPECT_EQ(zero.view(e.id).contains(e.dst), e.src == e.dst)
+        << "start " << e.id;
   }
+}
+
+TEST(TemporalReach, HeadOfOneStartIsTailOfAnother) {
+  // Two triangles running both ways over shared vertices, with ties: every
+  // start's head is the tail of other starts in its block.
+  GraphBuilder builder(4);
+  for (Timestamp t = 1; t <= 90; ++t) {
+    const auto v = static_cast<VertexId>(t % 3);
+    builder.add_edge(v, (v + 1) % 3, t);
+    if (t % 4 == 0) {
+      builder.add_edge((v + 1) % 3, v, t);  // ties with the forward edge
+      builder.add_edge(v, 3, t + 1);
+      builder.add_edge(3, (v + 2) % 3, t + 2);
+    }
+  }
+  const TemporalGraph g = builder.build_temporal();
+  Tally tally;
+  for (const Timestamp window : {1, 2, 3, 7, 40}) {
+    SCOPED_TRACE(testing::Message() << "window " << window);
+    check_against_oracle(g, window, tally);
+  }
+  EXPECT_GT(tally.closable, 0u);
+  EXPECT_LT(tally.closable, tally.starts);
+}
+
+TEST(TemporalReach, OneEdgeGraphs) {
+  GraphBuilder plain(2);
+  plain.add_edge(0, 1, 5);
+  const TemporalGraph g = plain.build_temporal();
+  CycleUnionBlock block(g, 100);
+  const CycleUnionView view = block.view(0);
+  EXPECT_FALSE(view.contains(0));
+  EXPECT_FALSE(view.contains(1));
+
+  GraphBuilder loop(2);
+  loop.add_edge(1, 1, 5);
+  const TemporalGraph l = loop.build_temporal();
+  CycleUnionBlock loop_block(l, 0);
+  EXPECT_FALSE(loop_block.view(0).contains(0));
+  EXPECT_TRUE(loop_block.view(0).contains(1));
+
+  // Disabled: nothing computed, nothing pruned.
+  CycleUnionBlock off(g, 100, /*enabled=*/false);
+  EXPECT_TRUE(off.view(0).contains(0));
+  EXPECT_TRUE(off.view(0).contains(1));
 }
 
 }  // namespace

@@ -1,15 +1,21 @@
 // Microbenchmarks (google-benchmark) for the substrate kernels: deque
 // operations, scheduler fork-join overhead, state copy/repair costs, the
-// graph window queries the hot loops depend on, and the temporal
-// cycle-union pre-pass.
+// graph window queries the hot loops depend on, the temporal cycle-union
+// pre-pass, and the stream engine's batch dispatch.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/johnson_state.hpp"
 #include "core/rt_state.hpp"
 #include "graph/generators.hpp"
 #include "graph/scc.hpp"
+#include "stream/engine.hpp"
 #include "support/chase_lev_deque.hpp"
 #include "support/dynamic_bitset.hpp"
+#include "support/prng.hpp"
 #include "support/scheduler.hpp"
 #include "support/task_slab.hpp"
 #include "temporal/cycle_union.hpp"
@@ -248,6 +254,65 @@ void BM_TemporalBlockUnion(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * graph.num_edges());
 }
 BENCHMARK(BM_TemporalBlockUnion)->Unit(benchmark::kMillisecond);
+
+// The perfbench stream-sparse feed at a tenth of its edges and time span
+// (same density, window and reorder slack), shuffled within the slack by
+// sorting on ts + uniform[0, slack].
+constexpr Timestamp kStreamSparseWindow = 32000;
+constexpr Timestamp kStreamSparseSlack = kStreamSparseWindow / 8;
+constexpr VertexId kStreamSparseVertices = 6000;
+
+const std::vector<TemporalEdge>& stream_sparse_feed() {
+  static const std::vector<TemporalEdge> feed = [] {
+    ScaleFreeTemporalParams params;
+    params.num_vertices = kStreamSparseVertices;
+    params.num_edges = 120000;
+    params.time_span = 800000;
+    params.attachment = 0.8;
+    params.burstiness = 0.6;
+    params.seed = 107;
+    const TemporalGraph graph = scale_free_temporal(params);
+    SplitMix64 rng(107);
+    std::vector<std::pair<Timestamp, TemporalEdge>> keyed;
+    for (const TemporalEdge& e : graph.edges_by_time()) {
+      keyed.emplace_back(
+          e.ts + static_cast<Timestamp>(rng.next() % (kStreamSparseSlack + 1)),
+          e);
+    }
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    std::vector<TemporalEdge> out;
+    for (const auto& k : keyed) {
+      out.push_back(k.second);
+    }
+    return out;
+  }();
+  return feed;
+}
+
+// A whole StreamEngine replay with default options: reorder, window upkeep
+// and the batch dispatch of near-empty searches. Arg 0 is the worker count.
+void BM_StreamReplaySparse(benchmark::State& state) {
+  const std::vector<TemporalEdge>& feed = stream_sparse_feed();
+  Scheduler sched(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    StreamOptions options;
+    options.window = kStreamSparseWindow;
+    options.reorder_slack = kStreamSparseSlack;
+    options.num_vertices_hint = kStreamSparseVertices;
+    StreamEngine engine(options, sched, nullptr);
+    for (const TemporalEdge& e : feed) {
+      engine.push(e.src, e.dst, e.ts);
+    }
+    engine.flush();
+    benchmark::DoNotOptimize(engine.cycles_found());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(feed.size()));
+}
+BENCHMARK(BM_StreamReplaySparse)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace parcycle

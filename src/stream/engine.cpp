@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <exception>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -245,9 +246,11 @@ void StreamEngine::flush() {
 
 namespace {
 
-struct EdgeSearchTask {
+// One contiguous range [begin, end) of the batch's pending edges.
+struct EdgeChunkTask {
   StreamEngine* engine;
-  TemporalEdge edge;
+  std::size_t begin;
+  std::size_t end;
   void operator()();
 };
 
@@ -256,20 +259,21 @@ struct EdgeSearchTask {
 // Grants the file-local task access to the private batch internals without
 // widening the public surface.
 struct StreamEngineBatchAccess {
-  static void search(StreamEngine& engine, const TemporalEdge& edge) {
-    engine.search_edge(edge);
+  static void search(StreamEngine& engine, std::size_t begin,
+                     std::size_t end) {
+    engine.search_edges(begin, end);
   }
 };
 
 namespace {
 
-void EdgeSearchTask::operator()() {
-  StreamEngineBatchAccess::search(*engine, edge);
+void EdgeChunkTask::operator()() {
+  StreamEngineBatchAccess::search(*engine, begin, end);
 }
 
-// Per-edge batch tasks must ride the zero-allocation slab spawn path.
-static_assert(spawn_uses_slab_v<EdgeSearchTask>,
-              "EdgeSearchTask outgrew the scheduler's task-slab block");
+// Batch tasks must ride the zero-allocation slab spawn path.
+static_assert(spawn_uses_slab_v<EdgeChunkTask>,
+              "EdgeChunkTask outgrew the scheduler's task-slab block");
 
 }  // namespace
 
@@ -303,19 +307,24 @@ void StreamEngine::process_batch() {
   }
   const std::uint64_t t_ingested = tr ? trace_now_ns() : 0;
   {
+    // Contiguous chunks, a few per worker: enough tasks to balance, few
+    // enough that the per-task setup is paid per chunk, not per edge.
+    const std::size_t edges = pending_.size();
+    const std::size_t tasks = kSearchChunksPerWorker * sched_.num_workers();
+    const std::size_t chunk = (edges + tasks - 1) / tasks;
     TaskGroup group(sched_);
     try {
-      for (const TemporalEdge& e : pending_) {
-        group.spawn(EdgeSearchTask{this, e});
+      for (std::size_t lo = 0; lo < edges; lo += chunk) {
+        group.spawn(EdgeChunkTask{this, lo, std::min(edges, lo + chunk)});
       }
       group.wait();
     } catch (...) {
-      // A search task (or the spawn itself, e.g. injected slab alloc
-      // failure) threw. The edges are already ingested, so the window stays
-      // correct; only this batch's searches are (partially) lost. Count it
-      // and keep the engine live — group.wait() drained the remaining tasks
-      // before rethrowing, and the TaskGroup destructor drains any the
-      // spawn loop left behind.
+      // A search (rethrown by its chunk once the chunk's other edges ran)
+      // or the spawn itself (e.g. injected slab alloc failure) threw. The
+      // edges are already ingested, so the window stays correct; only this
+      // batch's searches are (partially) lost. Count it and keep the engine
+      // live — group.wait() drained the remaining tasks before rethrowing,
+      // and the TaskGroup destructor drains any the spawn loop left behind.
       search_errors_ += 1;
     }
   }
@@ -352,11 +361,12 @@ void StreamEngine::process_batch() {
   }
 }
 
-void StreamEngine::search_edge(const TemporalEdge& edge) {
+void StreamEngine::search_edges(std::size_t begin, std::size_t end) {
+  // Everything up to the edge loop is batch-stable and paid once per chunk.
   const int worker = Scheduler::current_worker_id();
   assert(worker >= 0 &&
          static_cast<std::size_t>(worker) < sinks_.size() &&
-         "search_edge must run on a worker of the engine's scheduler");
+         "search_edges must run on a worker of the engine's scheduler");
   WorkerSink& sink = *sinks_[static_cast<std::size_t>(worker)];
 
   ParallelOptions popts;
@@ -365,7 +375,6 @@ void StreamEngine::search_edge(const TemporalEdge& edge) {
 
   TraceRecorder* const tr = sched_.tracer();
   const auto wid = static_cast<unsigned>(worker);
-  auto scratch = scratch_pool_.acquire();
   // Ladder effects, fixed for the whole batch (the level only changes at
   // batch boundaries on worker 0, ordered before the task spawns).
   const OverloadLevel level = overload_level_.load(std::memory_order_relaxed);
@@ -389,76 +398,108 @@ void StreamEngine::search_edge(const TemporalEdge& edge) {
       adaptive_applied = true;
     }
   }
+  auto scratch = scratch_pool_.acquire();
+  std::exception_ptr error;
+  // One clock read per edge-lane: each lane, and each edge, starts where the
+  // previous one ended.
   std::uint64_t t_lane = trace_now_ns();
-  const std::uint64_t edge_start = t_lane;  // for the whole-edge span
-  for (std::size_t lane = 0; lane < deltas_.size(); ++lane) {
-    const Timestamp delta = deltas_[lane];
-    LaneCounters& counters = sink.lanes[lane];
-    const std::size_t frontier =
-        edge.src == edge.dst
-            ? 0
-            : graph_
-                  .out_edges_in_window(edge.dst, edge.ts - delta, edge.ts - 1)
-                  .size();
-    const bool hot = !force_serial && edge.src != edge.dst &&
-                     frontier >= options_.hot_frontier_threshold;
+  for (std::size_t i = begin; i < end; ++i) {
+    const TemporalEdge& edge = pending_[i];
+    const std::uint64_t edge_start = t_lane;  // for the whole-edge span
+    try {
+      for (std::size_t lane = 0; lane < deltas_.size(); ++lane) {
+        const Timestamp delta = deltas_[lane];
+        LaneCounters& counters = sink.lanes[lane];
+        const std::size_t frontier =
+            edge.src == edge.dst
+                ? 0
+                : graph_
+                      .out_edges_in_window(edge.dst, edge.ts - delta,
+                                           edge.ts - 1)
+                      .size();
+        const bool hot = !force_serial && edge.src != edge.dst &&
+                         frontier >= options_.hot_frontier_threshold;
 
-    EnumOptions eopts;
-    eopts.max_cycle_length = options_.max_cycle_length;
-    // Both thresholds read only the graph, so the serial/fine split and the
-    // prune decision — hence cycle counts and edge visits — are
-    // deterministic across schedules and thread counts, per lane. The
-    // overload overrides are batch-stable, so determinism survives them for
-    // a fixed push sequence.
-    eopts.use_cycle_union =
-        force_prune || (options_.use_reach_prune &&
-                        frontier >= options_.prune_frontier_threshold);
-    if (tr != nullptr) {
-      // Decision instants reuse the lane's start timestamp: tracing the
-      // escalate/prune verdicts costs no clock reads.
-      if (hot) {
-        tr->record_instant(wid, TraceName::kEscalated, t_lane, edge.id);
+        EnumOptions eopts;
+        eopts.max_cycle_length = options_.max_cycle_length;
+        // Both thresholds read only the graph, so the serial/fine split and
+        // the prune decision — hence cycle counts and edge visits — are
+        // deterministic across schedules and thread counts, per lane. The
+        // overload overrides are batch-stable, so determinism survives them
+        // for a fixed push sequence.
+        eopts.use_cycle_union =
+            force_prune || (options_.use_reach_prune &&
+                            frontier >= options_.prune_frontier_threshold);
+        if (tr != nullptr) {
+          // Decision instants reuse the lane's start timestamp: tracing the
+          // escalate/prune verdicts costs no clock reads.
+          if (hot) {
+            tr->record_instant(wid, TraceName::kEscalated, t_lane, edge.id);
+          }
+          if (eopts.use_cycle_union) {
+            tr->record_instant(wid, TraceName::kPruned, t_lane, edge.id);
+          }
+        }
+        // A fresh budget per lane search: the deadline is per-search, and
+        // the disabled case stays a null pointer all the way down the DFS.
+        std::optional<SearchBudgetState> budget_state;
+        SearchBudgetState* budget = nullptr;
+        if (budget_cfg.enabled()) {
+          budget_state.emplace(budget_cfg);
+          budget = &*budget_state;
+          if (adaptive_applied) {
+            counters.work.adaptive_budget_applications += 1;
+          }
+        }
+        std::uint64_t found = 0;
+        const std::uint64_t truncated_before =
+            counters.work.searches_truncated;
+        if (hot) {
+          counters.escalated += 1;
+        }
+        // A head with no live out-edge in the window closes nothing; the
+        // search would settle at 0 without touching a counter or the budget.
+        if (frontier > 0 || edge.src == edge.dst) {
+          found = hot ? fine_cycles_closed_by_edge(
+                            graph_, edge, delta, sched_, eopts, popts,
+                            *scratch, counters.work, effective_sinks_[lane],
+                            budget)
+                      : cycles_closed_by_edge(graph_, edge, delta, eopts,
+                                              *scratch, counters.work,
+                                              effective_sinks_[lane], budget);
+        }
+        counters.cycles += found;
+        const std::uint64_t t_done = trace_now_ns();
+        if (tr != nullptr &&
+            counters.work.searches_truncated != truncated_before) {
+          tr->record_instant(wid, TraceName::kSearchTruncated, t_done,
+                             edge.id);
+        }
+        counters.latency.record(t_done - t_lane);
+        t_lane = t_done;
       }
-      if (eopts.use_cycle_union) {
-        tr->record_instant(wid, TraceName::kPruned, t_lane, edge.id);
+    } catch (...) {
+      // Contain the failure to this edge. Its scratch may hold a half-built
+      // path, so it is dropped rather than pooled; the chunk's other edges
+      // continue on a fresh one, and the first error is rethrown once they
+      // are done so the batch counts it.
+      if (!error) {
+        error = std::current_exception();
       }
+      scratch = scratch_pool_.acquire();
+      t_lane = trace_now_ns();
+      continue;
     }
-    // A fresh budget per lane search: the deadline is per-search, and the
-    // disabled case stays a null pointer all the way down the DFS.
-    std::optional<SearchBudgetState> budget_state;
-    SearchBudgetState* budget = nullptr;
-    if (budget_cfg.enabled()) {
-      budget_state.emplace(budget_cfg);
-      budget = &*budget_state;
-      if (adaptive_applied) {
-        counters.work.adaptive_budget_applications += 1;
-      }
-    }
-    std::uint64_t found = 0;
-    const std::uint64_t truncated_before = counters.work.searches_truncated;
-    if (hot) {
-      counters.escalated += 1;
-      found = fine_cycles_closed_by_edge(graph_, edge, delta, sched_, eopts,
-                                         popts, *scratch, counters.work,
-                                         effective_sinks_[lane], budget);
-    } else {
-      found = cycles_closed_by_edge(graph_, edge, delta, eopts, *scratch,
-                                    counters.work, effective_sinks_[lane],
-                                    budget);
-    }
-    counters.cycles += found;
-    const std::uint64_t t_done = trace_now_ns();
     if (tr != nullptr &&
-        counters.work.searches_truncated != truncated_before) {
-      tr->record_instant(wid, TraceName::kSearchTruncated, t_done, edge.id);
+        t_lane - edge_start >= options_.trace_search_threshold_ns) {
+      tr->record_span(wid, TraceName::kEdgeSearch, edge_start, t_lane,
+                      edge.id);
     }
-    counters.latency.record(t_done - t_lane);
-    t_lane = t_done;  // next lane starts where this one ended: no extra read
-  }
-  if (tr != nullptr && t_lane - edge_start >= options_.trace_search_threshold_ns) {
-    tr->record_span(wid, TraceName::kEdgeSearch, edge_start, t_lane, edge.id);
   }
   scratch_pool_.release(std::move(scratch));
+  if (error) {
+    std::rethrow_exception(error);
+  }
 }
 
 StreamStats StreamEngine::stats() const {

@@ -24,12 +24,19 @@
 //  2. ingests the whole batch into the SlidingWindowGraph (edges of one batch
 //     are mutually invisible to each other's searches anyway: a closing edge
 //     only reads strictly earlier timestamps);
-//  3. fans one task per edge out over the scheduler (slab spawn path); each
-//     task enumerates the cycles its edge closes — once per configured
-//     window length. Hot edges — those whose search frontier in the live
-//     window reaches StreamOptions::hot_frontier_threshold — escalate to the
-//     fine-grained variant, which recursively spawns branch tasks so a single
-//     burst vertex cannot serialise the batch.
+//  3. splits the batch into contiguous chunks of edges, at most
+//     StreamEngine::kSearchChunksPerWorker per worker, one slab task each.
+//     A chunk pays the batch-stable setup (worker sink, ladder flags,
+//     budget, scratch) once, then enumerates the cycles each of its edges
+//     closes — once per configured window length. Hot edges — those whose
+//     search frontier in the live window reaches
+//     StreamOptions::hot_frontier_threshold — escalate to the fine-grained
+//     variant, which recursively spawns branch tasks so a single burst
+//     vertex cannot serialise the batch. Failures stay per edge: a search
+//     that throws loses only its own edge (its scratch is discarded, the
+//     rest of the chunk runs on a fresh one) and the batch counts one
+//     search error. The order of sink callbacks within a batch is
+//     unspecified.
 //
 // Multi-δ windows: StreamOptions::windows configures several concurrent
 // window lengths ("lanes") served by ONE ingest path. All lanes share the
@@ -55,8 +62,9 @@
 // style): per-edge search wall times land in cache-line-aligned per-worker
 // log2 histograms, merged once by stats() into p50/p99/max, per lane and
 // aggregated. Latency of an escalated edge includes any tasks its worker
-// executed while waiting on the search group, so percentiles describe the
-// engine as operated, not the pure search cost.
+// executed while waiting on the search group — possibly a whole chunk of
+// other edges — so percentiles describe the engine as operated, not the
+// pure search cost.
 #pragma once
 
 #include <atomic>
@@ -264,6 +272,9 @@ class StreamEngine {
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
 
+  // A batch's searches run as at most this many tasks per worker.
+  static constexpr std::size_t kSearchChunksPerWorker = 4;
+
   // Feeds one edge. With reorder_slack == 0 timestamps must be
   // non-decreasing (throws std::invalid_argument otherwise); with slack > 0
   // in-slack disorder is buffered and reordered, and watermark-violating
@@ -347,8 +358,8 @@ class StreamEngine {
 
   // Per-lane mutable state of one worker: counters and the latency
   // histogram. The search scratches live in a pool instead — a worker
-  // blocked in a search's TaskGroup::wait can execute another edge task, so
-  // worker-keyed scratch would be re-entered.
+  // blocked in a search's TaskGroup::wait can execute another chunk task,
+  // so worker-keyed scratch would be re-entered.
   struct LaneCounters {
     WorkCounters work;
     std::uint64_t cycles = 0;
@@ -368,7 +379,8 @@ class StreamEngine {
   void enqueue(const TemporalEdge& edge);
   void release_ready();
   void process_batch();
-  void search_edge(const TemporalEdge& edge);
+  // Searches pending_[begin, end) on the calling worker.
+  void search_edges(std::size_t begin, std::size_t end);
   // Ladder decision points: both run on worker 0 at batch boundaries, so
   // overload_level_ is stable for the whole search phase of a batch.
   void overload_step_up();

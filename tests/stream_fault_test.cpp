@@ -8,12 +8,15 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cycle_types.hpp"
@@ -23,6 +26,8 @@
 #include "robust/sink_guard.hpp"
 #include "robust/snapshot_rotation.hpp"
 #include "stream/engine.hpp"
+#include "stream/incremental.hpp"
+#include "stream/sliding_window_graph.hpp"
 #include "support/scheduler.hpp"
 
 namespace parcycle {
@@ -200,6 +205,102 @@ TEST(StreamFault, SlabAllocFailureIsContained) {
   EXPECT_EQ(stats.edges_ingested, reference.edges_ingested);
   EXPECT_LE(stats.cycles_found, reference.cycles_found);
   EXPECT_EQ(fault.injector.fired(FaultPoint::kSlabGrow), 1u);
+}
+
+// An unguarded sink that throws on the first cycle of more than one edge —
+// the serial DFS is then mid-path, so the throwing search leaves its scratch
+// dirty — and remembers that cycle's closing edge.
+class ThrowOnceSink final : public CycleSink {
+ public:
+  void on_cycle(std::span<const VertexId>,
+                std::span<const EdgeId> edges) override {
+    if (edges.size() < 2 || thrown_.exchange(true)) {
+      return;
+    }
+    closing_ = edges.back();
+    throw std::runtime_error("sink failure");
+  }
+  EdgeId closing() const { return closing_; }
+
+ private:
+  std::atomic<bool> thrown_{false};
+  EdgeId closing_ = kInvalidEdge;
+};
+
+// A small dense graph on which most edges close cycles, so a chunk that lost
+// the edges after a failing one would lose cycles too.
+TemporalGraph dense_graph() {
+  ScaleFreeTemporalParams params;
+  params.num_vertices = 20;
+  params.num_edges = 300;
+  params.time_span = 600;
+  params.attachment = 0.8;
+  params.burstiness = 0.5;
+  params.allow_self_loops = true;
+  params.seed = 23;
+  return scale_free_temporal(params);
+}
+
+// (cycles found, edges ingested) after every push, then after the flush.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> replay_progress(
+    const TemporalGraph& graph, const StreamOptions& options,
+    unsigned threads, CycleSink* sink, StreamStats* stats) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> progress;
+  Scheduler::with_pool(threads, [&](Scheduler& sched) {
+    StreamEngine engine(options, sched, sink);
+    for (const auto& e : graph.edges_by_time()) {
+      engine.push(e.src, e.dst, e.ts);
+      progress.emplace_back(engine.cycles_found(),
+                            engine.graph().total_ingested());
+    }
+    engine.flush();
+    progress.emplace_back(engine.cycles_found(),
+                          engine.graph().total_ingested());
+    *stats = engine.stats();
+  });
+  return progress;
+}
+
+TEST(StreamFault, ThrowingSearchLosesOnlyItsOwnEdge) {
+  StreamOptions options = engine_options();
+  options.batch_size = 64;
+  const TemporalGraph graph = dense_graph();
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    StreamStats reference;
+    const auto clean =
+        replay_progress(graph, options, threads, nullptr, &reference);
+    ThrowOnceSink sink;
+    StreamStats stats;
+    const auto faulty = replay_progress(graph, options, threads, &sink, &stats);
+    const EdgeId failed = sink.closing();
+    ASSERT_NE(failed, kInvalidEdge);
+
+    // The cycles a standalone replay attributes to the failed edge.
+    SlidingWindowGraph live(graph.num_vertices());
+    StreamSearchScratch scratch;
+    WorkCounters work;
+    std::uint64_t lost = 0;
+    for (TemporalEdge e : graph.edges_by_time()) {
+      e.id = live.ingest(e.src, e.dst, e.ts);
+      if (e.id == failed) {
+        lost = cycles_closed_by_edge(live, e, kWindow, {}, scratch, work);
+        break;
+      }
+    }
+    ASSERT_GT(lost, 0u);
+
+    EXPECT_EQ(stats.search_errors, 1u);
+    EXPECT_EQ(stats.cycles_found, reference.cycles_found - lost);
+    // Exact before the failed edge's batch and in every batch after it: no
+    // other edge was lost and no dirty scratch was reused.
+    ASSERT_EQ(faulty.size(), clean.size());
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+      const bool after = faulty[i].second > failed;
+      ASSERT_EQ(faulty[i].first + (after ? lost : 0), clean[i].first)
+          << "after push " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

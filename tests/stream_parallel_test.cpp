@@ -103,6 +103,119 @@ TEST(StreamParallel, FineSearchMatchesSerialPerEdge) {
   });
 }
 
+StreamStats replay_with(const TemporalGraph& graph, unsigned threads,
+                        const StreamOptions& options) {
+  return Scheduler::with_pool(threads, [&](Scheduler& sched) {
+    StreamEngine engine(options, sched, nullptr);
+    for (const auto& e : graph.edges_by_time()) {
+      engine.push(e.src, e.dst, e.ts);
+    }
+    engine.flush();
+    return engine.stats();
+  });
+}
+
+// One lane of a standalone serial replay: cycles_closed_by_edge on every
+// edge with the engine's prune rule, plus the edges whose frontier reaches
+// the escalation threshold (the ones the engine escalates).
+struct LaneReplay {
+  std::uint64_t cycles = 0;
+  std::uint64_t hot = 0;
+  WorkCounters work;
+};
+
+std::vector<LaneReplay> standalone_replay(const TemporalGraph& graph,
+                                          const StreamOptions& options) {
+  SlidingWindowGraph live(graph.num_vertices());
+  StreamSearchScratch scratch;
+  std::vector<LaneReplay> lanes(options.windows.size());
+  for (TemporalEdge e : graph.edges_by_time()) {
+    e.id = live.ingest(e.src, e.dst, e.ts);
+    for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
+      const Timestamp delta = options.windows[lane];
+      const std::size_t frontier =
+          e.src == e.dst
+              ? 0
+              : live.out_edges_in_window(e.dst, e.ts - delta, e.ts - 1).size();
+      EnumOptions eopts;
+      eopts.use_cycle_union = options.use_reach_prune &&
+                              frontier >= options.prune_frontier_threshold;
+      lanes[lane].cycles += cycles_closed_by_edge(live, e, delta, eopts,
+                                                  scratch, lanes[lane].work);
+      if (e.src != e.dst && frontier >= options.hot_frontier_threshold) {
+        lanes[lane].hot += 1;
+      }
+    }
+  }
+  return lanes;
+}
+
+TEST(StreamParallel, ChunkedBatchesMatchStandaloneReplay) {
+  const TemporalGraph graph = test_graph();
+  StreamOptions options;
+  options.windows = {kWindow / 2, kWindow};
+  options.prune_frontier_threshold = 4;  // exercise both prune branches
+  for (const std::size_t hot : {std::size_t{0}, std::size_t{8}, SIZE_MAX}) {
+    options.hot_frontier_threshold = hot;
+    const std::vector<LaneReplay> reference = standalone_replay(graph, options);
+    ASSERT_GT(reference[0].cycles, 0u);
+    for (const std::size_t batch : {1, 7, 64, 256, 300}) {
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        for (const SpawnPolicy policy :
+             {SpawnPolicy::kAdaptive, SpawnPolicy::kAlways}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "hot " << hot << " batch " << batch << " threads "
+                       << threads << " policy " << static_cast<int>(policy));
+          options.batch_size = batch;
+          options.spawn_policy = policy;
+          const StreamStats run = replay_with(graph, threads, options);
+          ASSERT_EQ(run.per_window.size(), reference.size());
+          for (std::size_t lane = 0; lane < reference.size(); ++lane) {
+            const StreamWindowStats& got = run.per_window[lane];
+            const LaneReplay& want = reference[lane];
+            EXPECT_EQ(got.cycles_found, want.cycles);
+            EXPECT_EQ(got.work.edges_visited, want.work.edges_visited);
+            EXPECT_EQ(got.work.vertices_visited, want.work.vertices_visited);
+            EXPECT_EQ(got.work.searches_truncated,
+                      want.work.searches_truncated);
+            EXPECT_EQ(got.escalated_edges, want.hot);
+          }
+          // One latency sample per edge-lane, searched or skipped.
+          EXPECT_EQ(run.latency.count(),
+                    run.edges_ingested * reference.size());
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamParallel, BatchSpawnsAtMostChunksPerWorker) {
+  const TemporalGraph graph = test_graph();
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    Scheduler::with_pool(threads, [&](Scheduler& sched) {
+      StreamOptions options;
+      options.window = kWindow;
+      options.batch_size = 64;
+      options.hot_frontier_threshold = SIZE_MAX;  // no escalated spawns
+      StreamEngine engine(options, sched, nullptr);
+      sched.reset_stats();
+      for (const auto& e : graph.edges_by_time()) {
+        engine.push(e.src, e.dst, e.ts);
+      }
+      engine.flush();
+      std::uint64_t spawned = 0;
+      for (const WorkerStats& worker : sched.worker_stats()) {
+        spawned += worker.tasks_spawned;
+      }
+      const std::uint64_t batches = engine.stats().batches;
+      EXPECT_GT(spawned, 0u);
+      EXPECT_LE(spawned,
+                batches * StreamEngine::kSearchChunksPerWorker * threads);
+    });
+  }
+}
+
 TEST(StreamParallel, ReplayTotalsMatchBatchEnumerator) {
   const TemporalGraph graph = test_graph();
   const EnumResult batch = temporal_johnson_cycles(graph, kWindow);

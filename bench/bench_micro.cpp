@@ -19,6 +19,7 @@
 #include "support/scheduler.hpp"
 #include "support/task_slab.hpp"
 #include "temporal/cycle_union.hpp"
+#include "temporal/temporal_johnson.hpp"
 
 namespace parcycle {
 namespace {
@@ -240,7 +241,8 @@ void BM_TemporalReachPerStart(benchmark::State& state) {
 }
 BENCHMARK(BM_TemporalReachPerStart)->Unit(benchmark::kMillisecond);
 
-// The same unions from one forward + backward scan per 64 starts.
+// The same unions from one forward + backward scan per
+// CycleUnionBlock::kStarts (256) starts.
 void BM_TemporalBlockUnion(benchmark::State& state) {
   const TemporalGraph& graph = temporal_batch_graph();
   CycleUnionBlock block(graph, kTemporalBatchWindow);
@@ -254,6 +256,23 @@ void BM_TemporalBlockUnion(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * graph.num_edges());
 }
 BENCHMARK(BM_TemporalBlockUnion)->Unit(benchmark::kMillisecond);
+
+// The whole fine-grained temporal Johnson run on the same input: block
+// pass plus the explore DFS. Arg 0 is the worker count.
+void BM_TemporalFineJohnson(benchmark::State& state) {
+  const TemporalGraph& graph = temporal_batch_graph();
+  Scheduler sched(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    const EnumResult result =
+        fine_temporal_johnson_cycles(graph, kTemporalBatchWindow, sched);
+    benchmark::DoNotOptimize(result.num_cycles);
+  }
+  state.SetItemsProcessed(state.iterations() * graph.num_edges());
+}
+BENCHMARK(BM_TemporalFineJohnson)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 // The perfbench stream-sparse feed at a tenth of its edges and time span
 // (same density, window and reorder slack), shuffled within the slack by

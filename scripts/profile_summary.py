@@ -6,18 +6,22 @@ Usage:
                        [--expect-taken N]
 
 The profiler (src/obs/profiler.hpp) writes flamegraph.pl collapsed-stack
-text: one `# parcycle-profile taken=.. dropped=.. hz=.. clock=.. workers=..`
-header line, then `root;frame;leaf count` lines aggregated across workers.
-This script checks the contract CI pins:
+text: one `# parcycle-profile taken=.. dropped=.. hz=.. effective_hz=..
+clock=.. workers=..` header line, then `root;frame;leaf count` lines
+aggregated across workers. This script checks the contract CI pins:
 
-* the header line is present and carries taken/dropped/hz/clock/workers;
+* the header line is present and carries taken/dropped/hz/clock/workers,
+  and effective_hz (the rate the timers really fired at; profiles written
+  before the key existed lack it) is a non-negative number when present;
 * every sample line is `stack count` with a positive integer count and a
   non-empty `;`-separated stack whose frames are all non-empty;
 * the counts sum exactly to the header's `taken` — the profiler's
   saturating ring guarantees the file never under- or over-reports
   relative to the signal-handler counter.
 
-It then prints the top K frames by self and by inclusive sample count.
+It then prints the top K frames by self and by inclusive sample count, and
+warns on stderr when effective_hz is below half the requested hz: sample
+shares still hold, but the sample count is smaller than hz suggests.
 --require-samples additionally fails on an empty (taken=0) profile;
 --expect-taken N requires the header's taken to equal N exactly.
 
@@ -28,6 +32,7 @@ Exit status: 0 on success, 1 on any validation failure, 2 on usage errors.
 """
 
 import argparse
+import math
 import signal
 import sys
 from collections import defaultdict
@@ -43,6 +48,15 @@ HEADER_KEYS = ("taken", "dropped", "hz", "clock", "workers")
 def fail(msg):
     print(f"profile_summary: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
+
+
+def non_negative_float(text):
+    """float(text) if it is a finite number >= 0, else None."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) and value >= 0 else None
 
 
 def parse_collapsed(text, source="<profile>"):
@@ -83,6 +97,14 @@ def parse_collapsed(text, source="<profile>"):
                     raise ValueError(
                         f"{source}:{lineno}: header {key}="
                         f"{header[key]!r} is not an integer") from None
+            if "effective_hz" in header:
+                rate = non_negative_float(header["effective_hz"])
+                if rate is None:
+                    raise ValueError(
+                        f"{source}:{lineno}: header effective_hz="
+                        f"{header['effective_hz']!r} is not a non-negative "
+                        f"number")
+                header["effective_hz"] = rate
             continue
         # `frames count`: the count is the last whitespace-separated token,
         # so frame names may contain spaces (demangled template arguments).
@@ -150,9 +172,16 @@ def summarise(path, top_k, require_samples, expect_taken):
                          require_samples=require_samples)
     except ValueError as err:
         fail(str(err))
+    effective = header.get("effective_hz")
+    rate = f"{header['hz']}Hz"
+    if effective is not None:
+        rate += f" requested, {effective:.1f}Hz effective,"
     print(f"{path}: {total} samples over {len(stacks)} unique stacks "
           f"({header['dropped']} dropped, {header['workers']} workers, "
-          f"{header['hz']}Hz {header['clock']} clock)")
+          f"{rate} {header['clock']} clock)")
+    if effective and effective < header["hz"] / 2:
+        print(f"profile_summary: warning: sampled at {effective:.1f}Hz, "
+              f"below half the requested {header['hz']}Hz", file=sys.stderr)
     self_counts, inclusive = frame_totals(stacks)
     for label, counts in (("self", self_counts), ("inclusive", inclusive)):
         ranked = sorted(counts.items(), key=lambda kv: kv[1], reverse=True)

@@ -61,9 +61,14 @@ struct alignas(64) ProfileRing {
   std::uintptr_t stack_hi = 0;
 #if PARCYCLE_PROFILER_PLATFORM
   timer_t timer{};
+  clockid_t clock_id = CLOCK_MONOTONIC;  // the clock driving `timer`
 #endif
   bool timer_created = false;
   bool attached = false;
+  // Time the timer's clock advanced while armed, and its reading at the
+  // last arm: the denominator of effective_hz(). Control-mutex guarded.
+  std::uint64_t armed_ns = 0;
+  std::uint64_t armed_since_ns = 0;
 
   void append(void* const* frames, std::size_t depth) noexcept {
     if (depth == 0) {
@@ -172,6 +177,14 @@ void install_sigprof_handler() {
     sigemptyset(&action.sa_mask);
     sigaction(SIGPROF, &action, nullptr);
   });
+}
+
+// Current reading of `clock` (another thread's CPU clock included).
+std::uint64_t clock_now_ns(clockid_t clock) {
+  timespec now{};
+  clock_gettime(clock, &now);
+  return static_cast<std::uint64_t>(now.tv_sec) * 1000000000u +
+         static_cast<std::uint64_t>(now.tv_nsec);
 }
 
 std::string demangled(const char* name) {
@@ -302,6 +315,7 @@ void StackProfiler::on_worker_start(unsigned worker) noexcept {
         pthread_getcpuclockid(pthread_self(), &clock_id) != 0) {
       clock_id = CLOCK_THREAD_CPUTIME_ID;
     }
+    ring.clock_id = clock_id;
     ring.timer_created = timer_create(clock_id, &sev, &ring.timer) == 0;
   }
 #endif
@@ -318,7 +332,8 @@ void StackProfiler::on_worker_stop(unsigned worker) noexcept {
   }
   detail::ProfileRing& ring = *rings_[worker];
   std::lock_guard<std::mutex> lock(control_mutex_);
-  ring.armed.store(false, std::memory_order_release);
+  // The thread's CPU clock goes with the thread: close its span now.
+  disarm_slot_locked(worker);
 #if PARCYCLE_PROFILER_PLATFORM
   if (ring.timer_created) {
     timer_delete(ring.timer);
@@ -336,6 +351,7 @@ void StackProfiler::arm_slot_locked(unsigned worker) {
   }
   ring.armed.store(true, std::memory_order_release);
 #if PARCYCLE_PROFILER_PLATFORM
+  ring.armed_since_ns = clock_now_ns(ring.clock_id);
   const long interval_ns = 1000000000L / options_.sample_hz;
   itimerspec spec{};
   spec.it_interval.tv_sec = 0;
@@ -347,13 +363,36 @@ void StackProfiler::arm_slot_locked(unsigned worker) {
 
 void StackProfiler::disarm_slot_locked(unsigned worker) {
   detail::ProfileRing& ring = *rings_[worker];
-  ring.armed.store(false, std::memory_order_release);
+  const bool was_armed = ring.armed.exchange(false, std::memory_order_acq_rel);
 #if PARCYCLE_PROFILER_PLATFORM
   if (ring.timer_created) {
     itimerspec spec{};  // zero it_value disarms
     timer_settime(ring.timer, 0, &spec, nullptr);
+    if (was_armed) {
+      ring.armed_ns += clock_now_ns(ring.clock_id) - ring.armed_since_ns;
+    }
   }
+#else
+  (void)was_armed;
 #endif
+}
+
+double StackProfiler::effective_hz_locked() const {
+  std::uint64_t samples = 0;
+  std::uint64_t armed_ns = 0;
+  for (const auto& ring : rings_) {
+    samples += ring->taken.load(std::memory_order_acquire) +
+               ring->dropped.load(std::memory_order_relaxed);
+    armed_ns += ring->armed_ns;
+  }
+  return armed_ns == 0 ? 0.0
+                       : static_cast<double>(samples) * 1e9 /
+                             static_cast<double>(armed_ns);
+}
+
+double StackProfiler::effective_hz() const {
+  std::lock_guard<std::mutex> lock(control_mutex_);
+  return effective_hz_locked();
 }
 
 bool StackProfiler::start(std::string* error) {
@@ -403,6 +442,16 @@ void StackProfiler::stop() {
   for (unsigned w = 0; w < rings_.size(); ++w) {
     disarm_slot_locked(w);
   }
+  // A timer cannot fire faster than the kernel's timer resolution for its
+  // clock (the scheduler tick, for thread CPU clocks): say so rather than
+  // let a profile claim a rate it did not sample at.
+  const double effective = effective_hz_locked();
+  if (effective > 0.0 && effective < options_.sample_hz / 2.0) {
+    std::fprintf(stderr,
+                 "profile: warning: sampled at %.1f Hz, below half the "
+                 "requested %d Hz\n",
+                 effective, options_.sample_hz);
+  }
 }
 
 void StackProfiler::clear() {
@@ -410,6 +459,7 @@ void StackProfiler::clear() {
   for (auto& ring : rings_) {
     ring->taken.store(0, std::memory_order_release);
     ring->dropped.store(0, std::memory_order_relaxed);
+    ring->armed_ns = 0;
   }
 }
 
@@ -507,6 +557,10 @@ std::string StackProfiler::collapsed() const {
   out += std::to_string(dropped_total);
   out += " hz=";
   out += std::to_string(options_.sample_hz);
+  char effective[32];
+  std::snprintf(effective, sizeof effective, " effective_hz=%.1f",
+                effective_hz());
+  out += effective;
   out += " clock=";
   out += profile_clock_name(options_.clock);
   out += " workers=";
@@ -551,12 +605,14 @@ ScopedProfileExport::~ScopedProfileExport() {
     std::fprintf(stderr, "profile: export failed: %s\n", error.c_str());
     return;
   }
-  std::fprintf(
-      stderr, "profile: taken=%llu dropped=%llu clock=%s hz=%d -> %s\n",
-      static_cast<unsigned long long>(profiler_.total_taken()),
-      static_cast<unsigned long long>(profiler_.total_dropped()),
-      profile_clock_name(profiler_.options().clock),
-      profiler_.options().sample_hz, path_.c_str());
+  std::fprintf(stderr,
+               "profile: taken=%llu dropped=%llu clock=%s hz=%d "
+               "effective_hz=%.1f -> %s\n",
+               static_cast<unsigned long long>(profiler_.total_taken()),
+               static_cast<unsigned long long>(profiler_.total_dropped()),
+               profile_clock_name(profiler_.options().clock),
+               profiler_.options().sample_hz, profiler_.effective_hz(),
+               path_.c_str());
 }
 
 }  // namespace parcycle

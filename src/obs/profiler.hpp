@@ -122,11 +122,19 @@ class StackProfiler final : public WorkerThreadObserver {
   std::uint64_t total_taken() const noexcept;
   std::uint64_t total_dropped() const noexcept;
 
+  // The rate the timers actually fired at: samples (taken + dropped) per
+  // second that the sampled threads' clocks advanced while armed — CPU
+  // seconds for kThreadCpu, wall seconds for kWall. Below the requested
+  // sample_hz when the kernel's timer resolution is coarser (thread CPU
+  // timers tick with the scheduler); 0 before any armed time. stop() warns
+  // on stderr when it is below half the requested rate.
+  double effective_hz() const;
+
   // -- Export (call while not sampling) ------------------------------------
 
   // flamegraph.pl collapsed-stack text: one `# parcycle-profile ...` header
   // line, then `root;..;leaf count` lines aggregated across workers. The
-  // header keys (taken, dropped, hz, clock, workers) are what
+  // header keys (taken, dropped, hz, effective_hz, clock, workers) are what
   // scripts/profile_summary.py cross-checks.
   std::string collapsed() const;
   bool write_collapsed_file(const std::string& path,
@@ -141,6 +149,7 @@ class StackProfiler final : public WorkerThreadObserver {
  private:
   void arm_slot_locked(unsigned worker);
   void disarm_slot_locked(unsigned worker);
+  double effective_hz_locked() const;
 
   unsigned num_workers_;
   ProfilerOptions options_;

@@ -28,6 +28,18 @@ constexpr std::uint64_t low_bits(std::size_t k) {
   return k >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
 }
 
+// Index of the highest bit of `lanes` below `limit`, or kNone.
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+std::size_t highest_below(const CycleUnionLanes& lanes, std::size_t limit) {
+  for (std::size_t k = (limit + 63) / 64; k-- > 0;) {
+    const std::uint64_t word = lanes.words[k] & low_bits(limit - 64 * k);
+    if (word != 0) {
+      return 64 * k + 63 - static_cast<std::size_t>(std::countl_zero(word));
+    }
+  }
+  return kNone;
+}
+
 }  // namespace
 
 CycleUnionView CycleUnionBlock::view(EdgeId start) {
@@ -37,48 +49,53 @@ CycleUnionView CycleUnionBlock::view(EdgeId start) {
   if (block_ != start / kStarts) {
     compute(start / kStarts);
   }
-  return {union_.data(), std::uint64_t{1} << (start % kStarts)};
+  const std::size_t j = start % kStarts;
+  return {union_.data(), j / 64, std::uint64_t{1} << (j % 64)};
 }
 
 // Lists v for the next reset the first time `bits` lands in its coreach.
-void CycleUnionBlock::touch(VertexId v, std::uint64_t bits) noexcept {
+inline void CycleUnionBlock::touch(VertexId v,
+                                   const CycleUnionLanes& bits) noexcept {
   touched_[num_touched_] = v;
-  num_touched_ += static_cast<std::size_t>(bits != 0 && coreach_[v] == 0);
+  num_touched_ +=
+      static_cast<std::size_t>(bits.any() && !coreach_[v].any());
 }
 
-void CycleUnionBlock::reserve_log(std::size_t size) {
+inline void CycleUnionBlock::reserve_log(std::size_t size) {
   if (log_.size() < size) {
     log_.resize(std::max(size, 2 * log_.size()));
   }
 }
 
 void CycleUnionBlock::compute(std::size_t block) {
+  using Lanes = CycleUnionLanes;
   const auto edges = graph_->edges_by_time();
   if (union_.empty()) {
     const VertexId n = graph_->num_vertices();
-    reached_.assign(n, 0);
-    coreach_.assign(n, 0);
-    union_.assign(n, 0);
+    reached_.assign(n, Lanes{});
+    coreach_.assign(n, Lanes{});
+    union_.assign(n, Lanes{});
     touched_.resize(std::size_t{n} + kStarts + 1);
   }
   for (std::size_t k = 0; k < num_touched_; ++k) {
-    coreach_[touched_[k]] = 0;
-    union_[touched_[k]] = 0;
+    coreach_[touched_[k]] = Lanes{};
+    union_[touched_[k]] = Lanes{};
   }
   num_touched_ = 0;
   block_ = block;
   const std::size_t first = block * kStarts;
   const std::size_t count = std::min(kStarts, edges.size() - first);
   const TemporalEdge* starts = edges.data() + first;
-  std::uint64_t open = 0;  // non-self-loop starts
+  Lanes open;  // non-self-loop starts
   for (std::size_t j = 0; j < count; ++j) {
-    const std::uint64_t bit = std::uint64_t{1} << j;
+    Lanes bit;
+    bit.set(j);
     touch(starts[j].src, bit);
     if (starts[j].src == starts[j].dst) {
-      union_[starts[j].src] |= bit;  // a self-loop is its own cycle
+      union_[starts[j].src].set(j);  // a self-loop is its own cycle
     } else {
-      open |= bit;
-      coreach_[starts[j].src] |= bit;  // the tail needs no further hop
+      open.set(j);
+      coreach_[starts[j].src].set(j);  // the tail needs no further hop
     }
   }
 
@@ -88,7 +105,7 @@ void CycleUnionBlock::compute(std::size_t block) {
   const Timestamp end_ts = starts[count - 1].ts + window_;
   const std::size_t begin = first_after(edges, first, starts[0].ts);
   std::size_t num_log = 0;
-  std::uint64_t live = 0;
+  Lanes live;
   std::size_t seeded = 0;
   std::size_t dead = 0;
   std::size_t i = begin;
@@ -96,17 +113,18 @@ void CycleUnionBlock::compute(std::size_t block) {
     const Timestamp t = edges[i].ts;
     reserve_log(num_log + kStarts + 1);
     for (; seeded < count && starts[seeded].ts < t; ++seeded) {
-      const std::uint64_t bit = open & (std::uint64_t{1} << seeded);
-      if (bit != 0) {
+      if (open.test(seeded)) {
+        Lanes bit;
+        bit.set(seeded);
         reached_[starts[seeded].dst] |= bit;
         log_[num_log++] = {starts[seeded].ts, starts[seeded].dst, bit};
-        live |= bit;
+        live.set(seeded);
       }
     }
     for (; dead < seeded && starts[dead].ts + window_ < t; ++dead) {
-      live &= ~(std::uint64_t{1} << dead);
+      live.reset(dead);
     }
-    if (live == 0) {
+    if (!live.any()) {
       if (seeded == count) {
         break;
       }
@@ -117,35 +135,37 @@ void CycleUnionBlock::compute(std::size_t block) {
     if (i + 1 == edges.size() || edges[i + 1].ts != t) {
       // A group of one edge has nothing to defer.
       const TemporalEdge& e = edges[i++];
-      const std::uint64_t bits = reached_[e.src] & live & ~reached_[e.dst];
+      const Lanes bits = reached_[e.src] & live & ~reached_[e.dst];
       reached_[e.dst] |= bits;
       log_[num_log] = {t, e.dst, bits};
-      num_log += static_cast<std::size_t>(bits != 0);
+      num_log += static_cast<std::size_t>(bits.any());
       continue;
     }
     group_.clear();
     for (; i < edges.size() && edges[i].ts == t; ++i) {
-      const std::uint64_t bits =
+      const Lanes bits =
           reached_[edges[i].src] & live & ~reached_[edges[i].dst];
-      if (bits != 0) {
+      if (bits.any()) {
         group_.emplace_back(edges[i].dst, bits);
       }
     }
     reserve_log(num_log + group_.size());
     for (const auto& [v, bits] : group_) {
-      const std::uint64_t fresh = bits & ~reached_[v];
+      const Lanes fresh = bits & ~reached_[v];
       reached_[v] |= fresh;
       log_[num_log] = {t, v, fresh};
-      num_log += static_cast<std::size_t>(fresh != 0);
+      num_log += static_cast<std::size_t>(fresh.any());
     }
   }
   const std::size_t end = i;
   const std::size_t logged = num_log;
 
   // Only starts whose tail was reached have a cycle.
-  std::uint64_t closable = 0;
+  Lanes closable;
   for (std::size_t j = 0; j < count; ++j) {
-    closable |= reached_[starts[j].src] & open & (std::uint64_t{1} << j);
+    if (open.test(j) && reached_[starts[j].src].test(j)) {
+      closable.set(j);
+    }
   }
 
   // Backward: bit j is live while t0_j < t <= t0_j + window. Log entries at
@@ -154,24 +174,24 @@ void CycleUnionBlock::compute(std::size_t block) {
   // skip ahead sooner.
   std::size_t born = count;   // starts [born, count) have t <= t0 + window
   std::size_t dying = count;  // starts [dying, count) have t <= t0
-  live = 0;
+  live = Lanes{};
   i = end;
   while (i > begin) {
     const Timestamp t = edges[i - 1].ts;
     for (; born > 0 && t <= starts[born - 1].ts + window_; --born) {
-      live |= closable & (std::uint64_t{1} << (born - 1));
+      if (closable.test(born - 1)) {
+        live.set(born - 1);
+      }
     }
     for (; dying > 0 && starts[dying - 1].ts >= t; --dying) {
-      live &= ~(std::uint64_t{1} << (dying - 1));
+      live.reset(dying - 1);
     }
-    if (live == 0) {
-      const std::uint64_t pending = closable & low_bits(born);
-      if (pending == 0) {
+    if (!live.any()) {
+      const std::size_t next = highest_below(closable, born);
+      if (next == kNone) {
         break;
       }
       // Nothing in flight: resume at the last edge of the next window.
-      const std::size_t next = 63 - static_cast<std::size_t>(
-                                        std::countl_zero(pending));
       i = first_after(edges.first(i), begin, starts[next].ts + window_);
       continue;
     }
@@ -180,7 +200,7 @@ void CycleUnionBlock::compute(std::size_t block) {
     }
     if (i - 1 == begin || edges[i - 2].ts != t) {
       const TemporalEdge& e = edges[--i];
-      const std::uint64_t valid = coreach_[e.dst] & live;
+      const Lanes valid = coreach_[e.dst] & live;
       touch(e.src, valid);
       union_[e.src] |= valid & reached_[e.src];
       coreach_[e.src] |= valid;
@@ -189,8 +209,8 @@ void CycleUnionBlock::compute(std::size_t block) {
     group_.clear();
     for (; i > begin && edges[i - 1].ts == t; --i) {
       const TemporalEdge& e = edges[i - 1];
-      const std::uint64_t valid = coreach_[e.dst] & live;
-      if (valid != 0) {
+      const Lanes valid = coreach_[e.dst] & live;
+      if (valid.any()) {
         union_[e.src] |= valid & reached_[e.src];
         group_.emplace_back(e.src, valid);
       }
@@ -203,10 +223,12 @@ void CycleUnionBlock::compute(std::size_t block) {
 
   // A reached tail closes its own cycle.
   for (std::size_t j = 0; j < count; ++j) {
-    union_[starts[j].src] |= closable & (std::uint64_t{1} << j);
+    if (closable.test(j)) {
+      union_[starts[j].src].set(j);
+    }
   }
   for (std::size_t k = 0; k < logged; ++k) {
-    reached_[log_[k].v] = 0;
+    reached_[log_[k].v] = Lanes{};
   }
 }
 

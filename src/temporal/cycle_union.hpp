@@ -7,12 +7,13 @@
 // reaches `tail` by the end of the window. A temporal cycle through e0 exists
 // iff the head is in it.
 //
-// CycleUnionBlock computes the union of 64 consecutive starts of
-// edges_by_time() at once, bit j of a word standing for start j:
+// CycleUnionBlock computes the union of 256 consecutive starts of
+// edges_by_time() at once, start j owning bit j % 64 of word j / 64 of a
+// four-word lane vector:
 //
 //  * a forward ascending scan of (t0_first, t0_last + delta] keeps
 //    reached[v] (start j has arrived at v) and logs every new arrival as
-//    (t, v, bits), a head's seed at t0_j;
+//    (t, v, lanes), a head's seed at t0_j;
 //  * a backward descending scan of the same edges keeps coreach[v] (v can
 //    still depart later within j's window on a path to tail_j). Before each
 //    timestamp group it rewinds the log so reached[v] holds only arrivals
@@ -21,9 +22,12 @@
 //
 // Edges sharing a timestamp read the state from before their group in both
 // scans, so equal timestamps never chain. A block costs about
-// 2 * (window edges + 64) word-wide edge steps — a start about 1/32 of one
-// window — and holds three words per vertex (reached, coreach, union) plus
-// the arrival log. A start's union is then one bit test per vertex: the
+// 2 * (window edges + 256) four-word edge steps, a start about 1/128 of one
+// window: the per-step loop and branch overhead, not the word operations,
+// is what an edge step costs, so wider lanes share it among more starts.
+// The price is memory: three 32-byte lane vectors per vertex (reached,
+// coreach, union; 3 x 8 B when a block held 64 starts) plus a 48-byte
+// entry per logged arrival. A start's union is then one bit test per vertex: the
 // linear-time, embarrassingly parallel replacement for 2SCENT's sequential
 // preprocessing that the paper contributes, batched.
 //
@@ -74,25 +78,71 @@ class TemporalReachScratch {
   std::vector<VertexId> touched_;
 };
 
-// One start's cycle-union as computed by its block. A default view (no
-// words) prunes nothing.
+// One bit per start of a CycleUnionBlock: start j is bit j % 64 of
+// words[j / 64].
+struct CycleUnionLanes {
+  static constexpr std::size_t kWords = 4;
+  std::uint64_t words[kWords] = {};
+
+  // Spelled out: it runs on every edge step, where gcc -O2 keeps a loop.
+  bool any() const noexcept {
+    static_assert(kWords == 4);
+    return ((words[0] | words[1]) | (words[2] | words[3])) != 0;
+  }
+  bool test(std::size_t j) const noexcept {
+    return ((words[j / 64] >> (j % 64)) & 1) != 0;
+  }
+  void set(std::size_t j) noexcept {
+    words[j / 64] |= std::uint64_t{1} << (j % 64);
+  }
+  void reset(std::size_t j) noexcept {
+    words[j / 64] &= ~(std::uint64_t{1} << (j % 64));
+  }
+  CycleUnionLanes operator~() const noexcept {
+    CycleUnionLanes out;
+    for (std::size_t k = 0; k < kWords; ++k) {
+      out.words[k] = ~words[k];
+    }
+    return out;
+  }
+  CycleUnionLanes& operator&=(const CycleUnionLanes& other) noexcept {
+    for (std::size_t k = 0; k < kWords; ++k) {
+      words[k] &= other.words[k];
+    }
+    return *this;
+  }
+  CycleUnionLanes& operator|=(const CycleUnionLanes& other) noexcept {
+    for (std::size_t k = 0; k < kWords; ++k) {
+      words[k] |= other.words[k];
+    }
+    return *this;
+  }
+  friend CycleUnionLanes operator&(CycleUnionLanes a,
+                                   const CycleUnionLanes& b) noexcept {
+    return a &= b;
+  }
+};
+
+// One start's cycle-union as computed by its block: word `word` of every
+// vertex's lanes, bit `bit`. A default view (no lanes) prunes nothing.
 struct CycleUnionView {
-  const std::uint64_t* words = nullptr;
+  const CycleUnionLanes* lanes = nullptr;
+  std::size_t word = 0;
   std::uint64_t bit = 0;
 
   // Same answer as TemporalReachScratch::contains after compute(); for the
   // head it is the answer of compute() itself.
   bool contains(VertexId v) const noexcept {
-    return words == nullptr || (words[v] & bit) != 0;
+    return lanes == nullptr || (lanes[v].words[word] & bit) != 0;
   }
 };
 
-// Cycle-unions of one block of 64 starts, recomputed on demand. A view stays
+// Cycle-unions of one block of 256 starts, recomputed on demand. A view stays
 // valid until the object computes another block. Cache-line aligned: drivers
 // keep one per worker.
 class alignas(64) CycleUnionBlock {
  public:
-  static constexpr std::size_t kStarts = 64;
+  static constexpr std::size_t kStarts = 64 * CycleUnionLanes::kWords;
 
   // With `enabled` false nothing is computed and every view prunes nothing.
   CycleUnionBlock(const TemporalGraph& graph, Timestamp window,
@@ -107,24 +157,24 @@ class alignas(64) CycleUnionBlock {
   struct Arrival {
     Timestamp ts;
     VertexId v;
-    std::uint64_t bits;
+    CycleUnionLanes bits;
   };
 
   void compute(std::size_t block);
-  void touch(VertexId v, std::uint64_t bits) noexcept;
+  void touch(VertexId v, const CycleUnionLanes& bits) noexcept;
   void reserve_log(std::size_t size);
 
   const TemporalGraph* graph_;
   Timestamp window_;
   bool enabled_;
   std::size_t block_ = static_cast<std::size_t>(-1);
-  std::vector<std::uint64_t> reached_;  // zero between blocks
-  std::vector<std::uint64_t> coreach_;  // zero outside touched_
-  std::vector<std::uint64_t> union_;    // zero outside touched_
+  std::vector<CycleUnionLanes> reached_;  // zero between blocks
+  std::vector<CycleUnionLanes> coreach_;  // zero outside touched_
+  std::vector<CycleUnionLanes> union_;    // zero outside touched_
   std::vector<VertexId> touched_;  // capacity; vertices listed by touch()
   std::size_t num_touched_ = 0;
   std::vector<Arrival> log_;  // capacity; the entries in use are counted
-  std::vector<std::pair<VertexId, std::uint64_t>> group_;  // deferred words
+  std::vector<std::pair<VertexId, CycleUnionLanes>> group_;  // deferred
 };
 
 }  // namespace parcycle

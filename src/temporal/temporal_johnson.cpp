@@ -22,6 +22,46 @@ namespace detail {
 // Shared helpers
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// First edge of a time-ordered adjacency with ts >= lo.
+template <class Edge>
+const Edge* first_from(std::span<const Edge> adjacency, Timestamp lo) {
+  return std::lower_bound(
+      adjacency.data(), adjacency.data() + adjacency.size(), lo,
+      [](const Edge& e, Timestamp t) { return e.ts < t; });
+}
+
+// Does a time-ordered adjacency hold an edge with ts in [lo, hi]?
+template <class Edge>
+bool any_in_window(std::span<const Edge> adjacency, Timestamp lo,
+                   Timestamp hi) {
+  const Edge* first = first_from(adjacency, lo);
+  return first != adjacency.data() + adjacency.size() && first->ts <= hi;
+}
+
+// Fills `out` with v's out-edges with ts in [lo, hi]: one lower bound and a
+// forward scan. With `by_dst` they are grouped by destination, each group
+// ascending by (ts, id): the order a stable sort by dst of the time-ordered
+// adjacency gives, without the sort's temporary buffer.
+void collect_out_edges(const TemporalGraph& graph, VertexId v, Timestamp lo,
+                       Timestamp hi, bool by_dst,
+                       std::vector<TemporalGraph::OutEdge>& out) {
+  out.clear();
+  const auto all = graph.out_edges(v);
+  const TemporalGraph::OutEdge* const end = all.data() + all.size();
+  for (const auto* e = first_from(all, lo); e != end && e->ts <= hi; ++e) {
+    out.push_back(*e);
+  }
+  if (by_dst) {
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return a.dst != b.dst ? a.dst < b.dst : a.id < b.id;
+    });
+  }
+}
+
+}  // namespace
+
 bool TemporalJohnsonSearch::prepare_root(const TemporalGraph& graph,
                                          const TemporalEdge& e0,
                                          Timestamp window,
@@ -34,8 +74,8 @@ bool TemporalJohnsonSearch::prepare_root(const TemporalGraph& graph,
   // head without a strictly-later out-edge or a tail without a later
   // in-edge.
   if (!cycle_union.contains(e0.dst) ||
-      graph.out_edges_in_window(e0.dst, e0.ts + 1, hi).empty() ||
-      graph.in_edges_in_window(e0.src, e0.ts + 1, hi).empty()) {
+      !any_in_window(graph.out_edges(e0.dst), e0.ts + 1, hi) ||
+      !any_in_window(graph.in_edges(e0.src), e0.ts + 1, hi)) {
     return false;
   }
   state.reset();
@@ -127,14 +167,9 @@ bool TemporalJohnsonSearch::explore(ClosingTimeState& st, std::int32_t rem) {
 
   // Collect admissible continuations, grouped by destination (bundling) or
   // one edge per group (ablation).
-  std::vector<TemporalGraph::OutEdge> scratch;
-  for (const auto& e : graph_.out_edges_in_window(v, min_arrival + 1, hi_)) {
-    scratch.push_back(e);
-  }
-  if (options_.path_bundling) {
-    std::stable_sort(scratch.begin(), scratch.end(),
-                     [](const auto& a, const auto& b) { return a.dst < b.dst; });
-  }
+  std::vector<TemporalGraph::OutEdge>& scratch = st.frame(hop_index).edges;
+  collect_out_edges(graph_, v, min_arrival + 1, hi_, options_.path_bundling,
+                    scratch);
 
   bool found = false;
   Timestamp success_max = std::numeric_limits<Timestamp>::min();
@@ -430,25 +465,26 @@ struct TemporalChildTask {
 
     bool found = false;
     if (!st->on_path(w)) {
-      // Re-filter the bundle against the (possibly evolved) closing times.
-      std::vector<BundleEdge> usable;
-      usable.reserve(bundle.size());
-      for (const auto& edge : bundle) {
-        if (run.bounded || st->arrival_open(w, edge.ts)) {
-          usable.push_back(edge);
+      // Re-filter the bundle against the (possibly evolved) closing times,
+      // straight into the pushed hop's edge buffer.
+      bool entered = false;
+      {
+        LockGuard<Spinlock> guard(st->lock());
+        ClosingTimeState::Hop& hop = st->push(w);
+        for (const auto& edge : bundle) {
+          if (run.bounded || st->arrival_open(w, edge.ts)) {
+            hop.edges.push_back(edge);
+          }
         }
-      }
-      if (!usable.empty()) {
-        {
-          LockGuard<Spinlock> guard(st->lock());
-          ClosingTimeState::Hop& hop = st->push(w);
-          hop.edges = std::move(usable);
-        }
-        found = fine_explore(*search, *st, rem);
-        {
-          LockGuard<Spinlock> guard(st->lock());
+        entered = !hop.edges.empty();
+        if (!entered) {
           st->pop();
         }
+      }
+      if (entered) {
+        found = fine_explore(*search, *st, rem);
+        LockGuard<Spinlock> guard(st->lock());
+        st->pop();
       }
     }
     if (found) {
@@ -481,15 +517,10 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
     st.lower_closing_time(v, min_arrival);
   }
 
-  std::vector<TemporalGraph::OutEdge> scratch;
-  for (const auto& e :
-       run.graph.out_edges_in_window(v, min_arrival + 1, search.hi)) {
-    scratch.push_back(e);
-  }
-  if (run.options.path_bundling) {
-    std::stable_sort(scratch.begin(), scratch.end(),
-                     [](const auto& a, const auto& b) { return a.dst < b.dst; });
-  }
+  ClosingTimeState::Frame& frame = st.frame(hop_index);
+  const std::vector<TemporalGraph::OutEdge>& scratch = frame.edges;
+  detail::collect_out_edges(run.graph, v, min_arrival + 1, search.hi,
+                            run.options.path_bundling, frame.edges);
 
   TaskGroup group(run.sched);
   std::atomic<bool> stolen_found{false};
@@ -504,7 +535,9 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
   // Scratch ranges of spawned branches: registered wholesale if this call
   // exits without a success (stolen children register failures only on their
   // own states; the parent's entry-lowering claim needs local entries).
-  std::vector<std::pair<std::size_t, std::size_t>> spawned_ranges;
+  std::vector<std::pair<std::size_t, std::size_t>>& spawned_ranges =
+      frame.spawned;
+  spawned_ranges.clear();
 
   const auto register_failed = [&](VertexId w, std::size_t first,
                                    std::size_t last) {
@@ -555,22 +588,24 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
       i = j;
       continue;
     }
-    std::vector<BundleEdge> bundle;
-    for (std::size_t k = i; k < j; ++k) {
-      const std::uint64_t count =
-          detail::instances_before(st.hop(hop_index), scratch[k].ts);
-      if (count > 0) {
-        bundle.push_back(BundleEdge{scratch[k].ts, scratch[k].id, count});
-      }
-    }
-    if (bundle.empty()) {
+    // Instances grow with the departure time, so the group's last edge has
+    // the most: without any there, no edge of the group carries a path.
+    if (detail::instances_before(st.hop(hop_index), scratch[j - 1].ts) == 0) {
       i = j;
       continue;
     }
-    const Timestamp branch_max = bundle.back().ts;
+    const Timestamp branch_max = scratch[j - 1].ts;
     if (run.should_spawn()) {
       // The child task re-checks on-path and closing times at execution and
       // registers its own failures on whichever state it runs on.
+      std::vector<BundleEdge> bundle;
+      for (std::size_t k = i; k < j; ++k) {
+        const std::uint64_t count =
+            detail::instances_before(st.hop(hop_index), scratch[k].ts);
+        if (count > 0) {
+          bundle.push_back(BundleEdge{scratch[k].ts, scratch[k].id, count});
+        }
+      }
       spawned = true;
       spawned_max = std::max(spawned_max, branch_max);
       spawned_ranges.emplace_back(i, j);
@@ -587,23 +622,31 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
       i = j;
       continue;
     }
-    std::vector<BundleEdge> usable;
-    for (const auto& edge : bundle) {
-      if (bounded || st.arrival_open(w, edge.ts)) {
-        usable.push_back(edge);
-      } else {
-        LockGuard<Spinlock> guard(st.lock());
-        st.register_unblock(w, v, edge.ts);
-      }
-    }
-    if (usable.empty()) {
-      i = j;
-      continue;
-    }
+    // The usable edges go straight into the pushed hop's edge buffer.
+    bool entered = false;
     {
       LockGuard<Spinlock> guard(st.lock());
       ClosingTimeState::Hop& hop = st.push(w);
-      hop.edges = std::move(usable);
+      for (std::size_t k = i; k < j; ++k) {
+        const std::uint64_t count =
+            detail::instances_before(st.hop(hop_index), scratch[k].ts);
+        if (count == 0) {
+          continue;
+        }
+        if (bounded || st.arrival_open(w, scratch[k].ts)) {
+          hop.edges.push_back(BundleEdge{scratch[k].ts, scratch[k].id, count});
+        } else {
+          st.register_unblock(w, v, scratch[k].ts);
+        }
+      }
+      entered = !hop.edges.empty();
+      if (!entered) {
+        st.pop();
+      }
+    }
+    if (!entered) {
+      i = j;
+      continue;
     }
     const bool child_found = fine_explore(search, st, next);
     {

@@ -16,17 +16,6 @@
 
 namespace parcycle::detail {
 
-// Admissible continuation edges from `v` for a bundle whose earliest arrival
-// is `min_arrival`, grouped by destination (stable on ts). Plain data filled
-// by collect_continuations below.
-struct Continuation {
-  VertexId dst;
-  // Indices into the caller's edge scratch; [first, last) are this group's
-  // edges ascending by ts.
-  std::size_t first;
-  std::size_t last;
-};
-
 class TemporalJohnsonSearch {
  public:
   TemporalJohnsonSearch(const TemporalGraph& graph, Timestamp window,

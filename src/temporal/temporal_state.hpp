@@ -26,9 +26,12 @@
 
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "graph/temporal_graph.hpp"
 #include "graph/types.hpp"
 #include "support/dynamic_bitset.hpp"
 #include "support/spinlock.hpp"
@@ -109,6 +112,27 @@ class ClosingTimeState {
     assert(path_len_ > 0);
     path_len_ -= 1;
     on_path_.reset(hops_[path_len_].vertex);
+  }
+
+  // ---- explore frames -------------------------------------------------------
+
+  // Scratch of the explore call at one path depth: the out-edges it walks
+  // and the ranges of them it spawned as tasks. A call at depth d only
+  // nests calls at depths > d on the same state, so no two live calls share
+  // a frame; the buffers keep their capacity across calls and are never
+  // copied on steal (a state is only ever run by one worker at a time).
+  struct Frame {
+    std::vector<TemporalGraph::OutEdge> edges;
+    std::vector<std::pair<std::size_t, std::size_t>> spawned;
+  };
+
+  // The frame of depth `depth`; a deque, so growing it for a nested call
+  // leaves the outer calls' references valid.
+  Frame& frame(std::size_t depth) {
+    while (frames_.size() <= depth) {
+      frames_.emplace_back();
+    }
+    return frames_[depth];
   }
 
   // ---- closing times ------------------------------------------------------
@@ -235,6 +259,7 @@ class ClosingTimeState {
   VertexId capacity_ = 0;
   std::vector<Hop> hops_;
   std::size_t path_len_ = 0;
+  std::deque<Frame> frames_;
   DynamicBitset on_path_;
   std::vector<Timestamp> ct_;
   std::vector<std::vector<UEntry>> ulists_;

@@ -1,5 +1,6 @@
 // Unit tests for the closing-times state (2SCENT machinery): ct lattice
-// moves, unblock-list cascades, bundles, and the copy-on-steal repair.
+// moves, unblock-list cascades, bundles, explore frames, and the
+// copy-on-steal repair.
 #include "temporal/temporal_state.hpp"
 
 #include <gtest/gtest.h>
@@ -95,6 +96,25 @@ TEST(ClosingTimeState, CopyFromReplicates) {
   thief.raise_closing_time(5, 70);
   EXPECT_EQ(thief.closing_time(4), 60);
   EXPECT_EQ(victim.closing_time(4), 44) << "copies are independent";
+}
+
+TEST(ClosingTimeState, FramesStayPutAndAreNotCopied) {
+  ClosingTimeState victim(8);
+  ClosingTimeState::Frame& outer = victim.frame(0);
+  outer.edges.push_back(TemporalGraph::OutEdge{3, 10, 2});
+  outer.spawned.emplace_back(0, 1);
+  // A nested call growing deeper frames leaves the outer one in place.
+  ClosingTimeState::Frame& inner = victim.frame(40);
+  EXPECT_NE(&inner, &outer);
+  EXPECT_EQ(&victim.frame(0), &outer);
+  ASSERT_EQ(outer.edges.size(), 1u);
+  EXPECT_EQ(outer.edges[0].dst, 3u);
+
+  victim.push(1);
+  ClosingTimeState thief(8);
+  thief.copy_from(victim);
+  EXPECT_TRUE(thief.frame(0).edges.empty()) << "frames are never copied";
+  EXPECT_TRUE(thief.frame(0).spawned.empty());
 }
 
 TEST(ClosingTimeState, RepairFullyReopensPoppedVertices) {

@@ -1,19 +1,11 @@
-// Migrated off the deprecated graph/io.hpp shim: the entry points live in
-// io/edge_list.hpp (see also io_parser_test for the parallel path). The last
-// test pins the shim itself so the compatibility include keeps compiling
-// until it is removed.
+// Edge-list parsing through io/edge_list.hpp (see also io_parser_test for
+// the parallel path).
 #include "io/edge_list.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
-
-// Compile-time check only: the deprecated shim must still forward to the new
-// subsystem (and must not fire its deprecation note when explicitly allowed).
-#define PARCYCLE_ALLOW_DEPRECATED_IO
-#include "graph/io.hpp"
-#undef PARCYCLE_ALLOW_DEPRECATED_IO
 
 namespace parcycle {
 namespace {

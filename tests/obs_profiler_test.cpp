@@ -238,6 +238,48 @@ TEST(StackProfiler, LiveCpuSamplingOverBusyPool) {
   EXPECT_EQ(parsed.total, prof.total_taken());
 }
 
+// The header reports the rate the timers really fired at, not the requested
+// one: samples per CPU-second of the sampled thread, which the kernel's
+// timer resolution may hold well below a fast requested rate.
+TEST(StackProfiler, HeaderReportsEffectiveRate) {
+  ASSERT_TRUE(StackProfiler::supported());
+  ProfilerOptions options;
+  options.sample_hz = 997;
+  options.clock = ProfileClock::kThreadCpu;
+  StackProfiler prof(1, options);
+  std::string error;
+  ASSERT_TRUE(prof.start(&error)) << error;
+  SchedulerOptions sched_options;
+  sched_options.thread_observer = &prof;
+  Scheduler::with_pool(1, sched_options, [&](Scheduler& sched) {
+    TaskGroup group(sched);
+    group.spawn([] {
+      volatile std::uint64_t sink = 0;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+      while (std::chrono::steady_clock::now() < deadline) {
+        for (int i = 0; i < 4096; ++i) {
+          sink = sink + static_cast<std::uint64_t>(i) * 2654435761u;
+        }
+      }
+    });
+    group.wait();
+  });
+  prof.stop();
+  ASSERT_GE(prof.total_taken(), 1u);
+  const Parsed parsed = parse_collapsed(prof.collapsed());
+  const std::string key = " effective_hz=";
+  const std::size_t pos = parsed.header.find(key);
+  ASSERT_NE(pos, std::string::npos) << parsed.header;
+  const double effective =
+      std::strtod(parsed.header.c_str() + pos + key.size(), nullptr);
+  EXPECT_GT(effective, 0.0) << parsed.header;
+  EXPECT_GT(prof.effective_hz(), 0.0);
+  // A timer never fires faster than asked; the margin absorbs the clock
+  // reads bracketing the armed span.
+  EXPECT_LE(prof.effective_hz(), 1.25 * options.sample_hz);
+}
+
 TEST(StackProfiler, WallClockSamplingSeesIdlePool) {
   ASSERT_TRUE(StackProfiler::supported());
   ProfilerOptions options;

@@ -66,6 +66,31 @@ TEST_P(TemporalParallelTest, FineReadTarjanMatchesBruteForce) {
   EXPECT_EQ(sink.sorted_cycles(), oracle_sink.sorted_cycles());
 }
 
+// Explicit cycles, fine against serial, on a tie-heavy graph whose
+// vertices have many same-destination and same-timestamp out-edges. An
+// explore frame shared between states, indexed by the wrong depth or
+// grouped in another order than the serial search's shows up here.
+TEST_P(TemporalParallelTest, FineJohnsonCyclesMatchSerialOnTies) {
+  ScaleFreeTemporalParams params;
+  params.num_vertices = 24;
+  params.num_edges = 700;
+  params.time_span = 70;  // about ten edges per timestamp
+  params.attachment = 0.6;
+  params.seed = 2;
+  const TemporalGraph g = scale_free_temporal(params);
+  const Timestamp window = 12;
+  CollectingSink serial_sink;
+  const auto serial = temporal_johnson_cycles(g, window, {}, &serial_sink);
+  ASSERT_GT(serial.num_cycles, 1000u);
+
+  Scheduler sched(threads());
+  CollectingSink sink;
+  const auto fine = fine_temporal_johnson_cycles(g, window, sched, {},
+                                                 parallel_options(), &sink);
+  EXPECT_EQ(fine.num_cycles, serial.num_cycles);
+  EXPECT_EQ(sink.sorted_cycles(), serial_sink.sorted_cycles());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PolicySweep, TemporalParallelTest,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
@@ -194,8 +219,9 @@ TEST(TemporalParallel, SkippedStartsKeepCountsExact) {
   }
 }
 
-// Serial counters recorded before the cycle-unions moved to 64-start blocks:
-// the prune set is unchanged, so every count must be exactly the same.
+// Serial counters recorded before the cycle-unions moved to per-block scans
+// (CycleUnionBlock, now 256 starts wide): the prune set does not depend on
+// the block width, so every count must be exactly the same.
 TEST(TemporalParallel, SerialCountersPinned) {
   struct Pin {
     std::uint64_t cycles;

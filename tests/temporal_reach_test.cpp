@@ -10,6 +10,7 @@
 #include "core/johnson_state.hpp"  // ScratchPool
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "support/prng.hpp"
 #include "support/scheduler.hpp"
 
 namespace parcycle {
@@ -145,6 +146,9 @@ std::vector<bool> brute_union(const TemporalGraph& g, const TemporalEdge& e0,
   return on_walk;
 }
 
+constexpr std::size_t kStarts = CycleUnionBlock::kStarts;
+constexpr std::size_t kWordBits = 64;
+
 struct Tally {
   std::size_t starts = 0;
   std::size_t closable = 0;
@@ -173,7 +177,6 @@ std::vector<std::vector<bool>> block_unions(const TemporalGraph& g,
     }
     return unions;
   }
-  constexpr std::size_t kStarts = CycleUnionBlock::kStarts;
   Scheduler::with_pool(2, [&](Scheduler& sched) {
     ScratchPool<CycleUnionBlock> pool(
         [&] { return std::make_unique<CycleUnionBlock>(g, window); });
@@ -232,13 +235,16 @@ TEST(TemporalReach, BlockMatchesOracleOnRandomGraphs) {
     const bool ties = seed % 2 == 0;
     ScaleFreeTemporalParams params;
     params.num_vertices = 24;
-    params.num_edges = 700;  // ten full blocks and a partial one
+    // Ten full blocks and a partial one.
+    params.num_edges = 10 * kStarts + kStarts / 2 + 12;
     // Heavy ties: about ten edges share each timestamp.
-    params.time_span = ties ? 70 : 7000;
+    params.time_span = static_cast<Timestamp>(
+        ties ? params.num_edges / 10 : params.num_edges * 10);
     params.attachment = 0.6;
     params.allow_self_loops = seed % 4 == 1;
     params.seed = seed;
     const TemporalGraph g = scale_free_temporal(params);
+    ASSERT_EQ(g.num_edges(), params.num_edges);
     const Timestamp window = ties ? 12 : 1200;
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     check_against_oracle(g, window, tally);
@@ -252,12 +258,13 @@ TEST(TemporalReach, BlockMatchesOracleOnRandomGraphs) {
 TEST(TemporalReach, SelfLoopBlocksAndZeroWindow) {
   // Block 0 holds only self-loops; block 1 mixes a triangle with more
   // self-loops; block 2 is a partial block of three edges.
+  constexpr auto kBlock = static_cast<Timestamp>(kStarts);
   GraphBuilder builder(4);
-  for (Timestamp t = 0; t < 64; ++t) {
+  for (Timestamp t = 0; t < kBlock; ++t) {
     builder.add_edge(static_cast<VertexId>(t % 4), static_cast<VertexId>(t % 4),
                      t);
   }
-  for (Timestamp t = 64; t < 131; ++t) {
+  for (Timestamp t = kBlock; t < 2 * kBlock + 3; ++t) {
     if (t % 3 == 0) {
       builder.add_edge(3, 3, t);
     } else {
@@ -266,7 +273,7 @@ TEST(TemporalReach, SelfLoopBlocksAndZeroWindow) {
     }
   }
   const TemporalGraph g = builder.build_temporal();
-  ASSERT_EQ(g.num_edges(), 131u);
+  ASSERT_EQ(g.num_edges(), 2 * kStarts + 3);
   Tally tally;
   for (const Timestamp window : {0, 1, 2, 5, 200}) {
     SCOPED_TRACE(testing::Message() << "window " << window);
@@ -276,6 +283,110 @@ TEST(TemporalReach, SelfLoopBlocksAndZeroWindow) {
   for (const TemporalEdge& e : g.edges_by_time()) {
     EXPECT_EQ(zero.view(e.id).contains(e.dst), e.src == e.dst)
         << "start " << e.id;
+  }
+}
+
+// Random edges over five vertices, one timestamp per edge except where a
+// listed start shares the timestamp of the start before it.
+TemporalGraph random_with_ties(std::size_t num_edges,
+                               const std::vector<std::size_t>& tied,
+                               std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  GraphBuilder builder(5);
+  Timestamp t = 0;
+  for (std::size_t p = 0; p < num_edges; ++p) {
+    if (p > 0 && std::find(tied.begin(), tied.end(), p) == tied.end()) {
+      t += 1;
+    }
+    builder.add_edge(static_cast<VertexId>(rng.next() % 5),
+                     static_cast<VertexId>(rng.next() % 5), t);
+  }
+  return builder.build_temporal();
+}
+
+TEST(TemporalReach, TiesAcrossWordBoundaries) {
+  // Starts 63/64 and 127/128 share a timestamp inside the block, 255 with
+  // the next block's first start.
+  const std::vector<std::size_t> tied = {kWordBits, 2 * kWordBits, kStarts};
+  Tally tally;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const TemporalGraph g = random_with_ties(kStarts + 40, tied, seed);
+    for (const std::size_t p : tied) {
+      ASSERT_EQ(g.edge(static_cast<EdgeId>(p - 1)).ts,
+                g.edge(static_cast<EdgeId>(p)).ts);
+    }
+    for (const Timestamp window : {1, 2, 3, 8, 40}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << " window " << window);
+      check_against_oracle(g, window, tally);
+    }
+  }
+  EXPECT_GT(tally.closable, 0u);
+  EXPECT_LT(tally.closable, tally.starts);
+}
+
+TEST(TemporalReach, PartialBlockEndingMidWord) {
+  Tally tally;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    // The second block stops at bit 36 of its second word.
+    const TemporalGraph g =
+        random_with_ties(kStarts + kWordBits + 37, {}, seed);
+    for (const Timestamp window : {2, 5, 30}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << " window " << window);
+      check_against_oracle(g, window, tally);
+    }
+  }
+  EXPECT_GT(tally.closable, 0u);
+  EXPECT_LT(tally.closable, tally.starts);
+}
+
+// One block whose 64-start words each hold either 21 triangles
+// 0 -> 1 -> 2 -> 0 on consecutive timestamps, spaced `gap` apart, or only
+// edges into a sink vertex 3 that close nothing (as does every word's last
+// start). Within a window below `gap` only a triangle's first edge closes.
+TemporalGraph triangles_in_words(const std::vector<bool>& triangle_words,
+                                 Timestamp gap) {
+  GraphBuilder builder(5);
+  Timestamp t = 0;
+  for (const bool triangles : triangle_words) {
+    for (std::size_t p = 0; p < kWordBits;) {
+      if (triangles && p + 3 <= kWordBits) {
+        for (VertexId v = 0; v < 3; ++v) {
+          builder.add_edge(v, (v + 1) % 3, t++);
+        }
+        p += 3;
+        t += gap;
+      } else {
+        builder.add_edge(4, 3, t++);
+        p += 1;
+      }
+    }
+  }
+  return builder.build_temporal();
+}
+
+TEST(TemporalReach, ClosableStartsOnlyInHighWords) {
+  // The backward scan's gap skip has to find the highest pending start
+  // across words: first with every closable start in the top word, then
+  // with the middle words empty between the bottom and the top one.
+  const std::vector<std::vector<bool>> layouts = {
+      {false, false, false, true}, {true, false, false, true}};
+  for (const auto& layout : layouts) {
+    ASSERT_EQ(layout.size() * kWordBits, kStarts);
+    const TemporalGraph g = triangles_in_words(layout, 20);
+    ASSERT_EQ(g.num_edges(), kStarts);
+    Tally tally;
+    for (const Timestamp window : {1, 2, 3, 19, 30}) {
+      SCOPED_TRACE(testing::Message() << "window " << window);
+      check_against_oracle(g, window, tally);
+    }
+    EXPECT_GT(tally.closable, 0u);
+    CycleUnionBlock block(g, 2);
+    for (const TemporalEdge& e : g.edges_by_time()) {
+      EXPECT_EQ(block.view(e.id).contains(e.dst), e.src == 0 && e.dst == 1)
+          << "start " << e.id;
+    }
   }
 }
 

@@ -1,10 +1,14 @@
 // Microbenchmarks (google-benchmark) for the substrate kernels: deque
 // operations, scheduler fork-join overhead, state copy/repair costs, the
 // graph window queries the hot loops depend on, the temporal cycle-union
-// pre-pass, and the stream engine's batch dispatch.
+// pre-pass, the temporal text load, and the stream engine's batch dispatch.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +16,7 @@
 #include "core/rt_state.hpp"
 #include "graph/generators.hpp"
 #include "graph/scc.hpp"
+#include "io/edge_list.hpp"
 #include "stream/engine.hpp"
 #include "support/chase_lev_deque.hpp"
 #include "support/dynamic_bitset.hpp"
@@ -273,6 +278,66 @@ BENCHMARK(BM_TemporalFineJohnson)
     ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+// The perfbench temporal-batch input at full size (600k edges, time
+// ordered, as save_temporal_edge_list writes it), saved once per process to
+// a temporary text file that is removed at exit.
+const std::string& temporal_batch_text_file() {
+  struct TextFile {
+    std::string path;
+    TextFile() {
+      ScaleFreeTemporalParams params;
+      params.num_vertices = 400;
+      params.num_edges = 600000;
+      params.time_span = 3000000;
+      params.attachment = 0.6;
+      params.burstiness = 0.6;
+      params.seed = 104;
+      path = (std::filesystem::temp_directory_path() /
+              ("parcycle_micro_" + std::to_string(::getpid()) + ".txt"))
+                 .string();
+      save_temporal_edge_list_file(scale_free_temporal(params), path);
+    }
+    ~TextFile() {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
+    }
+  };
+  static const TextFile file;
+  return file.path;
+}
+
+double max_rss_mb() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+// Ten parallel text loads of that file on 4 workers: parse plus graph
+// finalisation. maxrss_growth_mb is the process peak RSS gained between the
+// end of the first load and the end of the tenth: a load that leaves
+// allocator debris behind grows it with every repeat.
+void BM_TemporalLoadText(benchmark::State& state) {
+  const std::string& path = temporal_batch_text_file();
+  Scheduler sched(4);
+  double finalise_s = 0.0;
+  double rss_after_first = -1.0;
+  for (auto _ : state) {
+    LoadStats stats;
+    const TemporalGraph graph =
+        load_temporal_edge_list_file_parallel(path, sched, {}, &stats);
+    benchmark::DoNotOptimize(graph.num_edges());
+    finalise_s += stats.finalise_seconds;
+    if (rss_after_first < 0.0) {
+      rss_after_first = max_rss_mb();
+    }
+  }
+  state.counters["finalise_s"] =
+      benchmark::Counter(finalise_s, benchmark::Counter::kAvgIterations);
+  state.counters["maxrss_mb"] = max_rss_mb();
+  state.counters["maxrss_growth_mb"] = max_rss_mb() - rss_after_first;
+}
+BENCHMARK(BM_TemporalLoadText)->Iterations(10)->Unit(benchmark::kMillisecond);
 
 // The perfbench stream-sparse feed at a tenth of its edges and time span
 // (same density, window and reorder slack), shuffled within the slack by

@@ -89,15 +89,23 @@ TemporalGraph::TemporalGraph(VertexId num_vertices,
   }
   const bool parallel = sched != nullptr && sched->num_workers() > 1 &&
                         edges.size() >= kParallelFinaliseMinEdges;
+  // Time-ordered input (a saved edge list, most SNAP dumps) is already in
+  // canonical order: one O(E) check replaces the O(E log E) sort.
+  const bool sorted =
+      std::is_sorted(edges.begin(), edges.end(), edge_rank_less);
   if (parallel) {
-    parallel_sort_edges(edges, *sched);
+    if (!sorted) {
+      parallel_sort_edges(edges, *sched);
+    }
     parallel_for_chunked(*sched, 0, edges.size(),
                          std::size_t{4} * sched->num_workers(),
                          [&edges](std::size_t i) {
                            edges[i].id = static_cast<EdgeId>(i);
                          });
   } else {
-    std::sort(edges.begin(), edges.end(), edge_rank_less);
+    if (!sorted) {
+      std::sort(edges.begin(), edges.end(), edge_rank_less);
+    }
     for (std::size_t i = 0; i < edges.size(); ++i) {
       edges[i].id = static_cast<EdgeId>(i);
     }
@@ -210,8 +218,10 @@ void TemporalGraph::build_adjacency(Scheduler* sched) {
         // (ts, id) adjacency order is preserved without a per-list sort.
         for (std::size_t i = lo; i < hi; ++i) {
           const TemporalEdge& e = base[i];
-          out_dst[out_cursor[e.src]++] = OutEdge{e.dst, e.ts, e.id};
-          in_dst[in_cursor[e.dst]++] = InEdge{e.src, e.ts, e.id};
+          out_dst[out_cursor[e.src]++] =
+              OutEdge{.ts = e.ts, .dst = e.dst, .id = e.id};
+          in_dst[in_cursor[e.dst]++] =
+              InEdge{.ts = e.ts, .src = e.src, .id = e.id};
         }
       });
     }
@@ -229,8 +239,10 @@ void TemporalGraph::fill_adjacency() {
   // Iterating edges in (ts, id) order keeps every adjacency list sorted by
   // (ts, id) without a per-list sort.
   for (const auto& e : edges_by_time_) {
-    out_edges_[out_cursor[e.src]++] = OutEdge{e.dst, e.ts, e.id};
-    in_edges_[in_cursor[e.dst]++] = InEdge{e.src, e.ts, e.id};
+    out_edges_[out_cursor[e.src]++] =
+        OutEdge{.ts = e.ts, .dst = e.dst, .id = e.id};
+    in_edges_[in_cursor[e.dst]++] =
+        InEdge{.ts = e.ts, .src = e.src, .id = e.id};
   }
 }
 

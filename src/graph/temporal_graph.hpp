@@ -19,22 +19,32 @@ class Scheduler;
 
 class TemporalGraph {
  public:
+  // Half-edge layout: the 8-byte timestamp leads and the two 4-byte ids
+  // pack behind it, so a half-edge is 16 bytes with no padding (a
+  // {vertex, ts, id} order pads to 24). Every edge has two half-edges, the
+  // bulk of a graph's footprint, and the stream's per-vertex lists use the
+  // same types.
+  // Build them with designated initializers: every field is an integer, so
+  // a positional initializer in the wrong order still compiles.
+  //
   // Half-edge stored in the out-adjacency of a source vertex.
   struct OutEdge {
-    VertexId dst;
     Timestamp ts;
+    VertexId dst;
     EdgeId id;
   };
   // Half-edge stored in the in-adjacency of a destination vertex.
   struct InEdge {
-    VertexId src;
     Timestamp ts;
+    VertexId src;
     EdgeId id;
   };
+  static_assert(sizeof(OutEdge) == 16 && sizeof(InEdge) == 16);
 
   TemporalGraph() = default;
 
   // `edges` need not be sorted; ids are (re)assigned by (ts, src, dst) rank.
+  // Input already in that order is detected in one O(E) pass and not sorted.
   TemporalGraph(VertexId num_vertices, std::vector<TemporalEdge> edges);
 
   // Parallel finalisation: sorts the edges as per-chunk sorted runs merged

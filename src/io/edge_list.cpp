@@ -36,19 +36,6 @@ inline const char* skip_hspace(const char* p, const char* end) {
   return p;
 }
 
-// One chunk's parse product. Line numbers are chunk-relative; the caller
-// turns them absolute by prefix-summing the line counts of earlier chunks.
-struct ChunkOutcome {
-  std::vector<TemporalEdge> edges;
-  std::uint64_t lines = 0;
-  std::uint64_t comment_lines = 0;
-  std::uint64_t self_loops_dropped = 0;
-  std::uint64_t max_vertex_plus_1 = 0;  // over kept edges only
-  bool has_error = false;
-  std::uint64_t error_line = 0;  // 1-based within the chunk
-  std::string error_message;
-};
-
 // Parse failures inside a line, turned into runtime_errors with absolute
 // line numbers by the chunk driver.
 enum class LineError {
@@ -71,6 +58,22 @@ const char* line_error_message(LineError error) {
   }
   return "edge list parse error";
 }
+
+// One chunk of the input and its parse product. A chunk owns the slice of
+// the shared edge array that starts at `first_line`, one slot per physical
+// line, so chunks parse concurrently with no allocation and no merge copy.
+// Error line numbers are chunk-relative; `first_line` makes them absolute.
+struct Chunk {
+  std::string_view text;
+  std::uint64_t first_line = 0;  // lines (= edge slots) in earlier chunks
+  std::uint64_t lines = 0;       // physical lines, counted before the parse
+  std::uint64_t kept = 0;        // edges written at the front of the slice
+  std::uint64_t comment_lines = 0;
+  std::uint64_t self_loops_dropped = 0;
+  std::uint64_t max_vertex_plus_1 = 0;  // over kept edges only
+  LineError error = LineError::kNone;
+  std::uint64_t error_line = 0;  // 1-based within the chunk
+};
 
 // Parses "src dst [ts]" from a comment-stripped line. Returns kNone and sets
 // `edge` when the line holds an edge; `blank` when it holds nothing.
@@ -131,26 +134,46 @@ LineError parse_edge_line(const char* p, const char* end,
   return LineError::kNone;
 }
 
-// Parses every line of `chunk`. Stops at (and records) the first error but
-// keeps counting lines so earlier chunks' totals stay exact for the
-// prefix-sum that produces absolute error line numbers.
+// Physical lines in `text`: one per newline, plus an unterminated last line.
+// Equals the number of lines parse_chunk walks, which is what lets the
+// caller size the edge array and place every chunk's slice before parsing.
+std::uint64_t count_lines(std::string_view text) {
+  std::uint64_t lines = 0;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p != end) {
+    lines += 1;
+    const char* nl = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    if (nl == nullptr) {
+      break;
+    }
+    p = nl + 1;
+  }
+  return lines;
+}
+
+// Parses every line of `chunk.text` into `out`, kept edges packed at the
+// front (at most chunk.lines of them). Stops at, and records, the first
+// error.
 //
-// Everything accumulates into a function-local outcome that is moved into
-// the shared result slot once at the end: neighbouring ChunkOutcome elements
-// sit on common cache lines, and per-line writes through them would put
-// false sharing in the middle of the tokenizer loop.
-void parse_chunk(std::string_view chunk, const EdgeListOptions& options,
-                 ChunkOutcome& result) {
-  ChunkOutcome out;
-  const char* p = chunk.data();
-  const char* const end = p + chunk.size();
-  // Rough guess: SNAP lines average ~20 bytes.
-  out.edges.reserve(chunk.size() / 16 + 1);
+// Counters accumulate in locals and are stored once at the end: neighbouring
+// Chunk elements share cache lines, and per-line writes through them would
+// put false sharing in the middle of the tokenizer loop.
+void parse_chunk(Chunk& chunk, const EdgeListOptions& options,
+                 TemporalEdge* out) {
+  const char* p = chunk.text.data();
+  const char* const end = p + chunk.text.size();
+  std::uint64_t line = 0;
+  std::uint64_t kept = 0;
+  std::uint64_t comment_lines = 0;
+  std::uint64_t self_loops_dropped = 0;
+  std::uint64_t max_vertex_plus_1 = 0;
   while (p != end) {
     const char* nl = static_cast<const char*>(
         std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
     const char* line_end = nl != nullptr ? nl : end;
-    out.lines += 1;
+    line += 1;
     // Strip a trailing comment; everything from '#' on is commentary.
     if (const char* hash = static_cast<const char*>(std::memchr(
             p, '#', static_cast<std::size_t>(line_end - p)));
@@ -161,27 +184,28 @@ void parse_chunk(std::string_view chunk, const EdgeListOptions& options,
     bool blank = false;
     const LineError err = parse_edge_line(p, line_end, options, edge, blank);
     if (err != LineError::kNone) {
-      out.has_error = true;
-      out.error_line = out.lines;
-      out.error_message = line_error_message(err);
+      chunk.error = err;
+      chunk.error_line = line;
       break;
     }
     if (blank) {
-      out.comment_lines += 1;
+      comment_lines += 1;
     } else if (options.drop_self_loops && edge.src == edge.dst) {
-      out.self_loops_dropped += 1;
+      self_loops_dropped += 1;
     } else {
-      out.max_vertex_plus_1 =
-          std::max<std::uint64_t>(out.max_vertex_plus_1,
-                                  std::uint64_t{std::max(edge.src, edge.dst)} + 1);
-      out.edges.push_back(edge);
+      max_vertex_plus_1 = std::max<std::uint64_t>(
+          max_vertex_plus_1, std::uint64_t{std::max(edge.src, edge.dst)} + 1);
+      out[kept++] = edge;
     }
     if (nl == nullptr) {
       break;
     }
     p = nl + 1;
   }
-  result = std::move(out);
+  chunk.kept = kept;
+  chunk.comment_lines = comment_lines;
+  chunk.self_loops_dropped = self_loops_dropped;
+  chunk.max_vertex_plus_1 = max_vertex_plus_1;
 }
 
 std::string_view strip_bom(std::string_view text) {
@@ -193,9 +217,9 @@ std::string_view strip_bom(std::string_view text) {
 
 // Chunk boundaries always land just after a newline, so no line straddles
 // two chunks and every chunk parses independently.
-std::vector<std::string_view> split_at_newlines(std::string_view text,
-                                                std::size_t target_bytes) {
-  std::vector<std::string_view> chunks;
+std::vector<Chunk> split_at_newlines(std::string_view text,
+                                     std::size_t target_bytes) {
+  std::vector<Chunk> chunks;
   std::size_t begin = 0;
   while (begin < text.size()) {
     std::size_t end = begin + target_bytes;
@@ -205,48 +229,83 @@ std::vector<std::string_view> split_at_newlines(std::string_view text,
       const std::size_t nl = text.find('\n', end);
       end = nl == std::string_view::npos ? text.size() : nl + 1;
     }
-    chunks.push_back(text.substr(begin, end - begin));
+    chunks.push_back(Chunk{.text = text.substr(begin, end - begin)});
     begin = end;
   }
   return chunks;
 }
 
-[[noreturn]] void throw_parse_error(const ChunkOutcome& chunk,
-                                    std::uint64_t lines_before) {
-  throw std::runtime_error(chunk.error_message + " at line " +
-                           std::to_string(lines_before + chunk.error_line));
+// Runs fn(chunk) for every chunk: as tasks on `sched` when given and there
+// is more than one chunk, else inline.
+template <typename Fn>
+void for_each_chunk(std::vector<Chunk>& chunks, Scheduler* sched,
+                    const Fn& fn) {
+  if (sched == nullptr || chunks.size() <= 1) {
+    for (Chunk& chunk : chunks) {
+      fn(chunk);
+    }
+    return;
+  }
+  TaskGroup group(*sched);
+  for (Chunk& chunk : chunks) {
+    auto task = [&chunk, &fn] { fn(chunk); };
+    // Chunk tasks must ride the zero-allocation slab spawn path; a closure
+    // outgrowing the slab block would silently fall back to the heap.
+    static_assert(spawn_uses_slab_v<decltype(task)>);
+    group.spawn(std::move(task));
+  }
+  group.wait();
 }
 
-// Merges chunk outcomes (in input order) into stats + one edge vector and
-// finalises the graph (in parallel on `sched` when given). Throws on the
-// earliest recorded parse error.
-TemporalGraph assemble(std::vector<ChunkOutcome>& chunks,
-                       const EdgeListOptions& options, LoadStats* stats,
-                       std::uint64_t input_bytes, Scheduler* sched) {
-  std::uint64_t lines_before = 0;
-  std::size_t total_edges = 0;
-  for (const ChunkOutcome& chunk : chunks) {
-    if (chunk.has_error) {
-      throw_parse_error(chunk, lines_before);
-    }
-    lines_before += chunk.lines;
-    total_edges += chunk.edges.size();
+// Parses `chunks` (consecutive pieces of one input) into a single edge
+// array and finalises the graph, in parallel on `sched` when given. The
+// array is allocated once, one slot per line: a parallel line count places
+// every chunk's slice, each chunk parses into its own slice, and the holes
+// that blank lines, comments and dropped self-loops leave at the slice ends
+// are closed in chunk order. Throws on the earliest parse error.
+TemporalGraph parse_chunks(std::vector<Chunk>& chunks,
+                           const EdgeListOptions& options, LoadStats* stats,
+                           std::uint64_t input_bytes, Scheduler* sched) {
+  for_each_chunk(chunks, sched,
+                 [](Chunk& chunk) { chunk.lines = count_lines(chunk.text); });
+  std::uint64_t total_lines = 0;
+  for (Chunk& chunk : chunks) {
+    chunk.first_line = total_lines;
+    total_lines += chunk.lines;
   }
 
-  std::vector<TemporalEdge> edges;
-  edges.reserve(total_edges);
+  std::vector<TemporalEdge> edges(total_lines);
+  TemporalEdge* const slots = edges.data();
+  for_each_chunk(chunks, sched, [slots, &options](Chunk& chunk) {
+    parse_chunk(chunk, options, slots + chunk.first_line);
+  });
+
+  std::uint64_t kept = 0;
   std::uint64_t max_vertex_plus_1 = 0;
   LoadStats local;
   local.bytes = input_bytes;
   local.parse_chunks = std::max<std::uint64_t>(chunks.size(), 1);
-  for (ChunkOutcome& chunk : chunks) {
-    local.lines += chunk.lines;
+  local.lines = total_lines;
+  for (const Chunk& chunk : chunks) {
+    if (chunk.error != LineError::kNone) {
+      throw std::runtime_error(
+          std::string(line_error_message(chunk.error)) + " at line " +
+          std::to_string(chunk.first_line + chunk.error_line));
+    }
+    // Slices only move towards the front, so each move reads slots no
+    // earlier chunk's move has written.
+    if (kept != chunk.first_line) {
+      std::memmove(slots + kept, slots + chunk.first_line,
+                   chunk.kept * sizeof(TemporalEdge));
+    }
+    kept += chunk.kept;
     local.comment_lines += chunk.comment_lines;
     local.self_loops_dropped += chunk.self_loops_dropped;
     max_vertex_plus_1 = std::max(max_vertex_plus_1, chunk.max_vertex_plus_1);
-    edges.insert(edges.end(), chunk.edges.begin(), chunk.edges.end());
-    chunk.edges.clear();
-    chunk.edges.shrink_to_fit();  // cap peak memory at ~2x the edge array
+  }
+  edges.resize(kept);
+  if (edges.capacity() / 2 > edges.size()) {
+    edges.shrink_to_fit();  // mostly comments: do not keep the slack
   }
 
   if (options.drop_duplicate_edges && !edges.empty()) {
@@ -367,9 +426,11 @@ TemporalGraph parse_temporal_edge_list(std::string_view text,
                                        const EdgeListOptions& options,
                                        LoadStats* stats) {
   text = strip_bom(text);
-  std::vector<ChunkOutcome> chunks(1);
-  parse_chunk(text, options, chunks.front());
-  return assemble(chunks, options, stats, text.size(), nullptr);
+  std::vector<Chunk> chunks;
+  if (!text.empty()) {
+    chunks.push_back(Chunk{.text = text});
+  }
+  return parse_chunks(chunks, options, stats, text.size(), nullptr);
 }
 
 TemporalGraph parse_temporal_edge_list_parallel(std::string_view text,
@@ -377,29 +438,9 @@ TemporalGraph parse_temporal_edge_list_parallel(std::string_view text,
                                                 const EdgeListOptions& options,
                                                 LoadStats* stats) {
   text = strip_bom(text);
-  const std::vector<std::string_view> pieces = split_at_newlines(
+  std::vector<Chunk> chunks = split_at_newlines(
       text, pick_chunk_bytes(text.size(), options, sched.num_workers()));
-  std::vector<ChunkOutcome> chunks(std::max<std::size_t>(pieces.size(), 1));
-  if (pieces.size() <= 1) {
-    if (!pieces.empty()) {
-      parse_chunk(pieces.front(), options, chunks.front());
-    }
-    return assemble(chunks, options, stats, text.size(), &sched);
-  }
-
-  TaskGroup group(sched);
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    const std::string_view piece = pieces[i];
-    ChunkOutcome* out = &chunks[i];
-    const EdgeListOptions* opts = &options;
-    auto task = [piece, opts, out] { parse_chunk(piece, *opts, *out); };
-    // Chunk tasks must ride the zero-allocation slab spawn path; a closure
-    // outgrowing the slab block would silently fall back to the heap.
-    static_assert(spawn_uses_slab_v<decltype(task)>);
-    group.spawn(std::move(task));
-  }
-  group.wait();
-  return assemble(chunks, options, stats, text.size(), &sched);
+  return parse_chunks(chunks, options, stats, text.size(), &sched);
 }
 
 TemporalGraph load_temporal_edge_list(std::istream& in,

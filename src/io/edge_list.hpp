@@ -10,7 +10,11 @@
 //    the chunks are parsed concurrently as tasks on the Scheduler
 //    (`load_temporal_edge_list_parallel`) — the multi-gigabyte hot path.
 // Both report the same errors (with 1-based line numbers) and the same
-// LoadStats, and produce identical graphs.
+// LoadStats, and produce identical graphs. Both parse in place: a line count
+// sizes one edge array up front, every chunk parses into its own slice of
+// it, and the slices are packed together in input order. That array moves
+// into the TemporalGraph, which skips its sort when the input is already in
+// time order, as saved edge lists are.
 #pragma once
 
 #include <cstddef>
@@ -48,10 +52,11 @@ struct LoadStats {
   std::uint64_t self_loops_dropped = 0;
   std::uint64_t duplicate_edges_dropped = 0;
   std::uint64_t parse_chunks = 1;     // parse tasks (1 for the serial paths)
-  // Wall time of graph finalisation (the (ts, src, dst) sort + CSR fill in
+  // Wall time of graph finalisation (the (ts, src, dst) order check, the
+  // sort when the input is not already in that order, and the CSR fill in
   // the TemporalGraph constructor — parallelised on the same scheduler as
-  // the parse in the parallel path). bench_loader reports it as its own
-  // phase column.
+  // the parse in the parallel path). Time-ordered input skips the sort.
+  // bench_loader reports it as its own phase column.
   double finalise_seconds = 0.0;
 };
 
@@ -78,8 +83,8 @@ TemporalGraph load_temporal_edge_list_file(const std::string& path,
 
 // Splits `text` at newline boundaries into chunks parsed concurrently as
 // tasks on `sched` (call from the thread that owns the scheduler, i.e.
-// worker 0). Per-chunk edge buffers are merged and timestamp-sorted into the
-// TemporalGraph. Errors still name the 1-based line of the offending input.
+// worker 0). Each chunk parses into its own slice of the one edge array.
+// Errors still name the 1-based line of the offending input.
 TemporalGraph parse_temporal_edge_list_parallel(
     std::string_view text, Scheduler& sched,
     const EdgeListOptions& options = {}, LoadStats* stats = nullptr);

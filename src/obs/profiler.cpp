@@ -384,6 +384,12 @@ double StackProfiler::effective_hz_locked() const {
     samples += ring->taken.load(std::memory_order_acquire) +
                ring->dropped.load(std::memory_order_relaxed);
     armed_ns += ring->armed_ns;
+#if PARCYCLE_PROFILER_PLATFORM
+    // A live read (/statusz during a capture) counts the open span too.
+    if (ring->timer_created && ring->armed.load(std::memory_order_acquire)) {
+      armed_ns += clock_now_ns(ring->clock_id) - ring->armed_since_ns;
+    }
+#endif
   }
   return armed_ns == 0 ? 0.0
                        : static_cast<double>(samples) * 1e9 /

@@ -126,8 +126,9 @@ class StackProfiler final : public WorkerThreadObserver {
   // second that the sampled threads' clocks advanced while armed — CPU
   // seconds for kThreadCpu, wall seconds for kWall. Below the requested
   // sample_hz when the kernel's timer resolution is coarser (thread CPU
-  // timers tick with the scheduler); 0 before any armed time. stop() warns
-  // on stderr when it is below half the requested rate.
+  // timers tick with the scheduler); 0 before any armed time. A read while
+  // sampling includes the spans still open. stop() warns on stderr when it
+  // is below half the requested rate.
   double effective_hz() const;
 
   // -- Export (call while not sampling) ------------------------------------

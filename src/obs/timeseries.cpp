@@ -345,6 +345,12 @@ std::string TimeSeriesSampler::render_statusz() const {
     append_kv_u64(out, "taken", options_.profiler->total_taken());
     out += ' ';
     append_kv_u64(out, "dropped", options_.profiler->total_dropped());
+    // Requested and achieved rates, formatted as the collapsed header does.
+    char rates[64];
+    std::snprintf(rates, sizeof rates, " hz=%d effective_hz=%.1f",
+                  options_.profiler->options().sample_hz,
+                  options_.profiler->effective_hz());
+    out += rates;
     out += " clock=";
     out += profile_clock_name(options_.profiler->options().clock);
     out += '\n';

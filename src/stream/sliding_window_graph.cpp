@@ -46,8 +46,8 @@ EdgeId SlidingWindowGraph::ingest(VertexId src, VertexId dst, Timestamp ts) {
   }
   ensure_vertex(std::max(src, dst));
   const EdgeId id = next_id_++;
-  adj_[src].out.push_back(OutEdge{dst, ts, id});
-  adj_[dst].in.push_back(InEdge{src, ts, id});
+  adj_[src].out.push_back(OutEdge{.ts = ts, .dst = dst, .id = id});
+  adj_[dst].in.push_back(InEdge{.ts = ts, .src = src, .id = id});
   log_.push_back(TemporalEdge{src, dst, ts, id});
   last_ts_ = ts;
   total_ingested_ += 1;
@@ -173,8 +173,8 @@ void SlidingWindowGraph::restore(const RestoreState& state) {
 
   for (const TemporalEdge& e : state.live_edges) {
     ensure_vertex(std::max(e.src, e.dst));
-    adj_[e.src].out.push_back(OutEdge{e.dst, e.ts, e.id});
-    adj_[e.dst].in.push_back(InEdge{e.src, e.ts, e.id});
+    adj_[e.src].out.push_back(OutEdge{.ts = e.ts, .dst = e.dst, .id = e.id});
+    adj_[e.dst].in.push_back(InEdge{.ts = e.ts, .src = e.src, .id = e.id});
     log_.push_back(e);
   }
   watermark_ = state.watermark;

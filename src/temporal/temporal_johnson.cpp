@@ -72,10 +72,14 @@ bool TemporalJohnsonSearch::prepare_root(const TemporalGraph& graph,
   hi_out = hi;
   // A head outside the union means no temporal cycle through e0; so does a
   // head without a strictly-later out-edge or a tail without a later
-  // in-edge.
-  if (!cycle_union.contains(e0.dst) ||
-      !any_in_window(graph.out_edges(e0.dst), e0.ts + 1, hi) ||
-      !any_in_window(graph.in_edges(e0.src), e0.ts + 1, hi)) {
+  // in-edge. A head inside a block's union implies both edges, so only a
+  // search without a block looks them up.
+  if (!cycle_union.contains(e0.dst)) {
+    return false;
+  }
+  if (cycle_union.lanes == nullptr &&
+      (!any_in_window(graph.out_edges(e0.dst), e0.ts + 1, hi) ||
+       !any_in_window(graph.in_edges(e0.src), e0.ts + 1, hi))) {
     return false;
   }
   state.reset();

@@ -234,9 +234,14 @@ bool prepare_start(const TemporalGraph& graph, const TemporalEdge& e0,
                    TemporalRTCore& core) {
   state.reset();
   const Timestamp hi = e0.ts + window;
-  if (!cycle_union.contains(e0.dst) ||
-      graph.out_edges_in_window(e0.dst, e0.ts + 1, hi).empty() ||
-      graph.in_edges_in_window(e0.src, e0.ts + 1, hi).empty()) {
+  // A head inside a block's union implies a later head out-edge and tail
+  // in-edge in the window; without a block, look them up.
+  if (!cycle_union.contains(e0.dst)) {
+    return false;
+  }
+  if (cycle_union.lanes == nullptr &&
+      (graph.out_edges_in_window(e0.dst, e0.ts + 1, hi).empty() ||
+       graph.in_edges_in_window(e0.src, e0.ts + 1, hi).empty())) {
     return false;
   }
   if (options.max_cycle_length == 1) {

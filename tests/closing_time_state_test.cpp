@@ -101,7 +101,7 @@ TEST(ClosingTimeState, CopyFromReplicates) {
 TEST(ClosingTimeState, FramesStayPutAndAreNotCopied) {
   ClosingTimeState victim(8);
   ClosingTimeState::Frame& outer = victim.frame(0);
-  outer.edges.push_back(TemporalGraph::OutEdge{3, 10, 2});
+  outer.edges.push_back(TemporalGraph::OutEdge{.ts = 10, .dst = 3, .id = 2});
   outer.spawned.emplace_back(0, 1);
   // A nested call growing deeper frames leaves the outer one in place.
   ClosingTimeState::Frame& inner = victim.frame(40);

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <vector>
 
 #include "graph/builder.hpp"
+#include "support/prng.hpp"
+#include "support/scheduler.hpp"
 
 namespace parcycle {
 namespace {
@@ -112,6 +116,75 @@ TEST(TemporalGraph, TiedTimestampsGetDistinctIds) {
   EXPECT_EQ(edges[0].src, 0u);
   EXPECT_EQ(edges[1].src, 1u);
   EXPECT_EQ(edges[2].src, 2u);
+}
+
+// Field-by-field equality: edges, ids, min/max timestamps and both
+// adjacency arrays in order.
+void expect_identical(const TemporalGraph& a, const TemporalGraph& b) {
+  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  EXPECT_EQ(a.min_timestamp(), b.min_timestamp());
+  EXPECT_EQ(a.max_timestamp(), b.max_timestamp());
+  for (EdgeId i = 0; i < a.num_edges(); ++i) {
+    const TemporalEdge& x = a.edge(i);
+    const TemporalEdge& y = b.edge(i);
+    ASSERT_TRUE(x.src == y.src && x.dst == y.dst && x.ts == y.ts &&
+                x.id == y.id && x.id == i)
+        << "edge " << i;
+  }
+  for (VertexId v = 0; v < a.num_vertices(); ++v) {
+    const auto ao = a.out_edges(v);
+    const auto bo = b.out_edges(v);
+    ASSERT_EQ(ao.size(), bo.size()) << "vertex " << v;
+    for (std::size_t k = 0; k < ao.size(); ++k) {
+      ASSERT_TRUE(ao[k].ts == bo[k].ts && ao[k].dst == bo[k].dst &&
+                  ao[k].id == bo[k].id)
+          << "out-edge " << k << " of vertex " << v;
+    }
+    const auto ai = a.in_edges(v);
+    const auto bi = b.in_edges(v);
+    ASSERT_EQ(ai.size(), bi.size()) << "vertex " << v;
+    for (std::size_t k = 0; k < ai.size(); ++k) {
+      ASSERT_TRUE(ai[k].ts == bi[k].ts && ai[k].src == bi[k].src &&
+                  ai[k].id == bi[k].id)
+          << "in-edge " << k << " of vertex " << v;
+    }
+  }
+}
+
+TEST(TemporalGraph, SortedAndShuffledInputsBuildTheSameGraph) {
+  // Above the parallel-finalisation gate (2^15 edges), with about eight
+  // edges per timestamp and some exact duplicates, so ties need the
+  // (src, dst) order. Already-sorted input skips the sort; shuffled input
+  // takes it; all four builds must agree.
+  constexpr VertexId kVertices = 500;
+  constexpr std::size_t kEdges = 40'000;
+  SplitMix64 rng(17);
+  std::vector<TemporalEdge> shuffled;
+  for (std::size_t i = 0; i < kEdges; ++i) {
+    const auto src = static_cast<VertexId>(rng.next() % kVertices);
+    const auto dst = static_cast<VertexId>(rng.next() % kVertices);
+    const auto ts = static_cast<Timestamp>(rng.next() % (kEdges / 8));
+    shuffled.push_back(TemporalEdge{src, dst, ts, kInvalidEdge});
+    if (i % 97 == 0) {
+      shuffled.push_back(shuffled.back());
+    }
+  }
+  const TemporalGraph reference(kVertices, shuffled);
+  std::vector<TemporalEdge> sorted(reference.edges_by_time().begin(),
+                                   reference.edges_by_time().end());
+  for (TemporalEdge& e : sorted) {
+    e.id = kInvalidEdge;  // ids are assigned by the constructor either way
+  }
+  std::mt19937_64 shuffle_rng(5);
+  std::shuffle(shuffled.begin(), shuffled.end(), shuffle_rng);
+
+  expect_identical(reference, TemporalGraph(kVertices, sorted));
+  expect_identical(reference, TemporalGraph(kVertices, shuffled));
+  Scheduler::with_pool(4, [&](Scheduler& sched) {
+    expect_identical(reference, TemporalGraph(kVertices, sorted, &sched));
+    expect_identical(reference, TemporalGraph(kVertices, shuffled, &sched));
+  });
 }
 
 }  // namespace

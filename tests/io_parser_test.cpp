@@ -192,6 +192,95 @@ TEST(IoParserParallel, ErrorLineNumbersSpanChunks) {
   });
 }
 
+// Every LoadStats field except the timing and the chunk count.
+void expect_same_stats(const LoadStats& a, const LoadStats& b) {
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.lines, b.lines);
+  EXPECT_EQ(a.comment_lines, b.comment_lines);
+  EXPECT_EQ(a.edges_loaded, b.edges_loaded);
+  EXPECT_EQ(a.self_loops_dropped, b.self_loops_dropped);
+  EXPECT_EQ(a.duplicate_edges_dropped, b.duplicate_edges_dropped);
+}
+
+// A time-ordered edge list with the holes the in-place parse must close: a
+// header comment, blank and comment-only lines, self-loops, CRLF endings,
+// and no newline after the last line.
+std::string holey_text(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::string text = "# src dst ts\r\n";
+  for (int i = 0; i < 400; ++i) {
+    const auto src = rng() % 9;
+    const auto dst = rng() % 4 == 0 ? src : rng() % 9;
+    text += std::to_string(src) + " " + std::to_string(dst) + " " +
+            std::to_string(10 * i + static_cast<int>(rng() % 3));
+    text += i % 3 == 0 ? "\r\n" : "\n";
+    if (rng() % 11 == 0) {
+      text += "\n";
+    }
+    if (rng() % 13 == 0) {
+      text += "  # note\n";
+    }
+  }
+  text += "8 7 99999";
+  return text;
+}
+
+TEST(IoParserParallel, InPlaceParseMatchesSerialAtTinyChunks) {
+  for (const bool drop_self_loops : {false, true}) {
+    EdgeListOptions options;
+    options.drop_self_loops = drop_self_loops;
+    const std::string text = holey_text(drop_self_loops ? 3 : 4);
+    LoadStats serial_stats;
+    const TemporalGraph serial =
+        parse_temporal_edge_list(text, options, &serial_stats);
+    EXPECT_GT(serial_stats.comment_lines, 20u);
+    EXPECT_EQ(serial_stats.self_loops_dropped > 0, drop_self_loops);
+    for (const std::size_t chunk_bytes : {1ul, 7ul, 64ul, 1000ul}) {
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "chunk " << chunk_bytes << " threads " << threads
+                     << " drop " << drop_self_loops);
+        options.parallel_chunk_bytes = chunk_bytes;
+        LoadStats stats;
+        const TemporalGraph parallel =
+            Scheduler::with_pool(threads, [&](Scheduler& sched) {
+              return parse_temporal_edge_list_parallel(text, sched, options,
+                                                       &stats);
+            });
+        expect_same_graph(serial, parallel);
+        expect_same_stats(serial_stats, stats);
+        EXPECT_GE(stats.parse_chunks, 4u);
+      }
+    }
+  }
+}
+
+TEST(IoParserParallel, MiddleChunkErrorKeepsAbsoluteLine) {
+  std::string text = holey_text(5);
+  // Corrupt the first edge of line 200, past dozens of chunks of holes.
+  std::size_t line_start = 0;
+  for (int line = 1; line < 200; ++line) {
+    line_start = text.find('\n', line_start) + 1;
+  }
+  text.insert(line_start, "x");
+  const std::string serial = error_message_of(text);
+  ASSERT_NE(serial.find("at line 200"), std::string::npos) << serial;
+  for (const std::size_t chunk_bytes : {1ul, 64ul, 1000ul}) {
+    EdgeListOptions options;
+    options.parallel_chunk_bytes = chunk_bytes;
+    const std::string parallel =
+        Scheduler::with_pool(4, [&](Scheduler& sched) -> std::string {
+          try {
+            parse_temporal_edge_list_parallel(text, sched, options);
+          } catch (const std::runtime_error& error) {
+            return error.what();
+          }
+          return "";
+        });
+    EXPECT_EQ(parallel, serial) << "chunk " << chunk_bytes;
+  }
+}
+
 TEST(IoParserParallel, StatsAndDedupAcrossChunks) {
   std::string text;
   for (int i = 0; i < 500; ++i) {

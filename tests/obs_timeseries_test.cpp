@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/profiler.hpp"
 #include "obs/slo.hpp"
 #include "stream/engine.hpp"
 #include "support/scheduler.hpp"
@@ -190,6 +193,61 @@ TEST(TimeSeriesSampler, EvaluatesSloObjectivesPerTick) {
 
   EXPECT_NE(sampler.render_prometheus().find("parcycle_slo_burn_ratio"),
             std::string::npos);
+}
+
+// The key=value token starting at `key` in `text` ("" when absent).
+std::string token_of(const std::string& text, const std::string& key) {
+  const std::size_t pos = text.find(key);
+  if (pos == std::string::npos) {
+    return "";
+  }
+  return text.substr(pos, text.find_first_of(" \n", pos) - pos);
+}
+
+// The profiler line states the requested and the achieved sampling rate,
+// and the achieved one reads the same as in the collapsed profile header.
+TEST(TimeSeriesSampler, StatuszShowsProfilerSamplingRates) {
+  ProfilerOptions profiler_options;
+  profiler_options.sample_hz = 211;
+  StackProfiler prof(1, profiler_options);
+  SchedulerOptions sched_options;
+  sched_options.thread_observer = &prof;
+  Scheduler sched(1, sched_options);
+  StreamOptions options;
+  options.window = 1'000'000;
+  StreamEngine engine(options, sched, nullptr);
+  TimeSeriesOptions ts_options;
+  ts_options.profiler = &prof;
+  TimeSeriesSampler sampler(engine, sched, ts_options);
+
+  const std::string idle = sampler.render_statusz();
+  EXPECT_NE(idle.find("profiler: idle taken=0 dropped=0 hz=211 "
+                      "effective_hz=0.0 clock=cpu\n"),
+            std::string::npos)
+      << idle;
+
+  if (!StackProfiler::supported()) {
+    return;  // no timer sampling here (e.g. ThreadSanitizer builds)
+  }
+  ASSERT_TRUE(prof.start());
+  volatile std::uint64_t sink = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 4096; ++i) {
+      sink = sink + static_cast<std::uint64_t>(i) * 2654435761u;
+    }
+  }
+  // Read live, the open span counts: the rate is already positive.
+  const std::string live = token_of(sampler.render_statusz(), "effective_hz=");
+  EXPECT_NE(live, "effective_hz=0.0") << live;
+  prof.stop();
+  const std::string statusz = sampler.render_statusz();
+  EXPECT_NE(statusz.find(" hz=211 effective_hz="), std::string::npos)
+      << statusz;
+  const std::string effective = token_of(statusz, "effective_hz=");
+  EXPECT_NE(effective, "effective_hz=0.0") << statusz;
+  EXPECT_EQ(effective, token_of(prof.collapsed(), "effective_hz="));
 }
 
 TEST(TimeSeriesSampler, RejectsBadSloSpecAtConstruction) {

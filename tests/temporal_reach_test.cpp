@@ -229,30 +229,71 @@ void check_against_oracle(const TemporalGraph& g, Timestamp window,
   }
 }
 
+// Ten full blocks and a partial one over 24 vertices; even seeds have heavy
+// ties (about ten edges per timestamp), every fourth seed self-loops.
+constexpr std::size_t kRandomEdges = 10 * kStarts + kStarts / 2 + 12;
+
+TemporalGraph random_block_graph(std::uint64_t seed) {
+  ScaleFreeTemporalParams params;
+  params.num_vertices = 24;
+  params.num_edges = kRandomEdges;
+  params.time_span = static_cast<Timestamp>(
+      seed % 2 == 0 ? params.num_edges / 10 : params.num_edges * 10);
+  params.attachment = 0.6;
+  params.allow_self_loops = seed % 4 == 1;
+  params.seed = seed;
+  return scale_free_temporal(params);
+}
+
+Timestamp random_block_window(std::uint64_t seed) {
+  return seed % 2 == 0 ? 12 : 1200;
+}
+
 TEST(TemporalReach, BlockMatchesOracleOnRandomGraphs) {
   Tally tally;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    const bool ties = seed % 2 == 0;
-    ScaleFreeTemporalParams params;
-    params.num_vertices = 24;
-    // Ten full blocks and a partial one.
-    params.num_edges = 10 * kStarts + kStarts / 2 + 12;
-    // Heavy ties: about ten edges share each timestamp.
-    params.time_span = static_cast<Timestamp>(
-        ties ? params.num_edges / 10 : params.num_edges * 10);
-    params.attachment = 0.6;
-    params.allow_self_loops = seed % 4 == 1;
-    params.seed = seed;
-    const TemporalGraph g = scale_free_temporal(params);
-    ASSERT_EQ(g.num_edges(), params.num_edges);
-    const Timestamp window = ties ? 12 : 1200;
+    const TemporalGraph g = random_block_graph(seed);
+    ASSERT_EQ(g.num_edges(), kRandomEdges);
     SCOPED_TRACE(testing::Message() << "seed " << seed);
-    check_against_oracle(g, window, tally);
+    check_against_oracle(g, random_block_window(seed), tally);
   }
   // Both outcomes well represented, so neither answer passes by default.
   EXPECT_GT(tally.closable, tally.starts / 5);
   EXPECT_LT(tally.closable, tally.starts * 4 / 5);
   EXPECT_GT(tally.comparisons, 200000u);
+}
+
+// The enumerators' root setup skips its two neighbour lookups when a block
+// is in use, relying on this: a non-self-loop start whose head is in its
+// block union has a head out-edge and a tail in-edge in (t0, t0 + window].
+TEST(TemporalReach, HeadInUnionImpliesNeighboursInWindow) {
+  std::size_t heads_in_union = 0;
+  std::size_t pruned_with_neighbours = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const TemporalGraph g = random_block_graph(seed);
+    const Timestamp window = random_block_window(seed);
+    CycleUnionBlock block(g, window);
+    for (const TemporalEdge& e0 : g.edges_by_time()) {
+      if (e0.src == e0.dst) {
+        continue;  // the drivers count self-loops before any root setup
+      }
+      const Timestamp hi = e0.ts + window;
+      const bool neighbours =
+          !g.out_edges_in_window(e0.dst, e0.ts + 1, hi).empty() &&
+          !g.in_edges_in_window(e0.src, e0.ts + 1, hi).empty();
+      if (block.view(e0.id).contains(e0.dst)) {
+        ASSERT_TRUE(neighbours) << "start " << e0.id;
+        heads_in_union += 1;
+      } else {
+        pruned_with_neighbours += neighbours ? 1 : 0;
+      }
+    }
+  }
+  // Neither side is vacuous: heads in the union, and starts the lookups
+  // alone would not have pruned.
+  EXPECT_GT(heads_in_union, 1000u);
+  EXPECT_GT(pruned_with_neighbours, 1000u);
 }
 
 TEST(TemporalReach, SelfLoopBlocksAndZeroWindow) {

@@ -262,6 +262,22 @@ void BM_TemporalBlockUnion(benchmark::State& state) {
 }
 BENCHMARK(BM_TemporalBlockUnion)->Unit(benchmark::kMillisecond);
 
+// The serial temporal Johnson run on the same input: the block pass above
+// plus the explore DFS, so the difference of the two is the DFS alone.
+void BM_TemporalSerialJohnson(benchmark::State& state) {
+  const TemporalGraph& graph = temporal_batch_graph();
+  EnumResult result;
+  for (auto _ : state) {
+    result = temporal_johnson_cycles(graph, kTemporalBatchWindow);
+    benchmark::DoNotOptimize(result.num_cycles);
+  }
+  state.counters["cycles"] = static_cast<double>(result.num_cycles);
+  state.counters["edges_visited"] =
+      static_cast<double>(result.work.edges_visited);
+  state.SetItemsProcessed(state.iterations() * graph.num_edges());
+}
+BENCHMARK(BM_TemporalSerialJohnson)->Unit(benchmark::kMillisecond);
+
 // The whole fine-grained temporal Johnson run on the same input: block
 // pass plus the explore DFS. Arg 0 is the worker count.
 void BM_TemporalFineJohnson(benchmark::State& state) {

@@ -220,8 +220,11 @@ class JohnsonState {
   Spinlock lock_;
 };
 
-// Thread-safe pool of reusable per-search scratch objects. Checked out for
-// the lifetime of one root search; contention is one lock per search.
+// Thread-safe pool of reusable per-search scratch objects. The core drivers
+// check one out for the lifetime of one root search; the fine temporal
+// drivers check one out per 256-start block of roots. A stolen task that
+// copies its creator's state checks one out for that copy. Contention is one
+// lock per checkout.
 template <typename T>
 class ScratchPool {
  public:

@@ -40,24 +40,34 @@ bool any_in_window(std::span<const Edge> adjacency, Timestamp lo,
   return first != adjacency.data() + adjacency.size() && first->ts <= hi;
 }
 
-// Fills `out` with v's out-edges with ts in [lo, hi]: one lower bound and a
-// forward scan. With `by_dst` they are grouped by destination, each group
-// ascending by (ts, id): the order a stable sort by dst of the time-ordered
-// adjacency gives, without the sort's temporary buffer.
-void collect_out_edges(const TemporalGraph& graph, VertexId v, Timestamp lo,
-                       Timestamp hi, bool by_dst,
-                       std::vector<TemporalGraph::OutEdge>& out) {
+// Fills `out` with v's out-edges with ts in [lo, hi] that can lie on a cycle
+// of the start: those into `tail` or into a vertex of `cycle_union` (the
+// others need no unblock registration either). Returns how many edges the
+// window holds, kept or not: the edges the search counts as visited.
+// One lower bound and a forward scan; with `by_dst` the kept edges are
+// grouped by destination, each group ascending by (ts, id): the order a
+// stable sort by dst of the time-ordered adjacency gives, without the sort's
+// temporary buffer.
+std::size_t collect_out_edges(const TemporalGraph& graph, VertexId v,
+                              Timestamp lo, Timestamp hi, VertexId tail,
+                              CycleUnionView cycle_union, bool by_dst,
+                              std::vector<TemporalGraph::OutEdge>& out) {
   out.clear();
   const auto all = graph.out_edges(v);
   const TemporalGraph::OutEdge* const end = all.data() + all.size();
-  for (const auto* e = first_from(all, lo); e != end && e->ts <= hi; ++e) {
-    out.push_back(*e);
+  const TemporalGraph::OutEdge* const first = first_from(all, lo);
+  const TemporalGraph::OutEdge* e = first;
+  for (; e != end && e->ts <= hi; ++e) {
+    if (e->dst == tail || cycle_union.contains(e->dst)) {
+      out.push_back(*e);
+    }
   }
   if (by_dst) {
     std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
       return a.dst != b.dst ? a.dst < b.dst : a.id < b.id;
     });
   }
+  return static_cast<std::size_t>(e - first);
 }
 
 }  // namespace
@@ -82,7 +92,6 @@ bool TemporalJohnsonSearch::prepare_root(const TemporalGraph& graph,
        !any_in_window(graph.in_edges(e0.src), e0.ts + 1, hi))) {
     return false;
   }
-  state.reset();
   state.push(e0.src);  // tail; empty bundle, only pins the vertex
   ClosingTimeState::Hop& head = state.push(e0.dst);
   head.edges.push_back(BundleEdge{e0.ts, e0.id, 1});
@@ -172,8 +181,9 @@ bool TemporalJohnsonSearch::explore(ClosingTimeState& st, std::int32_t rem) {
   // Collect admissible continuations, grouped by destination (bundling) or
   // one edge per group (ablation).
   std::vector<TemporalGraph::OutEdge>& scratch = st.frame(hop_index).edges;
-  collect_out_edges(graph_, v, min_arrival + 1, hi_, options_.path_bundling,
-                    scratch);
+  st.counters.edges_visited +=
+      collect_out_edges(graph_, v, min_arrival + 1, hi_, tail_, union_,
+                        options_.path_bundling, scratch);
 
   bool found = false;
   Timestamp success_max = std::numeric_limits<Timestamp>::min();
@@ -199,7 +209,6 @@ bool TemporalJohnsonSearch::explore(ClosingTimeState& st, std::int32_t rem) {
       }
     }
     const VertexId w = scratch[i].dst;
-    st.counters.edges_visited += j - i;
 
     if (w == tail_) {
       // Closing edges: every admissible one closes all instances arriving
@@ -221,10 +230,6 @@ bool TemporalJohnsonSearch::explore(ClosingTimeState& st, std::int32_t rem) {
       continue;
     }
 
-    if (!union_.contains(w)) {
-      i = j;  // never on any cycle of this start: nothing to register
-      continue;
-    }
     const std::int32_t next = detail::child_rem(rem, bounded);
     if (next < 1 || st.on_path(w)) {
       register_failed(w, i, j);
@@ -397,6 +402,8 @@ struct FineTemporalRun {
   CycleSink* sink;
   bool bounded;
 
+  // One state per root block in flight, plus the copies stolen children
+  // make of their creator's.
   ScratchPool<ClosingTimeState> state_pool;
   // Pooled, not per worker: a worker waiting inside a root can run another
   // root chunk while the first block's unions are still being read.
@@ -523,8 +530,9 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
 
   ClosingTimeState::Frame& frame = st.frame(hop_index);
   const std::vector<TemporalGraph::OutEdge>& scratch = frame.edges;
-  detail::collect_out_edges(run.graph, v, min_arrival + 1, search.hi,
-                            run.options.path_bundling, frame.edges);
+  st.counters.edges_visited += detail::collect_out_edges(
+      run.graph, v, min_arrival + 1, search.hi, search.tail,
+      search.cycle_union, run.options.path_bundling, frame.edges);
 
   TaskGroup group(run.sched);
   std::atomic<bool> stolen_found{false};
@@ -563,7 +571,6 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
       }
     }
     const VertexId w = scratch[i].dst;
-    st.counters.edges_visited += j - i;
 
     if (w == search.tail) {
       for (std::size_t k = i; k < j; ++k) {
@@ -583,10 +590,6 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
       continue;
     }
 
-    if (!search.cycle_union.contains(w)) {
-      i = j;
-      continue;
-    }
     const std::int32_t next = detail::child_rem(rem, bounded);
     if (next < 1) {
       i = j;
@@ -689,8 +692,11 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
   return found;
 }
 
+// Searches one root on `state`, the block's state: reset here, its counters
+// merged here. Every task of the root has finished when this returns.
 void temporal_search_root(FineTemporalRun& run, const TemporalEdge& e0,
-                          CycleUnionView cycle_union) {
+                          CycleUnionView cycle_union,
+                          ClosingTimeState& state) {
   if (e0.src == e0.dst) {
     if (run.sink != nullptr) {
       run.sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
@@ -704,20 +710,18 @@ void temporal_search_root(FineTemporalRun& run, const TemporalEdge& e0,
   if (!cycle_union.contains(e0.dst)) {
     return;  // no cycle: skipped before any state
   }
-  auto state = run.state_pool.acquire();
-  state->reset();
+  state.reset();
   Timestamp hi = 0;
   if (detail::TemporalJohnsonSearch::prepare_root(run.graph, e0, run.window,
-                                                  cycle_union, *state, hi)) {
+                                                  cycle_union, state, hi)) {
     TemporalSearchContext search{run, e0.src, hi, cycle_union};
     const std::int32_t rem0 = run.bounded ? run.options.max_cycle_length - 1
                                           : detail::kUnboundedRem;
     if (rem0 >= 1) {
-      fine_explore(search, *state, rem0);
+      fine_explore(search, state, rem0);
     }
   }
-  run.merge_counters(state->counters);
-  run.state_pool.release(std::move(state));
+  run.merge_counters(state.counters);
 }
 
 }  // namespace
@@ -738,13 +742,16 @@ EnumResult fine_temporal_johnson_cycles(const TemporalGraph& graph,
       std::max<std::size_t>(std::size_t{32} * sched.num_workers(), 1);
   parallel_for_chunked(sched, 0, num_blocks, num_chunks, [&](std::size_t b) {
     // Every root of the block, stolen children included, has finished
-    // reading its union before the block goes back to the pool.
+    // reading its union and using its state before the next root starts, so
+    // one block and one state serve all of them.
     auto block = run.block_pool.acquire();
+    auto state = run.state_pool.acquire();
     const std::size_t last =
         std::min(edges.size(), (b + 1) * CycleUnionBlock::kStarts);
     for (std::size_t i = b * CycleUnionBlock::kStarts; i < last; ++i) {
-      temporal_search_root(run, edges[i], block->view(edges[i].id));
+      temporal_search_root(run, edges[i], block->view(edges[i].id), *state);
     }
+    run.state_pool.release(std::move(state));
     run.block_pool.release(std::move(block));
   });
   EnumResult result;

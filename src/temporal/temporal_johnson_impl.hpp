@@ -30,8 +30,9 @@ class TemporalJohnsonSearch {
 
   // Shared helpers ------------------------------------------------------------
 
-  // Sets up the root: returns false if the start can be skipped. On success
-  // the state holds hops [tail, head] with the head's bundle = {e0}.
+  // Sets up the root on a reset state: returns false if the start can be
+  // skipped. On success the state holds hops [tail, head] with the head's
+  // bundle = {e0}.
   static bool prepare_root(const TemporalGraph& graph, const TemporalEdge& e0,
                            Timestamp window, CycleUnionView cycle_union,
                            ClosingTimeState& state, Timestamp& hi_out);

@@ -226,13 +226,12 @@ class TemporalRTCore {
   std::vector<EdgeId> edge_scratch_;
 };
 
-// Sets up the root for one starting edge; returns false to skip. On success
-// the state holds [tail, head] and `core` is bound.
+// Sets up the root for one starting edge on a reset state; returns false to
+// skip. On success the state holds [tail, head] and `core` is bound.
 bool prepare_start(const TemporalGraph& graph, const TemporalEdge& e0,
                    Timestamp window, const EnumOptions& options,
                    CycleUnionView cycle_union, TemporalRTState& state,
                    TemporalRTCore& core) {
-  state.reset();
   const Timestamp hi = e0.ts + window;
   // A head inside a block's union implies a later head out-edge and tail
   // in-edge in the window; without a block, look them up.
@@ -290,6 +289,7 @@ std::uint64_t run_start(const TemporalGraph& graph, const TemporalEdge& e0,
                         Timestamp window, const EnumOptions& options,
                         CycleSink* sink, CycleUnionView cycle_union,
                         TRTScratch& scratch) {
+  scratch.state.reset();
   TemporalRTCore core(graph, options, sink);
   if (!prepare_start(graph, e0, window, options, cycle_union, scratch.state,
                      core)) {
@@ -417,6 +417,8 @@ struct FineTRTRun {
   ParallelOptions popts;
   CycleSink* sink;
 
+  // One state per root block in flight, plus the copies stolen children
+  // make of their creator's.
   ScratchPool<TemporalRTState> state_pool;
   // Pooled, not per worker: a worker waiting inside a root can run another
   // root chunk while the first block's unions are still being read.
@@ -515,8 +517,10 @@ void trt_exec_call(FineTRTContext& search, TemporalRTState& st,
   st.set_floor(saved_floor);
 }
 
+// Searches one root on `state`, the block's state: reset here, its counters
+// merged here. Every task of the root has finished when this returns.
 void trt_search_root(FineTRTRun& run, const TemporalEdge& e0,
-                     CycleUnionView cycle_union) {
+                     CycleUnionView cycle_union, TemporalRTState& state) {
   if (e0.src == e0.dst) {
     if (run.sink != nullptr) {
       run.sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
@@ -529,22 +533,21 @@ void trt_search_root(FineTRTRun& run, const TemporalEdge& e0,
   if (!cycle_union.contains(e0.dst)) {
     return;  // no cycle: skipped before any state
   }
-  auto state = run.state_pool.acquire();
+  state.reset();
   TemporalRTCore core(run.graph, run.options, run.sink);
   if (prepare_start(run.graph, e0, run.window, run.options, cycle_union,
-                    *state, core)) {
+                    state, core)) {
     FineTRTContext search{run, e0.src, e0.ts + run.window, cycle_union};
     TExtPath root_ext;
     if (core.find_root_extension(root_ext)) {
-      trt_exec_call(search, *state,
-                    TRTChild{state->path_length(),
-                             state->log_length(),
+      trt_exec_call(search, state,
+                    TRTChild{state.path_length(),
+                             state.log_length(),
                              std::move(root_ext),
                              {}});
     }
   }
-  run.merge_counters(state->counters);
-  run.state_pool.release(std::move(state));
+  run.merge_counters(state.counters);
 }
 
 }  // namespace
@@ -565,13 +568,16 @@ EnumResult fine_temporal_read_tarjan_cycles(const TemporalGraph& graph,
       std::max<std::size_t>(std::size_t{32} * sched.num_workers(), 1);
   parallel_for_chunked(sched, 0, num_blocks, num_chunks, [&](std::size_t b) {
     // Every root of the block, stolen children included, has finished
-    // reading its union before the block goes back to the pool.
+    // reading its union and using its state before the next root starts, so
+    // one block and one state serve all of them.
     auto block = run.block_pool.acquire();
+    auto state = run.state_pool.acquire();
     const std::size_t last =
         std::min(edges.size(), (b + 1) * CycleUnionBlock::kStarts);
     for (std::size_t i = b * CycleUnionBlock::kStarts; i < last; ++i) {
-      trt_search_root(run, edges[i], block->view(edges[i].id));
+      trt_search_root(run, edges[i], block->view(edges[i].id), *state);
     }
+    run.state_pool.release(std::move(state));
     run.block_pool.release(std::move(block));
   });
   EnumResult result;

@@ -271,6 +271,63 @@ TEST(TemporalParallel, SerialCountersPinned) {
   }
 }
 
+// The fine drivers run every root of a CycleUnionBlock on one search state,
+// reset and merged per root. This input spans six blocks of tie-heavy edges
+// under a short window, so inside a block searched roots follow skipped
+// ones: a state that kept a previous root's path, closing times, fail marks
+// or counters changes the cycles or Read-Tarjan's edge visits.
+TEST(TemporalParallel, BlockStateServesEveryRoot) {
+  ScaleFreeTemporalParams params;
+  params.num_vertices = 24;
+  params.num_edges = 1400;
+  params.time_span = 140;  // about ten edges per timestamp
+  params.attachment = 0.6;
+  params.seed = 19;
+  const TemporalGraph g = scale_free_temporal(params);
+  const Timestamp window = 12;
+  ASSERT_GT(g.num_edges(), 5 * CycleUnionBlock::kStarts);
+
+  CycleUnionBlock block(g, window);
+  const auto edges = g.edges_by_time();
+  std::size_t searched_after_skip = 0;
+  bool prev_searched = true;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const bool searched = block.view(edges[i].id).contains(edges[i].dst);
+    if (searched && !prev_searched && i % CycleUnionBlock::kStarts != 0) {
+      searched_after_skip += 1;
+    }
+    prev_searched = searched;
+  }
+  ASSERT_GT(searched_after_skip, 200u);
+
+  CollectingSink oracle_sink;
+  const auto oracle = brute_temporal_cycles(g, window, {}, &oracle_sink);
+  ASSERT_GT(oracle.num_cycles, 1000u);
+  const auto sr = temporal_read_tarjan_cycles(g, window);
+  ASSERT_EQ(sr.num_cycles, oracle.num_cycles);
+
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    Scheduler sched(threads);
+    for (const SpawnPolicy policy :
+         {SpawnPolicy::kAlways, SpawnPolicy::kAdaptive}) {
+      SCOPED_TRACE(testing::Message()
+                   << threads << " threads, policy "
+                   << static_cast<int>(policy));
+      ParallelOptions popts;
+      popts.spawn_policy = policy;
+      CollectingSink sink;
+      const auto fj =
+          fine_temporal_johnson_cycles(g, window, sched, {}, popts, &sink);
+      const auto fr = fine_temporal_read_tarjan_cycles(g, window, sched, {},
+                                                       popts);
+      EXPECT_EQ(fj.num_cycles, oracle.num_cycles);
+      EXPECT_EQ(sink.sorted_cycles(), oracle_sink.sorted_cycles());
+      EXPECT_EQ(fr.num_cycles, oracle.num_cycles);
+      EXPECT_EQ(fr.work.edges_visited, sr.work.edges_visited);
+    }
+  }
+}
+
 TEST(TemporalParallel, WindowSweep) {
   const TemporalGraph g = test_graph(119);
   Scheduler sched(4);

@@ -1,29 +1,15 @@
 #include "core/coarse_grained.hpp"
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "core/johnson_impl.hpp"
 #include "core/read_tarjan_impl.hpp"
-#include "support/spinlock.hpp"
+#include "support/counter_sink.hpp"
 
 namespace parcycle {
 
 namespace {
-
-// Accumulates per-search results under a lock; searches are long relative to
-// one merge, so contention is negligible.
-struct SharedResult {
-  Spinlock lock;
-  EnumResult result;
-
-  void merge(std::uint64_t cycles, const WorkCounters& counters) {
-    LockGuard<Spinlock> guard(lock);
-    result.num_cycles += cycles;
-    result.work += counters;
-  }
-};
 
 // ---- Johnson ----------------------------------------------------------------
 
@@ -39,10 +25,7 @@ EnumResult coarse_johnson_simple_cycles(const Digraph& graph, Scheduler& sched,
                                         const EnumOptions& options,
                                         CycleSink* sink) {
   const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return {};
-  }
-  SharedResult shared;
+  PerWorkerCounters work(sched);
   ScratchPool<JohnsonScratch> pool(
       [n] { return std::make_unique<JohnsonScratch>(n); });
   parallel_for_each_index(sched, 0, n, [&](std::size_t s) {
@@ -52,12 +35,11 @@ EnumResult coarse_johnson_simple_cycles(const Digraph& graph, Scheduler& sched,
         graph, [start](VertexId v) { return v >= start; });
     detail::StaticJohnsonSearch search(graph, options, sink);
     scratch->state.reset();
-    const std::uint64_t cycles =
-        search.search_from(start, scc, scratch->state);
-    shared.merge(cycles, scratch->state.counters);
+    search.search_from(start, scc, scratch->state);
+    work.merge(scratch->state.counters);
     pool.release(std::move(scratch));
   });
-  return shared.result;
+  return EnumResult::of(work.total());
 }
 
 EnumResult coarse_johnson_windowed_cycles(const TemporalGraph& graph,
@@ -65,10 +47,7 @@ EnumResult coarse_johnson_windowed_cycles(const TemporalGraph& graph,
                                           const EnumOptions& options,
                                           CycleSink* sink) {
   const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return {};
-  }
-  SharedResult shared;
+  PerWorkerCounters work(sched);
   ScratchPool<JohnsonScratch> pool(
       [n] { return std::make_unique<JohnsonScratch>(n); });
   const auto edges = graph.edges_by_time();
@@ -80,17 +59,16 @@ EnumResult coarse_johnson_windowed_cycles(const TemporalGraph& graph,
       }
       WorkCounters counters;
       counters.cycles_found = 1;
-      shared.merge(1, counters);
+      work.merge(counters);
       return;
     }
     auto scratch = pool.acquire();
     detail::WindowedJohnsonSearch search(graph, window, options, sink);
-    const std::uint64_t cycles =
-        search.search_from(e0, scratch->state, &scratch->cycle_union);
-    shared.merge(cycles, scratch->state.counters);
+    search.search_from(e0, scratch->state, &scratch->cycle_union);
+    work.merge(scratch->state.counters);
     pool.release(std::move(scratch));
   });
-  return shared.result;
+  return EnumResult::of(work.total());
 }
 
 // ---- Read-Tarjan ------------------------------------------------------------
@@ -107,10 +85,9 @@ struct RTScratch {
 // Serial depth-first drain of deferred Read-Tarjan children (same structure
 // as the serial driver, reused per coarse task).
 template <typename Core, typename ExcludedMember>
-std::uint64_t rt_drain(Core& core, ReadTarjanState& state,
-                       std::vector<detail::RTChild>& pending,
-                       ExcludedMember excluded_member) {
-  std::uint64_t cycles = 0;
+void rt_drain(Core& core, ReadTarjanState& state,
+              std::vector<detail::RTChild>& pending,
+              ExcludedMember excluded_member) {
   const detail::ChildFn collect = [&pending](detail::RTChild&& child) {
     pending.push_back(std::move(child));
   };
@@ -119,9 +96,8 @@ std::uint64_t rt_drain(Core& core, ReadTarjanState& state,
     pending.pop_back();
     state.truncate_path(child.path_len);
     state.truncate_log(child.log_len);
-    cycles += core.walk(child.ext, child.*excluded_member, collect);
+    core.walk(child.ext, child.*excluded_member, collect);
   }
-  return cycles;
 }
 
 }  // namespace
@@ -131,10 +107,7 @@ EnumResult coarse_read_tarjan_simple_cycles(const Digraph& graph,
                                             const EnumOptions& options,
                                             CycleSink* sink) {
   const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return {};
-  }
-  SharedResult shared;
+  PerWorkerCounters work(sched);
   ScratchPool<RTScratch> pool([n] { return std::make_unique<RTScratch>(n); });
   parallel_for_each_index(sched, 0, n, [&](std::size_t s) {
     auto scratch = pool.acquire();
@@ -146,7 +119,6 @@ EnumResult coarse_read_tarjan_simple_cycles(const Digraph& graph,
     scratch->pending.clear();
     core.bind(scratch->state, start, scc);
     scratch->state.push(start, kInvalidEdge);
-    std::uint64_t cycles = 0;
     detail::ExtPath root_ext;
     if (core.find_root_extension(root_ext)) {
       scratch->pending.push_back(
@@ -155,13 +127,13 @@ EnumResult coarse_read_tarjan_simple_cycles(const Digraph& graph,
                           std::move(root_ext),
                           {},
                           {}});
-      cycles = rt_drain(core, scratch->state, scratch->pending,
-                        &detail::RTChild::excluded_targets);
+      rt_drain(core, scratch->state, scratch->pending,
+               &detail::RTChild::excluded_targets);
     }
-    shared.merge(cycles, scratch->state.counters);
+    work.merge(scratch->state.counters);
     pool.release(std::move(scratch));
   });
-  return shared.result;
+  return EnumResult::of(work.total());
 }
 
 EnumResult coarse_read_tarjan_windowed_cycles(const TemporalGraph& graph,
@@ -170,10 +142,7 @@ EnumResult coarse_read_tarjan_windowed_cycles(const TemporalGraph& graph,
                                               const EnumOptions& options,
                                               CycleSink* sink) {
   const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return {};
-  }
-  SharedResult shared;
+  PerWorkerCounters work(sched);
   ScratchPool<RTScratch> pool([n] { return std::make_unique<RTScratch>(n); });
   const auto edges = graph.edges_by_time();
   parallel_for_each_index(sched, 0, edges.size(), [&](std::size_t i) {
@@ -184,13 +153,12 @@ EnumResult coarse_read_tarjan_windowed_cycles(const TemporalGraph& graph,
       }
       WorkCounters counters;
       counters.cycles_found = 1;
-      shared.merge(1, counters);
+      work.merge(counters);
       return;
     }
     auto scratch = pool.acquire();
     scratch->state.reset();
     scratch->pending.clear();
-    std::uint64_t cycles = 0;
     StartContext ctx;
     if (detail::WindowedJohnsonSearch::prepare_start(
             graph, e0, window, options.use_cycle_union, &scratch->cycle_union,
@@ -208,14 +176,14 @@ EnumResult coarse_read_tarjan_windowed_cycles(const TemporalGraph& graph,
                             std::move(root_ext),
                             {},
                             {}});
-        cycles = rt_drain(core, scratch->state, scratch->pending,
-                          &detail::RTChild::excluded_edges);
+        rt_drain(core, scratch->state, scratch->pending,
+                 &detail::RTChild::excluded_edges);
       }
     }
-    shared.merge(cycles, scratch->state.counters);
+    work.merge(scratch->state.counters);
     pool.release(std::move(scratch));
   });
-  return shared.result;
+  return EnumResult::of(work.total());
 }
 
 }  // namespace parcycle

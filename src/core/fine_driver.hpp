@@ -1,0 +1,317 @@
+// The copy-on-steal driver of the five fine-grained enumerators (Section 5
+// of the paper): fine Johnson, Read-Tarjan and BC-DFS on windowed simple
+// cycles, and fine temporal Johnson and Read-Tarjan. A driver .cpp keeps only
+// its algorithm: a search context, the root setup and the recursive visit.
+// The search context of a root lives on the root's stack; every call waits
+// for its tasks before it returns, so tasks hold raw pointers to it.
+//
+// Two task shapes share the run struct and the root loop:
+//  * prefix repair (Johnson, BC-DFS, temporal Johnson): a stolen task copies
+//    its creator's state under the creator's lock and repairs it back to the
+//    state's spawn-time Mark;
+//  * prefix replay (both Read-Tarjans): a stolen task replays its creator's
+//    path and undo log up to the spawn-time prefix, without a lock.
+// Hooks are template parameters: nothing on the per-visit path goes through
+// std::function.
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <cassert>
+#include <cstdint>
+#include <memory>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "core/cycle_types.hpp"
+#include "core/johnson_state.hpp"  // ScratchPool
+#include "core/options.hpp"
+#include "graph/temporal_graph.hpp"
+#include "obs/trace.hpp"
+#include "support/counter_sink.hpp"
+#include "support/scheduler.hpp"
+#include "support/spinlock.hpp"
+#include "temporal/cycle_union.hpp"
+
+namespace parcycle::fine {
+
+// Should the calling worker spawn its next recursive call as a task?
+inline bool should_spawn(const Scheduler& sched, const ParallelOptions& popts) {
+  switch (popts.spawn_policy) {
+    case SpawnPolicy::kAlways:
+      return true;
+    case SpawnPolicy::kAdaptive:
+      return sched.local_queue_size() < popts.spawn_queue_threshold;
+  }
+  return true;
+}
+
+// Whole-run state. `Scratch` is the per-block search scratch: a
+// CycleUnionBlock, or an epoch-stamped per-start scratch with init(n).
+template <typename StateT, typename Scratch>
+struct FineRun {
+  using State = StateT;
+
+  const TemporalGraph& graph;
+  Timestamp window;
+  Scheduler& sched;
+  EnumOptions options;
+  ParallelOptions popts;
+  CycleSink* sink;
+  bool bounded = options.max_cycle_length > 0;
+
+  // One state per block of roots in flight, plus the copies stolen tasks
+  // make of their creator's.
+  ScratchPool<State> state_pool{
+      [n = graph.num_vertices()] { return std::make_unique<State>(n); }};
+  // Pooled, not per worker: a worker waiting inside a root can run another
+  // block while the first block's scratch is still in use.
+  ScratchPool<Scratch> scratch_pool{[this] {
+    if constexpr (std::is_constructible_v<Scratch, const TemporalGraph&,
+                                          Timestamp, bool>) {
+      return std::make_unique<Scratch>(graph, window, options.use_cycle_union);
+    } else {
+      auto scratch = std::make_unique<Scratch>();
+      scratch->init(graph.num_vertices());
+      return scratch;
+    }
+  }};
+  // Per-worker sinks, summed once after the run's final wait.
+  PerWorkerCounters work{sched};
+
+  bool should_spawn() const { return fine::should_spawn(sched, popts); }
+
+  std::unique_ptr<State> acquire_state() {
+    auto state = state_pool.acquire();
+    state->reset();
+    return state;
+  }
+
+  // Merges a stolen task's counters and returns its state to the pool.
+  void release_state(std::unique_ptr<State> state) {
+    work.merge(state->counters);
+    state_pool.release(std::move(state));
+  }
+
+  // The root loop. Starts of edges_by_time() go out in blocks of
+  // CycleUnionBlock::kStarts, each searched on one state and one scratch.
+  // search_root(run, e0, scratch, state) gets every start that is not a
+  // self-loop, on a reset state; it returns false when it skipped the start
+  // without touching the state, and waits for every task of the root.
+  template <typename SearchRoot>
+  void run_roots(SearchRoot&& search_root) {
+    const auto edges = graph.edges_by_time();
+    constexpr std::size_t kStarts = CycleUnionBlock::kStarts;
+    // Blocks go out in timestamp-ordered chunks (the paper's distribution of
+    // starting edges); load balance within a chunk comes from the tasks.
+    parallel_for_chunked(
+        sched, 0, (edges.size() + kStarts - 1) / kStarts,
+        std::size_t{32} * sched.num_workers(), [&](std::size_t b) {
+          // Every task of a root has finished before the next root starts,
+          // so one state and one scratch serve the whole block.
+          auto scratch = scratch_pool.acquire();
+          auto state = acquire_state();
+          WorkCounters self_loops;
+          TraceRecorder* const tracer = sched.tracer();
+          const auto worker =
+              static_cast<unsigned>(Scheduler::current_worker_id());
+          const std::size_t last = std::min(edges.size(), (b + 1) * kStarts);
+          for (std::size_t i = b * kStarts; i < last; ++i) {
+            const TemporalEdge& e0 = edges[i];
+            TraceSpan trace(tracer, worker, TraceName::kSearchRoot, e0.id);
+            if (e0.src == e0.dst) {  // a cycle of its own, on no other
+              self_loops.cycles_found += 1;
+              if (sink != nullptr) {
+                sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
+              }
+            } else if (search_root(*this, e0, *scratch, *state)) {
+              work.merge(state->counters);
+              state->reset();
+            }
+          }
+          work.merge(self_loops);
+          state_pool.release(std::move(state));
+          scratch_pool.release(std::move(scratch));
+        });
+  }
+
+  // Single-threaded; call after run_roots returned.
+  EnumResult result() const { return EnumResult::of(work.total()); }
+};
+
+// The state type a search context's run works on.
+template <typename Search>
+using StateOf = typename std::remove_reference_t<decltype(Search::run)>::State;
+
+// ---------------------------------------------------------------------------
+// Prefix repair. A Child is one deferred recursive call, a callable
+// `bool(Search&, State&)`: it re-checks the call against the state it runs
+// on (which evolved since the spawn, as in the serial neighbour loop), makes
+// it, and returns whether the subtree found a cycle.
+// ---------------------------------------------------------------------------
+
+template <typename Search, typename Child>
+struct RepairTask {
+  using State = StateOf<Search>;
+
+  Search* search;
+  State* creator;
+  typename State::Mark mark;  // the creator's position at the spawn
+  std::uint32_t creator_worker;
+  std::atomic<bool>* found;
+  Child child;
+
+  void operator()() {
+    auto& run = search->run;
+    State* st = creator;
+    std::unique_ptr<State> owned;
+    // Same-thread LIFO execution leaves the creator's state exactly at the
+    // spawn-time prefix; anything else (a steal, or a sibling executed out
+    // of its natural nesting while this worker helped another search)
+    // requires a private copy.
+    if (Scheduler::current_worker_id() == static_cast<int>(creator_worker) &&
+        creator->path_length() == mark.path_len) {
+      st->counters.state_reuses += 1;
+    } else {
+      owned = run.acquire_state();
+      {
+        LockGuard<Spinlock> guard(creator->lock());
+        owned->copy_from(*creator);
+      }
+      if (run.popts.naive_state_restore) {
+        owned->naive_restore_to_prefix(mark.path_len);
+      } else {
+        owned->repair_to_prefix(mark);
+      }
+      st = owned.get();
+    }
+    assert(st->path_length() == mark.path_len);
+    if (child(*search, *st)) {
+      found->store(true, std::memory_order_release);
+    }
+    if (owned != nullptr) {
+      run.release_state(std::move(owned));
+    }
+  }
+};
+
+// The tasks one recursive call spawned; wait() before the call exits.
+template <typename Search>
+class SpawnedChildren {
+ public:
+  explicit SpawnedChildren(Search& search)
+      : search_(search), group_(search.run.sched) {}
+
+  template <typename Child>
+  void spawn(StateOf<Search>& st, Child&& child) {
+    using Task = RepairTask<Search, std::decay_t<Child>>;
+    static_assert(spawn_uses_slab_v<Task>,
+                  "RepairTask outgrew the scheduler's task-slab block");
+    spawned_ = true;
+    st.counters.tasks_spawned += 1;
+    group_.spawn(Task{
+        &search_, &st, st.mark(),
+        static_cast<std::uint32_t>(Scheduler::current_worker_id()), &found_,
+        std::forward<Child>(child)});
+  }
+
+  // Waits for every spawned child; true when one of them found a cycle.
+  bool wait() {
+    if (!spawned_) {
+      return false;
+    }
+    group_.wait();
+    return found_.load(std::memory_order_acquire);
+  }
+
+ private:
+  Search& search_;
+  TaskGroup group_;
+  std::atomic<bool> found_{false};
+  bool spawned_ = false;
+};
+
+// ---------------------------------------------------------------------------
+// Prefix replay. A Child is one deferred Read-Tarjan call, with the
+// creator's path_len and log_len at the spawn. The search context's
+// `walk(State&, const Child&, collect)` reports the call's cycle, walks its
+// extension and passes every alternate extension to `collect`.
+// ---------------------------------------------------------------------------
+
+template <typename Search, typename Child>
+void exec_call(Search& search, StateOf<Search>& st, Child&& child);
+
+template <typename Search, typename Child>
+struct ReplayTask {
+  Search* search;
+  StateOf<Search>* creator;
+  std::uint32_t creator_worker;
+  Child child;
+
+  void operator()() {
+    // In-place reuse is only legal when rewinding to the child's prefix
+    // cannot clobber a live inline frame of the creator state (see the floor
+    // comment in rt_state.hpp). Otherwise take the steal path even on the
+    // same worker.
+    if (Scheduler::current_worker_id() == static_cast<int>(creator_worker) &&
+        child.path_len >= creator->floor()) {
+      creator->counters.state_reuses += 1;
+      exec_call(*search, *creator, std::move(child));
+      return;
+    }
+    // Steal path: replay the spawn-time prefix into a private state. Entries
+    // below the prefix are immutable while this task is alive (the spawning
+    // call's TaskGroup::wait pins them), so the copy needs no lock.
+    auto owned = search->run.acquire_state();
+    owned->copy_prefix_from(*creator, child.path_len, child.log_len);
+    exec_call(*search, *owned, std::move(child));
+    search->run.release_state(std::move(owned));
+  }
+};
+
+// Executes one Read-Tarjan call: rewinds the state to the child's prefix,
+// walks its extension (reporting the cycle and collecting alternates), then
+// runs the collected children — a shallowest-prefix block as stealable tasks,
+// the rest inline depth-first. Waits for all spawned descendants before
+// returning, keeping every live task's prefix stable.
+template <typename Search, typename Child>
+void exec_call(Search& search, StateOf<Search>& st, Child&& child) {
+  using Call = std::decay_t<Child>;
+  using Task = ReplayTask<Search, Call>;
+  static_assert(spawn_uses_slab_v<Task>,
+                "ReplayTask outgrew the scheduler's task-slab block");
+  st.truncate_path(child.path_len);
+  st.truncate_log(child.log_len);
+  const std::size_t saved_floor = st.floor();
+  st.set_floor(child.path_len);
+
+  std::vector<Call> collected;
+  search.walk(st, child,
+              [&collected](Call&& c) { collected.push_back(std::move(c)); });
+
+  TaskGroup group(search.run.sched);
+  // Children arrive ordered by increasing path prefix. Spawn a shallow block
+  // (big subtrees, best to steal) while the policy wants more stealable
+  // work; inline tasks never rewind below a spawned sibling's prefix because
+  // spawned prefixes are the shallowest of the batch.
+  std::size_t first_inline = 0;
+  while (first_inline < collected.size() && search.run.should_spawn()) {
+    st.counters.tasks_spawned += 1;
+    group.spawn(
+        Task{&search, &st,
+             static_cast<std::uint32_t>(Scheduler::current_worker_id()),
+             std::move(collected[first_inline])});
+    first_inline += 1;
+  }
+  // Inline children run deepest-first so rewinds are monotone.
+  for (std::size_t i = collected.size(); i-- > first_inline;) {
+    exec_call(search, st, std::move(collected[i]));
+  }
+  if (first_inline > 0) {
+    group.wait();
+  }
+  st.set_floor(saved_floor);
+}
+
+}  // namespace parcycle::fine

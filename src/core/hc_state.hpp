@@ -137,8 +137,6 @@ class HcState {
 
   // ---- trail -----------------------------------------------------------
 
-  std::size_t trail_size() const noexcept { return trail_.size(); }
-
   // Restores every barrier recorded at or after `mark`, newest first.
   void rollback_to(std::size_t mark) {
     assert(mark <= trail_.size());
@@ -174,16 +172,25 @@ class HcState {
     counters.state_copies += 1;
   }
 
+  // A task's position at its spawn: the path prefix and the trail size. A
+  // task run in place on its creator's state only needs the path back at the
+  // prefix: the trail may have grown with still-valid sibling barriers.
+  struct Mark {
+    std::size_t path_len;
+    std::size_t trail_len;
+  };
+  Mark mark() const noexcept { return {path_len_, trail_.size()}; }
+
   // Repair after a steal: undo every barrier recorded after the task was
   // spawned (their subtrees' verdicts belong to the victim), then truncate
   // the path to the spawn-time prefix. The victim's trail never shrinks
   // below the spawn-time mark while the task is pending — rollbacks happen
   // only on the successful exit of vertices pushed after the spawn, whose
-  // push marks are at least the spawn mark — so `trail_mark` is exact.
-  void repair_to_prefix(std::size_t prefix_len, std::size_t trail_mark) {
-    assert(trail_mark <= trail_.size());
-    rollback_to(trail_mark);
-    while (path_len_ > prefix_len) {
+  // push marks are at least the spawn mark — so `mark.trail_len` is exact.
+  void repair_to_prefix(const Mark& mark) {
+    assert(mark.trail_len <= trail_.size());
+    rollback_to(mark.trail_len);
+    while (path_len_ > mark.path_len) {
       pop();
     }
   }

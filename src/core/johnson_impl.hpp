@@ -1,7 +1,9 @@
 // Internal search cores of the Johnson algorithm, shared by the serial
 // driver (johnson.cpp) and the coarse-grained parallel driver
-// (coarse_grained.cpp). The fine-grained variant has its own task-spawning
-// recursion in fine_johnson.cpp but reuses JohnsonState and StartContext.
+// (coarse_grained.cpp). The fine-grained variant (fine_johnson.cpp) keeps
+// only its recursive visit, which spawns tasks through the shared
+// copy-on-steal driver (fine_driver.hpp), and reuses prepare_start,
+// report_cycle, JohnsonState and StartContext.
 #pragma once
 
 #include <cstdint>

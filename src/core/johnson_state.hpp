@@ -173,6 +173,13 @@ class JohnsonState {
     counters.state_copies += 1;
   }
 
+  // A task's position at its spawn: what a stolen copy is repaired back to.
+  struct Mark {
+    std::size_t path_len;
+  };
+  Mark mark() const noexcept { return {path_len_}; }
+  void repair_to_prefix(const Mark& mark) { repair_to_prefix(mark.path_len); }
+
   // Repair after a steal: truncate the path to `prefix_len` and recursively
   // unblock every vertex the victim had appended after the task was spawned
   // (Pi_1 \ Pi_2 in the paper's notation).
@@ -220,11 +227,11 @@ class JohnsonState {
   Spinlock lock_;
 };
 
-// Thread-safe pool of reusable per-search scratch objects. The core drivers
-// check one out for the lifetime of one root search; the fine temporal
-// drivers check one out per 256-start block of roots. A stolen task that
-// copies its creator's state checks one out for that copy. Contention is one
-// lock per checkout.
+// Thread-safe pool of reusable per-search scratch objects. The coarse drivers
+// check one out for the lifetime of one root search; the fine drivers check
+// one out per 256-start block of roots. A stolen task that copies its
+// creator's state checks one out for that copy. Contention is one lock per
+// checkout.
 template <typename T>
 class ScratchPool {
  public:

@@ -10,7 +10,7 @@ namespace parcycle {
 struct EnumOptions {
   // Maximum number of edges in a reported cycle; 0 means unbounded. The
   // bounded mode implements the "cycle-length constraints" capability of
-  // Table 2 via budget-aware blocking (see DESIGN.md section 7).
+  // the paper's Table 2 via budget-aware blocking (see johnson_state.hpp).
   int max_cycle_length = 0;
 
   // Windowed/temporal modes only: prune each starting edge by intersecting
@@ -51,6 +51,11 @@ struct ParallelOptions {
 struct EnumResult {
   std::uint64_t num_cycles = 0;
   WorkCounters work;
+
+  // The result of a run whose counters count every cycle it reported.
+  static EnumResult of(const WorkCounters& counters) {
+    return {counters.cycles_found, counters};
+  }
 };
 
 }  // namespace parcycle

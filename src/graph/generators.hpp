@@ -8,7 +8,7 @@
 //     that separate Tiernan / Johnson / Read-Tarjan behaviour.
 //  3. Random graphs: Erdos-Renyi digraphs, and a scale-free temporal
 //     multigraph generator that substitutes for the SNAP/Konect datasets the
-//     paper uses (see DESIGN.md section 5).
+//     paper uses (see "Real datasets" in the README).
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/fine_driver.hpp"   // fine::should_spawn
 #include "core/johnson_impl.hpp"  // detail::kUnboundedRem / child_rem
 #include "obs/trace.hpp"
 
@@ -192,13 +193,7 @@ struct FineStreamRun {
     if (budget != nullptr && budget->expired()) {
       return false;  // expired searches unwind inline, no new tasks
     }
-    switch (popts.spawn_policy) {
-      case SpawnPolicy::kAlways:
-        return true;
-      case SpawnPolicy::kAdaptive:
-        return sched.local_queue_size() < popts.spawn_queue_threshold;
-    }
-    return true;
+    return fine::should_spawn(sched, popts);
   }
 };
 

@@ -1,17 +1,14 @@
 #include "temporal/temporal_johnson.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
 
+#include "core/fine_driver.hpp"
 #include "core/johnson_impl.hpp"  // kUnboundedRem / child_rem
-#include "core/johnson_state.hpp"  // ScratchPool
-#include "support/counter_sink.hpp"
-#include "support/spinlock.hpp"
 #include "temporal/temporal_johnson_impl.hpp"
 
 namespace parcycle {
@@ -313,29 +310,12 @@ EnumResult temporal_johnson_cycles(const TemporalGraph& graph,
 // Coarse-grained driver
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct SharedResult {
-  Spinlock lock;
-  EnumResult result;
-  void merge(std::uint64_t cycles, const WorkCounters& counters) {
-    LockGuard<Spinlock> guard(lock);
-    result.num_cycles += cycles;
-    result.work += counters;
-  }
-};
-
-}  // namespace
-
 EnumResult coarse_temporal_johnson_cycles(const TemporalGraph& graph,
                                           Timestamp window, Scheduler& sched,
                                           const EnumOptions& options,
                                           CycleSink* sink) {
   const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return {};
-  }
-  SharedResult shared;
+  PerWorkerCounters work(sched);
   ScratchPool<ClosingTimeState> pool(
       [n] { return std::make_unique<ClosingTimeState>(n); });
   // A start task never waits, so a worker's cached block is never shared.
@@ -351,7 +331,7 @@ EnumResult coarse_temporal_johnson_cycles(const TemporalGraph& graph,
       }
       WorkCounters counters;
       counters.cycles_found = 1;
-      shared.merge(1, counters);
+      work.merge(counters);
       return;
     }
     const CycleUnionView cycle_union =
@@ -362,11 +342,11 @@ EnumResult coarse_temporal_johnson_cycles(const TemporalGraph& graph,
     }
     auto state = pool.acquire();
     detail::TemporalJohnsonSearch search(graph, window, options, sink);
-    const std::uint64_t cycles = search.search_from(e0, *state, cycle_union);
-    shared.merge(cycles, state->counters);
+    search.search_from(e0, *state, cycle_union);
+    work.merge(state->counters);
     pool.release(std::move(state));
   });
-  return shared.result;
+  return EnumResult::of(work.total());
 }
 
 // ---------------------------------------------------------------------------
@@ -375,146 +355,18 @@ EnumResult coarse_temporal_johnson_cycles(const TemporalGraph& graph,
 
 namespace {
 
-struct FineTemporalRun {
-  FineTemporalRun(const TemporalGraph& graph_, Timestamp window_,
-                  Scheduler& sched_, const EnumOptions& options_,
-                  const ParallelOptions& popts_, CycleSink* sink_)
-      : graph(graph_),
-        window(window_),
-        sched(sched_),
-        options(options_),
-        popts(popts_),
-        sink(sink_),
-        bounded(options_.max_cycle_length > 0),
-        state_pool([n = graph_.num_vertices()] {
-          return std::make_unique<ClosingTimeState>(n);
-        }),
-        block_pool([&graph_, window_, on = options_.use_cycle_union] {
-          return std::make_unique<CycleUnionBlock>(graph_, window_, on);
-        }),
-        counter_sinks(sched_) {}
-
-  const TemporalGraph& graph;
-  Timestamp window;
-  Scheduler& sched;
-  EnumOptions options;
-  ParallelOptions popts;
-  CycleSink* sink;
-  bool bounded;
-
-  // One state per root block in flight, plus the copies stolen children
-  // make of their creator's.
-  ScratchPool<ClosingTimeState> state_pool;
-  // Pooled, not per worker: a worker waiting inside a root can run another
-  // root chunk while the first block's unions are still being read.
-  ScratchPool<CycleUnionBlock> block_pool;
-
-  // Per-worker sinks, summed once after the run's final wait.
-  PerWorkerCounters counter_sinks;
-  std::atomic<std::uint64_t> instances{0};
-
-  void merge_counters(const WorkCounters& counters) {
-    counter_sinks.merge(counters);
-  }
-
-  bool should_spawn() const {
-    switch (popts.spawn_policy) {
-      case SpawnPolicy::kAlways:
-        return true;
-      case SpawnPolicy::kAdaptive:
-        return sched.local_queue_size() < popts.spawn_queue_threshold;
-    }
-    return true;
-  }
-};
+using FineRun = fine::FineRun<ClosingTimeState, CycleUnionBlock>;
 
 struct TemporalSearchContext {
-  FineTemporalRun& run;
+  FineRun& run;
   VertexId tail = kInvalidVertex;
   Timestamp hi = 0;
   CycleUnionView cycle_union;
 };
 
 bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
-                  std::int32_t rem);
-
-// Task: enter vertex `w` with the given bundle on the creator's state (if
-// still in LIFO position) or on a repaired copy.
-struct TemporalChildTask {
-  TemporalSearchContext* search;
-  ClosingTimeState* creator_state;
-  std::size_t prefix_len;
-  VertexId w;
-  std::vector<BundleEdge> bundle;
-  std::int32_t rem;
-  std::uint32_t creator_worker;
-  std::atomic<bool>* found_flag;
-
-  void operator()() {
-    FineTemporalRun& run = search->run;
-    ClosingTimeState* st = creator_state;
-    std::unique_ptr<ClosingTimeState> owned;
-    const bool same_worker =
-        Scheduler::current_worker_id() == static_cast<int>(creator_worker);
-    const bool reuse = same_worker && st->path_length() == prefix_len;
-    if (!reuse) {
-      owned = run.state_pool.acquire();
-      owned->reset();
-      {
-        LockGuard<Spinlock> guard(creator_state->lock());
-        owned->copy_from(*creator_state);
-      }
-      if (run.popts.naive_state_restore) {
-        owned->naive_restore_to_prefix(prefix_len);
-      } else {
-        owned->repair_to_prefix(prefix_len);
-      }
-      st = owned.get();
-    } else {
-      st->counters.state_reuses += 1;
-    }
-
-    bool found = false;
-    if (!st->on_path(w)) {
-      // Re-filter the bundle against the (possibly evolved) closing times,
-      // straight into the pushed hop's edge buffer.
-      bool entered = false;
-      {
-        LockGuard<Spinlock> guard(st->lock());
-        ClosingTimeState::Hop& hop = st->push(w);
-        for (const auto& edge : bundle) {
-          if (run.bounded || st->arrival_open(w, edge.ts)) {
-            hop.edges.push_back(edge);
-          }
-        }
-        entered = !hop.edges.empty();
-        if (!entered) {
-          st->pop();
-        }
-      }
-      if (entered) {
-        found = fine_explore(*search, *st, rem);
-        LockGuard<Spinlock> guard(st->lock());
-        st->pop();
-      }
-    }
-    if (found) {
-      found_flag->store(true, std::memory_order_release);
-    }
-    if (owned != nullptr) {
-      run.merge_counters(owned->counters);
-      run.state_pool.release(std::move(owned));
-    }
-  }
-};
-
-// Spawning a TemporalChildTask must stay on the zero-allocation slab path.
-static_assert(spawn_uses_slab_v<TemporalChildTask>,
-              "TemporalChildTask outgrew the scheduler's task-slab block");
-
-bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
                   std::int32_t rem) {
-  FineTemporalRun& run = search.run;
+  FineRun& run = search.run;
   const bool bounded = run.bounded;
   const std::size_t hop_index = st.path_length() - 1;
   const VertexId v = st.hop(hop_index).vertex;
@@ -534,10 +386,8 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
       run.graph, v, min_arrival + 1, search.hi, search.tail,
       search.cycle_union, run.options.path_bundling, frame.edges);
 
-  TaskGroup group(run.sched);
-  std::atomic<bool> stolen_found{false};
+  fine::SpawnedChildren<TemporalSearchContext> children(search);
   bool found = false;
-  bool spawned = false;
   Timestamp success_max = std::numeric_limits<Timestamp>::min();
   // Bundles whose subtree succeeded contribute their last usable ts; stolen
   // children operate on private states and cannot report which branch won,
@@ -577,7 +427,6 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
         const std::uint64_t count =
             detail::instances_before(st.hop(hop_index), scratch[k].ts);
         if (count > 0 && (!bounded || rem >= 1)) {
-          run.instances.fetch_add(count, std::memory_order_relaxed);
           st.counters.cycles_found += count;
           found = true;
           success_max = std::max(success_max, scratch[k].ts);
@@ -613,14 +462,33 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
           bundle.push_back(BundleEdge{scratch[k].ts, scratch[k].id, count});
         }
       }
-      spawned = true;
       spawned_max = std::max(spawned_max, branch_max);
       spawned_ranges.emplace_back(i, j);
-      st.counters.tasks_spawned += 1;
-      group.spawn(TemporalChildTask{
-          &search, &st, st.path_length(), w, std::move(bundle), next,
-          static_cast<std::uint32_t>(Scheduler::current_worker_id()),
-          &stolen_found});
+      children.spawn(st, [w, bundle = std::move(bundle), next](
+                             TemporalSearchContext& s, ClosingTimeState& at) {
+        if (at.on_path(w)) {
+          return false;
+        }
+        {
+          // Re-filter the bundle against the (possibly evolved) closing
+          // times, straight into the pushed hop's edge buffer.
+          LockGuard<Spinlock> guard(at.lock());
+          ClosingTimeState::Hop& hop = at.push(w);
+          for (const auto& edge : bundle) {
+            if (s.run.bounded || at.arrival_open(w, edge.ts)) {
+              hop.edges.push_back(edge);
+            }
+          }
+          if (hop.edges.empty()) {
+            at.pop();
+            return false;
+          }
+        }
+        const bool child_found = fine_explore(s, at, next);
+        LockGuard<Spinlock> guard(at.lock());
+        at.pop();
+        return child_found;
+      });
       i = j;
       continue;
     }
@@ -669,9 +537,8 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
     i = j;
   }
 
-  if (spawned) {
-    group.wait();
-    if (stolen_found.load(std::memory_order_acquire)) {
+  if (!spawned_ranges.empty()) {
+    if (children.wait()) {
       found = true;
     }
     // Whether stolen subtrees succeeded or failed we only know in aggregate;
@@ -692,36 +559,22 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
   return found;
 }
 
-// Searches one root on `state`, the block's state: reset here, its counters
-// merged here. Every task of the root has finished when this returns.
-void temporal_search_root(FineTemporalRun& run, const TemporalEdge& e0,
-                          CycleUnionView cycle_union,
-                          ClosingTimeState& state) {
-  if (e0.src == e0.dst) {
-    if (run.sink != nullptr) {
-      run.sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
-    }
-    run.instances.fetch_add(1, std::memory_order_relaxed);
-    WorkCounters counters;
-    counters.cycles_found = 1;
-    run.merge_counters(counters);
-    return;
-  }
-  if (!cycle_union.contains(e0.dst)) {
-    return;  // no cycle: skipped before any state
-  }
-  state.reset();
+// Searches one root on the block's state.
+bool temporal_search_root(FineRun& run, const TemporalEdge& e0,
+                          CycleUnionBlock& block, ClosingTimeState& state) {
+  const CycleUnionView cycle_union = block.view(e0.id);
   Timestamp hi = 0;
-  if (detail::TemporalJohnsonSearch::prepare_root(run.graph, e0, run.window,
-                                                  cycle_union, state, hi)) {
-    TemporalSearchContext search{run, e0.src, hi, cycle_union};
-    const std::int32_t rem0 = run.bounded ? run.options.max_cycle_length - 1
-                                          : detail::kUnboundedRem;
-    if (rem0 >= 1) {
-      fine_explore(search, state, rem0);
-    }
+  if (!detail::TemporalJohnsonSearch::prepare_root(run.graph, e0, run.window,
+                                                   cycle_union, state, hi)) {
+    return false;  // no cycle: skipped before touching the state
   }
-  run.merge_counters(state.counters);
+  TemporalSearchContext search{run, e0.src, hi, cycle_union};
+  const std::int32_t rem0 = run.bounded ? run.options.max_cycle_length - 1
+                                        : detail::kUnboundedRem;
+  if (rem0 >= 1) {
+    fine_explore(search, state, rem0);
+  }
+  return true;
 }
 
 }  // namespace
@@ -731,33 +584,9 @@ EnumResult fine_temporal_johnson_cycles(const TemporalGraph& graph,
                                         const EnumOptions& options,
                                         const ParallelOptions& popts,
                                         CycleSink* sink) {
-  if (graph.num_vertices() == 0) {
-    return {};
-  }
-  FineTemporalRun run(graph, window, sched, options, popts, sink);
-  const auto edges = graph.edges_by_time();
-  const std::size_t num_blocks =
-      (edges.size() + CycleUnionBlock::kStarts - 1) / CycleUnionBlock::kStarts;
-  const std::size_t num_chunks =
-      std::max<std::size_t>(std::size_t{32} * sched.num_workers(), 1);
-  parallel_for_chunked(sched, 0, num_blocks, num_chunks, [&](std::size_t b) {
-    // Every root of the block, stolen children included, has finished
-    // reading its union and using its state before the next root starts, so
-    // one block and one state serve all of them.
-    auto block = run.block_pool.acquire();
-    auto state = run.state_pool.acquire();
-    const std::size_t last =
-        std::min(edges.size(), (b + 1) * CycleUnionBlock::kStarts);
-    for (std::size_t i = b * CycleUnionBlock::kStarts; i < last; ++i) {
-      temporal_search_root(run, edges[i], block->view(edges[i].id), *state);
-    }
-    run.state_pool.release(std::move(state));
-    run.block_pool.release(std::move(block));
-  });
-  EnumResult result;
-  result.work = run.counter_sinks.total();
-  result.num_cycles = run.instances.load(std::memory_order_relaxed);
-  return result;
+  FineRun run{graph, window, sched, options, popts, sink};
+  run.run_roots(temporal_search_root);
+  return run.result();
 }
 
 }  // namespace parcycle

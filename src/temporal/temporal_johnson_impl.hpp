@@ -2,7 +2,8 @@
 // time-respecting DFS with 2SCENT closing times and path bundles (paper
 // Section 7). Shared by the serial driver, the coarse-grained driver and the
 // 2SCENT baseline; the fine-grained driver reimplements the recursion with
-// task spawning but reuses the same state and helpers.
+// task spawning (through core/fine_driver.hpp) but reuses the same state and
+// helpers.
 #pragma once
 
 #include <cstdint>

@@ -7,10 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/johnson_impl.hpp"   // kUnboundedRem / child_rem
-#include "core/johnson_state.hpp"  // ScratchPool
-#include "support/counter_sink.hpp"
-#include "support/spinlock.hpp"
+#include "core/fine_driver.hpp"
+#include "core/johnson_impl.hpp"  // kUnboundedRem / child_rem
 #include "temporal/cycle_union.hpp"
 #include "temporal/temporal_rt_state.hpp"
 
@@ -275,16 +273,6 @@ struct TRTScratch {
   std::vector<TRTChild> pending;
 };
 
-struct SharedResult {
-  Spinlock lock;
-  EnumResult result;
-  void merge(std::uint64_t cycles, const WorkCounters& counters) {
-    LockGuard<Spinlock> guard(lock);
-    result.num_cycles += cycles;
-    result.work += counters;
-  }
-};
-
 std::uint64_t run_start(const TemporalGraph& graph, const TemporalEdge& e0,
                         Timestamp window, const EnumOptions& options,
                         CycleSink* sink, CycleUnionView cycle_union,
@@ -349,10 +337,7 @@ EnumResult coarse_temporal_read_tarjan_cycles(const TemporalGraph& graph,
                                               const EnumOptions& options,
                                               CycleSink* sink) {
   const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return {};
-  }
-  SharedResult shared;
+  PerWorkerCounters work(sched);
   ScratchPool<TRTScratch> pool(
       [n] { return std::make_unique<TRTScratch>(n); });
   // A start task never waits, so a worker's cached block is never shared.
@@ -368,7 +353,7 @@ EnumResult coarse_temporal_read_tarjan_cycles(const TemporalGraph& graph,
       }
       WorkCounters counters;
       counters.cycles_found = 1;
-      shared.merge(1, counters);
+      work.merge(counters);
       return;
     }
     const CycleUnionView cycle_union =
@@ -378,176 +363,55 @@ EnumResult coarse_temporal_read_tarjan_cycles(const TemporalGraph& graph,
       return;
     }
     auto scratch = pool.acquire();
-    const std::uint64_t cycles =
-        run_start(graph, e0, window, options, sink, cycle_union, *scratch);
-    shared.merge(cycles, scratch->state.counters);
+    run_start(graph, e0, window, options, sink, cycle_union, *scratch);
+    work.merge(scratch->state.counters);
     pool.release(std::move(scratch));
   });
-  return shared.result;
+  return EnumResult::of(work.total());
 }
 
 // ---------------------------------------------------------------------------
-// Fine-grained driver: mirrors core/fine_read_tarjan.cpp.
+// Fine-grained driver: the prefix-replay shape of core/fine_driver.hpp, as
+// fine Read-Tarjan on windowed simple cycles uses it.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct FineTRTRun {
-  FineTRTRun(const TemporalGraph& graph_, Timestamp window_,
-             Scheduler& sched_, const EnumOptions& options_,
-             const ParallelOptions& popts_, CycleSink* sink_)
-      : graph(graph_),
-        window(window_),
-        sched(sched_),
-        options(options_),
-        popts(popts_),
-        sink(sink_),
-        state_pool([n = graph_.num_vertices()] {
-          return std::make_unique<TemporalRTState>(n);
-        }),
-        block_pool([&graph_, window_, on = options_.use_cycle_union] {
-          return std::make_unique<CycleUnionBlock>(graph_, window_, on);
-        }),
-        counter_sinks(sched_) {}
-
-  const TemporalGraph& graph;
-  Timestamp window;
-  Scheduler& sched;
-  EnumOptions options;
-  ParallelOptions popts;
-  CycleSink* sink;
-
-  // One state per root block in flight, plus the copies stolen children
-  // make of their creator's.
-  ScratchPool<TemporalRTState> state_pool;
-  // Pooled, not per worker: a worker waiting inside a root can run another
-  // root chunk while the first block's unions are still being read.
-  ScratchPool<CycleUnionBlock> block_pool;
-
-  // Per-worker sinks, summed once after the run's final wait.
-  PerWorkerCounters counter_sinks;
-
-  void merge_counters(const WorkCounters& counters) {
-    counter_sinks.merge(counters);
-  }
-
-  bool should_spawn() const {
-    switch (popts.spawn_policy) {
-      case SpawnPolicy::kAlways:
-        return true;
-      case SpawnPolicy::kAdaptive:
-        return sched.local_queue_size() < popts.spawn_queue_threshold;
-    }
-    return true;
-  }
-};
+using FineRun = fine::FineRun<TemporalRTState, CycleUnionBlock>;
 
 struct FineTRTContext {
-  FineTRTRun& run;
+  FineRun& run;
   VertexId tail = kInvalidVertex;
   Timestamp hi = 0;
   CycleUnionView cycle_union;
-};
 
-void trt_exec_call(FineTRTContext& search, TemporalRTState& st,
-                   TRTChild&& child);
-
-struct TRTTask {
-  FineTRTContext* search;
-  TemporalRTState* creator_state;
-  std::uint32_t creator_worker;
-  TRTChild child;
-
-  void operator()() {
-    FineTRTRun& run = search->run;
-    const bool same_worker =
-        Scheduler::current_worker_id() == static_cast<int>(creator_worker);
-    if (same_worker && child.path_len >= creator_state->floor()) {
-      creator_state->counters.state_reuses += 1;
-      trt_exec_call(*search, *creator_state, std::move(child));
-      return;
-    }
-    auto owned = run.state_pool.acquire();
-    owned->reset();
-    owned->copy_prefix_from(*creator_state, child.path_len, child.log_len);
-    trt_exec_call(*search, *owned, std::move(child));
-    run.merge_counters(owned->counters);
-    run.state_pool.release(std::move(owned));
+  void walk(TemporalRTState& st, const TRTChild& child,
+            const TChildFn& collect) const {
+    TemporalRTCore core(run.graph, run.options, run.sink);
+    core.bind(st, tail, hi, cycle_union);
+    core.walk(child.ext, child.excluded, collect);
   }
 };
 
-// Spawning a TRTTask must stay on the zero-allocation slab path.
-static_assert(spawn_uses_slab_v<TRTTask>,
-              "TRTTask outgrew the scheduler's task-slab block");
-
-void trt_exec_call(FineTRTContext& search, TemporalRTState& st,
-                   TRTChild&& child) {
-  FineTRTRun& run = search.run;
-  st.truncate_path(child.path_len);
-  st.truncate_log(child.log_len);
-  const std::size_t saved_floor = st.floor();
-  st.set_floor(child.path_len);
-
+// Searches one root on the block's state.
+bool trt_search_root(FineRun& run, const TemporalEdge& e0,
+                     CycleUnionBlock& block, TemporalRTState& state) {
+  const CycleUnionView cycle_union = block.view(e0.id);
   TemporalRTCore core(run.graph, run.options, run.sink);
-  core.bind(st, search.tail, search.hi, search.cycle_union);
-
-  std::vector<TRTChild> collected;
-  core.walk(child.ext, child.excluded, [&collected](TRTChild&& c) {
-    collected.push_back(std::move(c));
-  });
-
-  TaskGroup group(run.sched);
-  bool spawned = false;
-  std::size_t first_inline = 0;
-  while (first_inline < collected.size() && run.should_spawn()) {
-    spawned = true;
-    st.counters.tasks_spawned += 1;
-    group.spawn(TRTTask{
-        &search, &st,
-        static_cast<std::uint32_t>(Scheduler::current_worker_id()),
-        std::move(collected[first_inline])});
-    first_inline += 1;
+  if (!prepare_start(run.graph, e0, run.window, run.options, cycle_union,
+                     state, core)) {
+    return false;  // no cycle: skipped before touching the state
   }
-  for (std::size_t i = collected.size(); i-- > first_inline;) {
-    trt_exec_call(search, st, std::move(collected[i]));
-  }
-  if (spawned) {
-    group.wait();
-  }
-  st.set_floor(saved_floor);
-}
-
-// Searches one root on `state`, the block's state: reset here, its counters
-// merged here. Every task of the root has finished when this returns.
-void trt_search_root(FineTRTRun& run, const TemporalEdge& e0,
-                     CycleUnionView cycle_union, TemporalRTState& state) {
-  if (e0.src == e0.dst) {
-    if (run.sink != nullptr) {
-      run.sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
-    }
-    WorkCounters counters;
-    counters.cycles_found = 1;
-    run.merge_counters(counters);
-    return;
-  }
-  if (!cycle_union.contains(e0.dst)) {
-    return;  // no cycle: skipped before any state
-  }
-  state.reset();
-  TemporalRTCore core(run.graph, run.options, run.sink);
-  if (prepare_start(run.graph, e0, run.window, run.options, cycle_union,
-                    state, core)) {
-    FineTRTContext search{run, e0.src, e0.ts + run.window, cycle_union};
-    TExtPath root_ext;
-    if (core.find_root_extension(root_ext)) {
-      trt_exec_call(search, state,
+  FineTRTContext search{run, e0.src, e0.ts + run.window, cycle_union};
+  TExtPath root_ext;
+  if (core.find_root_extension(root_ext)) {
+    fine::exec_call(search, state,
                     TRTChild{state.path_length(),
                              state.log_length(),
                              std::move(root_ext),
                              {}});
-    }
   }
-  run.merge_counters(state.counters);
+  return true;
 }
 
 }  // namespace
@@ -557,33 +421,9 @@ EnumResult fine_temporal_read_tarjan_cycles(const TemporalGraph& graph,
                                             const EnumOptions& options,
                                             const ParallelOptions& popts,
                                             CycleSink* sink) {
-  if (graph.num_vertices() == 0) {
-    return {};
-  }
-  FineTRTRun run(graph, window, sched, options, popts, sink);
-  const auto edges = graph.edges_by_time();
-  const std::size_t num_blocks =
-      (edges.size() + CycleUnionBlock::kStarts - 1) / CycleUnionBlock::kStarts;
-  const std::size_t num_chunks =
-      std::max<std::size_t>(std::size_t{32} * sched.num_workers(), 1);
-  parallel_for_chunked(sched, 0, num_blocks, num_chunks, [&](std::size_t b) {
-    // Every root of the block, stolen children included, has finished
-    // reading its union and using its state before the next root starts, so
-    // one block and one state serve all of them.
-    auto block = run.block_pool.acquire();
-    auto state = run.state_pool.acquire();
-    const std::size_t last =
-        std::min(edges.size(), (b + 1) * CycleUnionBlock::kStarts);
-    for (std::size_t i = b * CycleUnionBlock::kStarts; i < last; ++i) {
-      trt_search_root(run, edges[i], block->view(edges[i].id), *state);
-    }
-    run.state_pool.release(std::move(state));
-    run.block_pool.release(std::move(block));
-  });
-  EnumResult result;
-  result.work = run.counter_sinks.total();
-  result.num_cycles = result.work.cycles_found;
-  return result;
+  FineRun run{graph, window, sched, options, popts, sink};
+  run.run_roots(trt_search_root);
+  return run.result();
 }
 
 }  // namespace parcycle

@@ -216,6 +216,13 @@ class ClosingTimeState {
     counters.state_copies += 1;
   }
 
+  // A task's position at its spawn: what a stolen copy is repaired back to.
+  struct Mark {
+    std::size_t path_len;
+  };
+  Mark mark() const noexcept { return {path_len_}; }
+  void repair_to_prefix(const Mark& mark) { repair_to_prefix(mark.path_len); }
+
   // Post-steal repair: truncate to the spawn-time prefix, fully re-opening
   // every vertex the victim had appended since (the temporal analogue of the
   // recursive-unblocking repair of Section 5).

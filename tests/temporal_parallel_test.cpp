@@ -2,8 +2,13 @@
 // algorithms, across thread counts, spawn policies and restore modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
+#include "core/coarse_grained.hpp"
+#include "core/fine_hc_dfs.hpp"
+#include "core/fine_johnson.hpp"
+#include "core/fine_read_tarjan.hpp"
 #include "graph/generators.hpp"
 #include "support/prng.hpp"
 #include "temporal/brute.hpp"
@@ -89,6 +94,62 @@ TEST_P(TemporalParallelTest, FineJohnsonCyclesMatchSerialOnTies) {
                                                  parallel_options(), &sink);
   EXPECT_EQ(fine.num_cycles, serial.num_cycles);
   EXPECT_EQ(sink.sorted_cycles(), serial_sink.sorted_cycles());
+}
+
+// Copy-on-steal accounting of the five fine drivers, which share one
+// driver: every spawned task either reused its creator's state or ran on a
+// copy, and every driver reports the cycles its counters found. The coarse
+// drivers report their counters' cycles too, with and without a length
+// bound. Self-loops take the root loop's own path. On this input most
+// multi-worker runs steal.
+TEST_P(TemporalParallelTest, StealAccountingAddsUp) {
+  ScaleFreeTemporalParams params;
+  params.num_vertices = 60;
+  params.num_edges = 4000;
+  params.time_span = 4000;
+  params.seed = 7;
+  params.allow_self_loops = true;
+  const TemporalGraph g = scale_free_temporal(params);
+  const auto edges = g.edges_by_time();
+  ASSERT_TRUE(std::any_of(edges.begin(), edges.end(),
+                          [](const TemporalEdge& e) { return e.src == e.dst; }));
+  ScaleFreeTemporalParams small = params;
+  small.num_vertices = 12;
+  small.num_edges = 40;
+  const Digraph d = scale_free_temporal(small).static_projection();
+
+  Scheduler sched(threads());
+  const ParallelOptions popts = parallel_options();
+  const auto check = [](const char* driver, const EnumResult& result) {
+    SCOPED_TRACE(driver);
+    EXPECT_EQ(result.work.tasks_spawned,
+              result.work.state_copies + result.work.state_reuses);
+    EXPECT_EQ(result.num_cycles, result.work.cycles_found);
+  };
+  check("fine Johnson", fine_johnson_windowed_cycles(g, 120, sched, {}, popts));
+  check("fine Read-Tarjan",
+        fine_read_tarjan_windowed_cycles(g, 120, sched, {}, popts));
+  check("fine BC-DFS", fine_hc_windowed_cycles(g, 120, 6, sched, {}, popts));
+  check("fine temporal Johnson",
+        fine_temporal_johnson_cycles(g, 400, sched, {}, popts));
+  check("fine temporal Read-Tarjan",
+        fine_temporal_read_tarjan_cycles(g, 400, sched, {}, popts));
+  for (const int max_len : {0, 4}) {
+    SCOPED_TRACE(testing::Message() << "max_cycle_length " << max_len);
+    EnumOptions options;
+    options.max_cycle_length = max_len;
+    check("coarse Johnson", coarse_johnson_simple_cycles(d, sched, options));
+    check("coarse Read-Tarjan",
+          coarse_read_tarjan_simple_cycles(d, sched, options));
+    check("coarse windowed Johnson",
+          coarse_johnson_windowed_cycles(g, 120, sched, options));
+    check("coarse windowed Read-Tarjan",
+          coarse_read_tarjan_windowed_cycles(g, 120, sched, options));
+    check("coarse temporal Johnson",
+          coarse_temporal_johnson_cycles(g, 400, sched, options));
+    check("coarse temporal Read-Tarjan",
+          coarse_temporal_read_tarjan_cycles(g, 400, sched, options));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -11,7 +11,6 @@
 //     sequential preprocessing bounds its useful parallelism (it is the
 //     serial baseline, plotted as its slowdown factor vs serial Johnson).
 #include <algorithm>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -19,33 +18,40 @@
 #include "bench_support/datasets.hpp"
 #include "bench_support/runner.hpp"
 #include "bench_support/table.hpp"
-#include "obs/trace.hpp"
-#include "obs/trace_export.hpp"
+#include "obs/stream_service.hpp"
 #include "schedsim/simulator.hpp"
 
 using namespace parcycle;
 
 int main(int argc, char** argv) {
   if (help_requested(argc, argv,
-                     "usage: bench_fig9_scalability [all] [--trace-out "
-                     "<file>]\n"
+                     "usage: bench_fig9_scalability [all] [observability "
+                     "service flags]\n"
                      "Strong-scaling sweep on simulated cores plus a real "
                      "thread sweep; pass 'all' for the full roster.\n"
-                     "--trace-out writes a Chrome trace_event JSON of each "
+                     "--trace-out and --profile-out files cover each "
                      "real-thread replay (overwritten per\nreplay: the "
                      "surviving file is the last dataset at the highest "
                      "thread count). Traced replays\nuse per-task timing — "
-                     "ignore their wall clocks.\n")) {
+                     "ignore their wall clocks.\n\n")) {
+    std::cout << kServiceObsUsage;
     return 0;
   }
   std::size_t limit = 4;
-  std::string trace_path;
+  ServiceOptions service_options;
+  std::string flag_error;
   for (int i = 1; i < argc; ++i) {
+    if (parse_service_flag(argc, argv, i, service_options, &flag_error)) {
+      continue;
+    }
     if (std::string(argv[i]) == "all") {
       limit = dataset_registry().size();
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
     }
+  }
+  service_options.require_obs_only(&flag_error);
+  if (!flag_error.empty()) {
+    std::cerr << "error: " << flag_error << "\n";
+    return 2;
   }
   const unsigned sim_cores[] = {1, 4, 16, 64, 256, 1024};
 
@@ -100,35 +106,20 @@ int main(int argc, char** argv) {
     // Real thread sweep (timeshared on one core).
     TextTable real({"threads", "fine-J wall", "coarse-J wall", "cycles"});
     for (const unsigned threads : {1u, 2u, 4u}) {
-      TraceRecorder recorder(std::max(1u, threads),
-                             TraceRecorder::kDefaultCapacity,
-                             /*enabled=*/!trace_path.empty());
-      SchedulerOptions sched_options;
-      if (!trace_path.empty()) {
-        sched_options.timing = TimingMode::kPerTask;
+      // The service writes this replay's trace and profile on scope exit,
+      // after the pool joined; the surviving files are the last dataset at
+      // the highest thread count.
+      StreamService service(service_options, threads,
+                            "bench_fig9_scalability");
+      if (const int rc = service.start()) {
+        return rc;
       }
-      Scheduler::with_pool(threads, sched_options, [&](Scheduler& sched) {
-        if (!trace_path.empty()) {
-          sched.set_tracer(&recorder);
-        }
-        const auto fj = run_temporal(Algo::kFineJohnson, graph, window, sched);
-        const auto cj =
-            run_temporal(Algo::kCoarseJohnson, graph, window, sched);
-        real.add_row({std::to_string(threads),
-                      TextTable::with_unit(fj.seconds),
-                      TextTable::with_unit(cj.seconds),
-                      TextTable::count(fj.result.num_cycles)});
-      });
-      if (!trace_path.empty()) {
-        // with_pool has joined the workers, so the ring read is ordered.
-        // Overwritten per replay: the surviving file is the last dataset at
-        // the highest thread count.
-        std::string error;
-        if (!write_chrome_trace_file(recorder, trace_path, &error,
-                                     "bench_fig9_scalability")) {
-          std::cerr << "trace export failed: " << error << "\n";
-        }
-      }
+      Scheduler& sched = service.scheduler();
+      const auto fj = run_temporal(Algo::kFineJohnson, graph, window, sched);
+      const auto cj = run_temporal(Algo::kCoarseJohnson, graph, window, sched);
+      real.add_row({std::to_string(threads), TextTable::with_unit(fj.seconds),
+                    TextTable::with_unit(cj.seconds),
+                    TextTable::count(fj.result.num_cycles)});
     }
     real.print(std::cout);
     std::cout << "\n";

@@ -39,23 +39,6 @@ constexpr const char* kUsage =
     "parse, parallel parse per thread\ncount, and .pcg cache write/reload. "
     "Generates a scale-free temporal edge list unless --file names one.\n";
 
-std::vector<unsigned> parse_threads(const std::string& arg) {
-  std::vector<unsigned> threads;
-  std::size_t pos = 0;
-  while (pos < arg.size()) {
-    const std::size_t comma = arg.find(',', pos);
-    const std::string tok = arg.substr(pos, comma - pos);
-    if (!tok.empty()) {
-      threads.push_back(static_cast<unsigned>(std::atoi(tok.c_str())));
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    pos = comma + 1;
-  }
-  return threads;
-}
-
 // The serial hot path this subsystem replaced (src/graph/io.cpp before the
 // io/ subsystem): getline + istringstream per line. Kept verbatim here as
 // the measured baseline so the speedup is against what loads actually cost
@@ -160,7 +143,11 @@ int main(int argc, char** argv) {
     if (arg == "--edges" && i + 1 < argc) {
       num_edges = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--threads" && i + 1 < argc) {
-      thread_counts = parse_threads(argv[++i]);
+      std::string error;
+      if (!parse_thread_counts(argv[++i], &thread_counts, &error)) {
+        std::cerr << "error: " << error << "\n";
+        return 2;
+      }
     } else if (arg == "--repeat" && i + 1 < argc) {
       repeat = std::atoi(argv[++i]);
     } else if (arg == "--file" && i + 1 < argc) {

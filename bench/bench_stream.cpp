@@ -34,9 +34,7 @@
 #include "bench_support/json.hpp"
 #include "bench_support/table.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
-#include "obs/trace_export.hpp"
+#include "obs/stream_service.hpp"
 #include "stream/engine.hpp"
 #include "support/prng.hpp"
 #include "support/scheduler.hpp"
@@ -52,8 +50,7 @@ constexpr const char* kUsage =
     "[--batch N] [--hot N] [--max-length K]\n"
     "  [--window-scale X] [--window-scales X1,X2,...] [--slack S] "
     "[--shuffle] [--no-prune]\n"
-    "  [--dataset-dir <dir>] [--json <path>] [--trace-out <file>]\n"
-    "  [--profile-out <file>] [--profile-hz N] [--profile-clock cpu|wall]\n"
+    "  [--dataset-dir <dir>] [--json <path>] [observability service flags]\n"
     "Replays each dataset's edges as a temporal stream through the "
     "StreamEngine and reports ingest\nthroughput, cycles and per-edge latency "
     "percentiles per thread count, against the batch temporal\nenumerator on "
@@ -66,34 +63,12 @@ constexpr const char* kUsage =
     "out-edges); --max-length bounds cycle length (default unbounded).\n"
     "--dataset-dir (or $PARCYCLE_DATASET_DIR) benches real fetched datasets "
     "instead of the synthetic analogs.\n"
-    "--trace-out writes a Chrome trace_event JSON per replay (overwritten "
+    "--trace-out and --profile-out files are written per replay (overwritten "
     "each time, so the file left\nbehind covers the last dataset x thread "
     "combination); tracing switches that replay to per-task\ntiming, so quote "
-    "throughput numbers only from untraced runs.\n"
-    "--profile-out samples worker stacks during each replay (per-thread "
-    "SIGPROF CPU-time timers,\n--profile-hz per thread, default 97) and "
-    "writes flamegraph.pl collapsed-stack text, overwritten\nper replay like "
-    "--trace-out. Without the flag the profiler is never constructed: the "
-    "replay adds\nzero signals, clock reads or allocations, and the --json "
-    "baseline is bit-identical.\n--profile-clock wall samples in wall time "
-    "instead, so idle workers show their wait stacks\n(default cpu).\n";
-
-std::vector<unsigned> parse_threads(const std::string& arg) {
-  std::vector<unsigned> threads;
-  std::size_t pos = 0;
-  while (pos < arg.size()) {
-    const std::size_t comma = arg.find(',', pos);
-    const std::string tok = arg.substr(pos, comma - pos);
-    if (!tok.empty()) {
-      threads.push_back(static_cast<unsigned>(std::atoi(tok.c_str())));
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    pos = comma + 1;
-  }
-  return threads;
-}
+    "throughput numbers only from untraced runs. Without either flag no\n"
+    "observer is attached: the replay adds zero signals, clock reads or "
+    "allocations, and the --json\nbaseline is bit-identical.\n\n";
 
 std::vector<double> parse_scales(const std::string& arg) {
   std::vector<double> scales;
@@ -147,6 +122,7 @@ std::vector<TemporalEdge> shuffle_within_slack(
 
 int main(int argc, char** argv) {
   if (help_requested(argc, argv, kUsage)) {
+    std::cout << kServiceObsUsage;
     return 0;
   }
   std::vector<std::string> names;
@@ -160,14 +136,17 @@ int main(int argc, char** argv) {
   bool shuffle = false;
   bool use_prune = true;
   std::size_t prune_frontier = StreamOptions{}.prune_frontier_threshold;
-  std::string trace_path;
-  std::string profile_path;
-  long profile_hz = 0;  // 0 = library default
-  std::string profile_clock = "cpu";
+  ServiceOptions service_options;
+  std::string flag_error;
   for (int i = 1; i < argc; ++i) {
+    if (parse_service_flag(argc, argv, i, service_options, &flag_error)) {
+      continue;
+    }
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
-      thread_counts = parse_threads(argv[++i]);
+      if (!parse_thread_counts(argv[++i], &thread_counts, &flag_error)) {
+        break;
+      }
     } else if (arg == "--batch" && i + 1 < argc) {
       batch_size = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--hot" && i + 1 < argc) {
@@ -186,14 +165,6 @@ int main(int argc, char** argv) {
       use_prune = false;
     } else if (arg == "--prune-frontier" && i + 1 < argc) {
       prune_frontier = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg == "--profile-out" && i + 1 < argc) {
-      profile_path = argv[++i];
-    } else if (arg == "--profile-hz" && i + 1 < argc) {
-      profile_hz = std::atol(argv[++i]);
-    } else if (arg == "--profile-clock" && i + 1 < argc) {
-      profile_clock = argv[++i];
     } else if ((arg == "--json" || arg == "--dataset-dir") && i + 1 < argc) {
       ++i;  // parsed by json_output_path / dataset_dir_from_cli
     } else if (arg == "all") {
@@ -212,9 +183,9 @@ int main(int argc, char** argv) {
   if (names.empty()) {
     names = {"BA", "CO", "EM"};
   }
-  if (profile_clock != "cpu" && profile_clock != "wall") {
-    std::cerr << "invalid --profile-clock '" << profile_clock
-              << "' (use cpu or wall)\n";
+  service_options.require_obs_only(&flag_error);
+  if (!flag_error.empty()) {
+    std::cerr << "error: " << flag_error << "\n";
     return 2;
   }
   if (thread_counts.empty() || batch_size == 0 || window_scales.empty()) {
@@ -364,43 +335,17 @@ int main(int argc, char** argv) {
       // Registry snapshot of this replay (stream + scheduler counters),
       // imported while the pool is alive and persisted into the --json row.
       MetricsRegistry metrics;
-      // Tracing flips this replay to per-task timing (per-task spans need the
-      // two clock reads); untraced replays keep the transition timing, so the
-      // baseline wall-times are unaffected when --trace-out is absent.
-      TraceRecorder recorder(std::max(1u, threads),
-                             TraceRecorder::kDefaultCapacity,
-                             /*enabled=*/!trace_path.empty());
-      SchedulerOptions sched_options;
-      if (!trace_path.empty()) {
-        sched_options.timing = TimingMode::kPerTask;
-      }
-      // Per-replay stack profile. Disabled (no --profile-out) the profiler
-      // allocates nothing and the scheduler sees no observer — the replay's
-      // hot path and the --json baseline are untouched. Started before the
-      // pool exists: each worker arms its own timer as it attaches.
-      ProfilerOptions prof_options;
-      if (profile_hz > 0) {
-        prof_options.sample_hz = static_cast<int>(profile_hz);
-      }
-      if (profile_clock == "wall") {
-        prof_options.clock = ProfileClock::kWall;
-      }
-      StackProfiler profiler(std::max(1u, threads), prof_options,
-                             /*enabled=*/!profile_path.empty());
-      WorkerObserverChain observers;
-      observers.add(&profiler);
-      if (!profile_path.empty()) {
-        sched_options.thread_observer = &observers;
-        std::string profile_error;
-        if (!profiler.start(&profile_error)) {
-          std::cerr << "profiler: " << profile_error << "\n";
-          return 1;
+      // One service per replay: tracing flips the replay to per-task timing
+      // and profiling attaches observers; without --trace-out and
+      // --profile-out neither happens, so the baseline is untouched. Its
+      // trace and profile files are written when it goes out of scope,
+      // after the pool joined.
+      {
+        StreamService service(service_options, threads, "bench_stream");
+        if (const int rc = service.start()) {
+          return rc;
         }
-      }
-      Scheduler::with_pool(threads, sched_options, [&](Scheduler& sched) {
-        if (!trace_path.empty()) {
-          sched.set_tracer(&recorder);
-        }
+        Scheduler& sched = service.scheduler();
         StreamOptions options;
         options.windows = windows;
         options.reorder_slack = dataset_slack;
@@ -410,7 +355,10 @@ int main(int argc, char** argv) {
         options.use_reach_prune = use_prune;
         options.prune_frontier_threshold = prune_frontier;
         options.num_vertices_hint = graph.num_vertices();
-        StreamEngine engine(options, sched, nullptr);
+        if (const int rc = service.open(options, nullptr)) {
+          return rc;
+        }
+        StreamEngine& engine = service.engine();
         WallTimer timer;
         if (shuffle) {
           for (const TemporalEdge& e : shuffled) {
@@ -430,29 +378,6 @@ int main(int argc, char** argv) {
         stats = engine.stats();
         metrics.import_stream(stats);
         metrics.import_scheduler(sched);
-      });
-      if (!trace_path.empty()) {
-        // The pool is gone (with_pool returned), so the ring read is
-        // join-ordered. Overwritten per replay: the surviving file covers
-        // the last dataset x thread combination.
-        std::string error;
-        if (!write_chrome_trace_file(recorder, trace_path, &error,
-                                     "bench_stream")) {
-          std::cerr << "trace export failed: " << error << "\n";
-        }
-      }
-      if (!profile_path.empty()) {
-        // Same join-ordering as the trace: workers disarmed their timers on
-        // detach inside with_pool, so the counters are final here.
-        profiler.stop();
-        std::string error;
-        if (!profiler.write_collapsed_file(profile_path, &error)) {
-          std::cerr << "profile export failed: " << error << "\n";
-        } else {
-          std::cerr << "profile: taken=" << profiler.total_taken()
-                    << " dropped=" << profiler.total_dropped() << " -> "
-                    << profile_path << "\n";
-        }
       }
       if (stats.late_edges_rejected != 0) {
         counts_agree = false;

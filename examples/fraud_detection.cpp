@@ -4,9 +4,9 @@
 // money-laundering / circular-trading signal.
 //
 //   ./examples/fraud_detection [num_accounts] [num_transfers] [max_hops]
-//                              [--monitor] [--snapshot <path>]
-//                              [--snapshot-every N] [--restore <path>]
-//                              [--feed-delay-us U]
+//                              [--monitor] [--feed-delay-us U]
+//                              [--inject <spec>] [--overload-high N]
+//                              [service flags: obs/stream_service.hpp]
 //
 // Two scans are run: a temporal-cycle scan (transfers strictly time-ordered
 // around the ring — the paper's laundering signal) and a hop-constrained
@@ -20,11 +20,12 @@
 // closes instead of waiting for a batch scan — the deployment shape of the
 // paper's motivating application.
 //
-// The monitor is restartable: --snapshot <path> persists the engine state
-// every --snapshot-every transfers (default 2000) and at completion, using
-// two rotated generations (<path>.1/<path>.2) behind a last-good pointer
-// file at <path>, and a SIGTERM or SIGINT mid-feed finishes the in-flight
-// transfer, writes a final snapshot and exits with status 3. --restore
+// The monitor runs inside a StreamService, so it is restartable: --snapshot
+// <path> persists the engine state every --snapshot-every transfers (default
+// 2000) and at completion, using two rotated generations (<path>.1/<path>.2)
+// behind a last-good pointer file at <path>, and a SIGTERM or SIGINT
+// mid-feed finishes the in-flight transfer, writes a final snapshot and
+// exits with status 3. --restore
 // <path> resumes a killed monitor from its snapshot — no replay of
 // already-processed transfers, falling back to the previous generation when
 // the latest one is corrupt — and the combined alert total must still equal
@@ -40,15 +41,12 @@
 // stream-vs-batch equality into a conservation check (pushed == ingested +
 // late + shed), since shed or truncated work legitimately loses rings.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -58,17 +56,9 @@
 #include "bench_support/cli.hpp"
 #include "core/fine_hc_dfs.hpp"
 #include "graph/generators.hpp"
-#include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
-#include "obs/profiler.hpp"
-#include "obs/server.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
-#include "obs/trace_export.hpp"
+#include "obs/stream_service.hpp"
 #include "robust/fault_injection.hpp"
-#include "robust/snapshot_rotation.hpp"
 #include "stream/engine.hpp"
-#include "support/scheduler.hpp"
 #include "support/stats.hpp"
 #include "temporal/temporal_johnson.hpp"
 
@@ -112,15 +102,6 @@ class AlertSink final : public parcycle::CycleSink {
   std::uint64_t alerts_ = 0;
 };
 
-// SIGTERM and SIGINT both request a graceful monitor shutdown: finish the
-// in-flight transfer, persist a snapshot, exit 3. Treating Ctrl-C the same
-// as a supervisor TERM means an interactive kill never loses the window.
-std::atomic<bool> g_terminate{false};
-
-void handle_shutdown_signal(int) {
-  g_terminate.store(true, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -128,34 +109,18 @@ int main(int argc, char** argv) {
   if (help_requested(argc, argv,
                      "usage: fraud_detection [num_accounts] [num_transfers] "
                      "[max_hops] [--monitor]\n"
-                     "  [--snapshot <path>] [--snapshot-every N] "
-                     "[--restore <path>] [--feed-delay-us U]\n"
-                     "  [--trace-out <file>] [--metrics-out <file>] "
-                     "[--metrics-every N] [--metrics-every-ms M]\n"
-                     "  [--inject <spec>] [--overload-high N] "
-                     "[--serve[=port]] [--slo <spec>]\n"
-                     "  [--serve-linger-ms M] [--adaptive-budget K]\n"
-                     "  [--profile-out <file>] [--profile-hz N] "
-                     "[--profile-clock cpu|wall]\n"
+                     "  [--feed-delay-us U] [--inject <spec>] "
+                     "[--overload-high N] [service flags]\n"
                      "Finds temporal cycles plus hop-constrained (<= max_hops "
                      "edges, order-agnostic) rings in a synthetic payment "
                      "network (defaults: 2000 accounts, 20000 transfers, 4 "
                      "hops).\n--monitor additionally replays the transfers as "
                      "a live stream through the incremental engine,\nraising "
-                     "per-ring alerts the moment they close.\n--snapshot "
-                     "persists the monitor's engine state every N transfers "
-                     "(default 2000) and on\nSIGTERM/SIGINT (exit 3), as two "
-                     "rotated generations (<path>.1/.2) behind a\nlast-good "
-                     "pointer file at <path>; --restore resumes a killed "
-                     "monitor without\nreplaying processed transfers, falling "
-                     "back to the previous generation when the\nlatest is "
-                     "corrupt; --feed-delay-us throttles the feed so a signal "
-                     "lands mid-stream.\n--trace-out writes a Chrome "
-                     "trace_event JSON of the whole run (load in "
-                     "Perfetto);\n--metrics-out publishes a Prometheus-style "
-                     "metrics snapshot every --metrics-every\ntransfers "
-                     "(default 2000) during the monitor feed, atomically "
-                     "renamed per dump.\n--inject arms deterministic fault "
+                     "per-ring alerts the moment they close; the service "
+                     "flags below act on that feed\n(--snapshot, --restore "
+                     "and the signal path make it restartable). "
+                     "--feed-delay-us throttles\nthe feed so a signal lands "
+                     "mid-stream.\n--inject arms deterministic fault "
                      "injection, e.g.\n  --inject \"sink_throw:every=3;"
                      "snapshot_bitflip:every=1;feed_stall:every=500,"
                      "param=2000\"\n(points: slab_grow sink_throw sink_delay "
@@ -163,102 +128,34 @@ int main(int argc, char** argv) {
                      "feed_burst; keys: every/after/limit/param/prob). "
                      "--overload-high sets the\nbuffered-arrival watermark "
                      "where the engine's overload ladder starts degrading.\n"
-                     "--metrics-every-ms dumps --metrics-out on a wall-clock "
-                     "cadence instead of an\nedge-count one (preferred: "
-                     "uniform dumps regardless of feed rate).\n--serve runs a "
-                     "live introspection HTTP server on 127.0.0.1 during the "
-                     "monitor feed\n(port 0 = ephemeral, printed as 'serving "
-                     "introspection on http://...'), exposing\n/metrics "
-                     "(Prometheus), /statusz (human status), /healthz (503 "
-                     "while shedding),\nand /tracez (recent per-worker trace "
-                     "events). --slo adds objectives evaluated\neach sampler "
-                     "tick, e.g. --slo \"p99_search_ns<2000000;"
-                     "shed_fraction<0.05@0.1\".\n--serve-linger-ms keeps "
-                     "serving (and stepping the overload ladder down via\n"
-                     "empty flushes) that long after the feed completes. "
-                     "--adaptive-budget K re-seeds\nthe degraded search "
-                     "budget from K x rolling-p99 while overloaded (static "
-                     "value\nstays the floor; 0 = off).\n--profile-out "
-                     "samples worker stacks for the whole run (SIGPROF, "
-                     "per-thread\nCPU-time timers by default) and writes "
-                     "flamegraph.pl collapsed-stack text on\nexit; "
-                     "--profile-hz sets the per-thread rate (default 97). "
-                     "--profile-clock wall\nsamples in wall time instead, so "
-                     "parked workers show their wait stacks.\nEither "
-                     "--profile-out or --serve also opens per-worker "
-                     "hardware counter groups\n(cycles, instructions, cache, "
-                     "branches; parcycle_perf_* in /metrics, IPC lines\non "
-                     "/statusz) and arms GET /profilez?seconds=N on-demand "
-                     "capture; serve-only\nruns default to the wall clock "
-                     "so an idle service still yields samples."
-                     "\n\nexit codes:\n"
+                     "\nexit codes:\n"
                      "  0  success (monitor total matches the batch scan, or "
                      "conservation holds\n     under injection)\n"
                      "  1  runtime failure: monitor/batch mismatch, metrics "
                      "drift, restore or IO error\n"
-                     "  2  invalid arguments (bad sizes or --inject spec)\n"
+                     "  2  invalid arguments (bad sizes, flags or --inject "
+                     "spec)\n"
                      "  3  graceful shutdown: SIGTERM/SIGINT received, final "
-                     "snapshot written\n")) {
+                     "snapshot written\n\n")) {
+    std::cout << kServiceObsUsage << kServiceEngineUsage;
     return 0;
   }
 
   bool monitor = false;
-  std::string snapshot_path;
-  std::string restore_path;
-  std::string trace_path;
-  std::string metrics_path;
-  std::uint64_t snapshot_every = 2000;
-  std::uint64_t metrics_every = 2000;
-  std::uint64_t metrics_every_ms = 0;  // 0 = edge-count cadence
   long feed_delay_us = 0;
   std::string inject_spec;
   std::size_t overload_high = SIZE_MAX;
-  bool serve = false;
-  long serve_port = 0;
-  long serve_linger_ms = 0;
-  double adaptive_budget_k = 0.0;
-  std::string slo_spec;
-  std::string profile_path;
-  long profile_hz = 0;          // 0 = library default
-  std::string profile_clock;    // "", "cpu", or "wall"
+  ServiceOptions service_options;
+  std::string flag_error;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
+    if (parse_service_flag(argc, argv, i, service_options, &flag_error)) {
+      continue;
+    }
     if (std::strcmp(argv[i], "--monitor") == 0) {
       monitor = true;
-    } else if (std::strcmp(argv[i], "--snapshot") == 0 && i + 1 < argc) {
-      snapshot_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--snapshot-every") == 0 && i + 1 < argc) {
-      snapshot_every = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--restore") == 0 && i + 1 < argc) {
-      restore_path = argv[++i];
     } else if (std::strcmp(argv[i], "--feed-delay-us") == 0 && i + 1 < argc) {
       feed_delay_us = std::atol(argv[++i]);
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics-every") == 0 && i + 1 < argc) {
-      metrics_every = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--metrics-every-ms") == 0 &&
-               i + 1 < argc) {
-      metrics_every_ms = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--serve") == 0) {
-      serve = true;
-    } else if (std::strncmp(argv[i], "--serve=", 8) == 0) {
-      serve = true;
-      serve_port = std::atol(argv[i] + 8);
-    } else if (std::strcmp(argv[i], "--serve-linger-ms") == 0 && i + 1 < argc) {
-      serve_linger_ms = std::atol(argv[++i]);
-    } else if (std::strcmp(argv[i], "--slo") == 0 && i + 1 < argc) {
-      slo_spec = argv[++i];
-    } else if (std::strcmp(argv[i], "--adaptive-budget") == 0 && i + 1 < argc) {
-      adaptive_budget_k = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--profile-out") == 0 && i + 1 < argc) {
-      profile_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--profile-hz") == 0 && i + 1 < argc) {
-      profile_hz = std::atol(argv[++i]);
-    } else if (std::strcmp(argv[i], "--profile-clock") == 0 && i + 1 < argc) {
-      profile_clock = argv[++i];
     } else if (std::strcmp(argv[i], "--inject") == 0 && i + 1 < argc) {
       inject_spec = argv[++i];
     } else if (std::strcmp(argv[i], "--overload-high") == 0 && i + 1 < argc) {
@@ -266,6 +163,10 @@ int main(int argc, char** argv) {
     } else {
       positional.push_back(argv[i]);
     }
+  }
+  if (!flag_error.empty()) {
+    std::cerr << "invalid arguments: " << flag_error << "\n";
+    return 2;
   }
   // Armed before anything else so every named point in the run — slab
   // growth, sink delivery, snapshot writes, the feed loop — sees it. Static
@@ -289,21 +190,6 @@ int main(int argc, char** argv) {
   if (accounts_arg < 2 || transfers_arg < 1 || max_hops < 1) {
     std::cerr << "invalid arguments: need num_accounts >= 2, num_transfers "
                  ">= 1, max_hops >= 1\n";
-    return 2;
-  }
-  if (serve_port < 0 || serve_port > 65535) {
-    std::cerr << "invalid --serve port: " << serve_port << "\n";
-    return 2;
-  }
-  if (!profile_clock.empty() && profile_clock != "cpu" &&
-      profile_clock != "wall") {
-    std::cerr << "invalid --profile-clock '" << profile_clock
-              << "' (use cpu or wall)\n";
-    return 2;
-  }
-  if (profile_hz < 0 || profile_hz > 10000) {
-    std::cerr << "invalid --profile-hz: " << profile_hz
-              << " (use 1..10000, 0 = default)\n";
     return 2;
   }
   const VertexId accounts = static_cast<VertexId>(accounts_arg);
@@ -331,59 +217,17 @@ int main(int argc, char** argv) {
   options.max_cycle_length = 6;
 
   CollectingSink sink;
-  // With tracing, per-task timing buys per-task spans (two clock reads per
-  // task — acceptable for a diagnostic run); untraced runs keep the
-  // zero-clock-read transition timing.
-  SchedulerOptions sched_options;
-  if (!trace_path.empty()) {
-    sched_options.timing = TimingMode::kPerTask;
+  // The monitor's sink outlives the service: a guarded hand-off may still
+  // deliver queued alerts while the service tears its engine down.
+  AlertSink alerts(payments, /*max_printed=*/5);
+  // The service owns the pool, so the batch scans below are traced and
+  // profiled too; the monitor's messages go to stdout as "monitor: ...".
+  StreamService service(service_options, 4, "fraud_detection", std::cout,
+                        "monitor");
+  if (const int rc = service.start()) {
+    return rc;
   }
-  // Recorder and export guard are declared before the Scheduler: destruction
-  // order tears the pool down first (the destructor records worker 0's final
-  // busy span), so the guard's ring read is join-ordered and race-free. The
-  // guard covers every return path below. --serve enables the recorder too
-  // (for /tracez) and puts it in concurrent-reads mode so the serving thread
-  // may read the rings while workers record.
-  TraceRecorder recorder(4, TraceRecorder::kDefaultCapacity,
-                         /*enabled=*/!trace_path.empty() || serve,
-                         /*concurrent_reads=*/serve);
-  ScopedTraceExport trace_export(recorder, trace_path, "fraud_detection");
-  // Profiling surface: a whole-run stack capture (--profile-out) or the
-  // serve mode's on-demand /profilez, plus per-worker hardware counter
-  // groups either way. Declared before the Scheduler so the observers
-  // outlive the pool (workers detach in its destructor) and the scoped
-  // export runs once the counters are final. Serve-only runs default to
-  // wall-clock sampling — an idle service still yields samples, showing
-  // where the workers wait; an explicit --profile-clock always wins.
-  const bool profiling = !profile_path.empty() || serve;
-  ProfilerOptions prof_options;
-  if (profile_hz > 0) {
-    prof_options.sample_hz = static_cast<int>(profile_hz);
-  }
-  if (profile_clock == "wall" ||
-      (profile_clock.empty() && profile_path.empty())) {
-    prof_options.clock = ProfileClock::kWall;
-  }
-  StackProfiler profiler(4, prof_options, /*enabled=*/profiling);
-  PerfCounterGroups perf(4, /*enabled=*/profiling);
-  WorkerObserverChain observers;
-  observers.add(&profiler);
-  observers.add(&perf);
-  if (profiling) {
-    sched_options.thread_observer = &observers;
-  }
-  ScopedProfileExport profile_export(profiler, profile_path);
-  Scheduler sched(4, sched_options);
-  if (recorder.enabled()) {
-    sched.set_tracer(&recorder);
-  }
-  if (!profile_path.empty()) {
-    std::string profile_error;
-    if (!profiler.start(&profile_error)) {
-      std::cerr << "profiler: " << profile_error << "\n";
-      return 1;
-    }
-  }
+  Scheduler& sched = service.scheduler();
   const EnumResult result =
       fine_temporal_johnson_cycles(payments, window, sched, options, {}, &sink);
 
@@ -440,7 +284,6 @@ int main(int argc, char** argv) {
   std::cout << "\n=== fraud monitor: replaying the transfer feed live "
                "(window 48h, rings <= " << options.max_cycle_length
             << " hops) ===\n";
-  AlertSink alerts(payments, /*max_printed=*/5);
   const bool injecting = !inject_spec.empty();
   StreamOptions stream_options;
   stream_options.window = window;
@@ -451,124 +294,16 @@ int main(int argc, char** argv) {
   // injected sink fault costs alerts, never the engine; plain runs keep the
   // direct synchronous path (and its exact legacy totals).
   stream_options.guard_sinks = injecting;
-  StreamEngine engine(stream_options, sched, &alerts);
-  // Live metrics publication: each dump clears and re-imports the engine's
-  // and scheduler's current totals, rendered to Prometheus text and
-  // atomically renamed into place, so `watch cat <file>` follows the feed.
-  MetricsRegistry metrics;
-  auto dump_metrics = [&]() {
-    if (metrics_path.empty()) {
-      return true;
-    }
-    metrics.clear();
-    metrics.import_stream(engine.stats());
-    metrics.import_scheduler(sched);
-    metrics.import_process();
-    metrics.import_perf(perf);
-    metrics.import_profiler(profiler);
-    std::string error;
-    if (!metrics.write_text_file(metrics_path, &error)) {
-      std::cerr << "metrics dump failed: " << error << "\n";
-      return false;
-    }
-    return true;
-  };
-  // Live introspection: the sampler is constructed before the first push
-  // (its constructor arms the engine's concurrent-stats path) and declared
-  // after the engine/scheduler so it is destroyed first; the server after
-  // the sampler so its handlers never outlive what they render.
-  std::unique_ptr<TimeSeriesSampler> sampler;
-  std::unique_ptr<IntrospectionServer> server;
-  if (serve) {
-    TimeSeriesOptions ts_options;
-    ts_options.slo_spec = slo_spec;
-    ts_options.adaptive_budget_multiplier = adaptive_budget_k;
-    ts_options.perf = &perf;
-    ts_options.profiler = &profiler;
-    try {
-      sampler = std::make_unique<TimeSeriesSampler>(engine, sched, ts_options);
-    } catch (const std::invalid_argument& error) {
-      std::cerr << "invalid --slo spec: " << error.what() << "\n";
-      return 2;
-    }
-    sampler->start();
-    IntrospectionOptions http_options;
-    http_options.port = static_cast<std::uint16_t>(serve_port);
-    server = std::make_unique<IntrospectionServer>(http_options);
-    server->add_handler("/metrics", [&sampler] {
-      HttpResponse r;
-      r.body = sampler->render_prometheus();
-      return r;
-    });
-    server->add_handler("/statusz", [&sampler] {
-      HttpResponse r;
-      r.body = sampler->render_statusz();
-      return r;
-    });
-    server->add_handler("/healthz", [&sampler] {
-      const TimeSeriesSampler::Health health = sampler->health();
-      HttpResponse r;
-      r.status = health.ok ? 200 : 503;
-      r.body = health.text;
-      return r;
-    });
-    server->add_handler("/tracez", [&recorder] {
-      HttpResponse r;
-      r.body = render_tracez_text(recorder);
-      return r;
-    });
-    server->add_query_handler("/profilez", [&profiler](
-                                               const std::string& query) {
-      HttpResponse r;
-      if (!profiler.enabled() || !StackProfiler::supported()) {
-        r.status = 503;
-        r.body = "profiler unavailable (disabled, non-Linux, or "
-                 "ThreadSanitizer build)\n";
-        return r;
-      }
-      double seconds = 1.0;
-      const std::string value = query_param(query, "seconds");
-      if (!value.empty()) {
-        seconds = std::atof(value.c_str());
-      }
-      r.body = profiler.timed_capture(seconds);
-      return r;
-    });
-    std::string serve_error;
-    if (!server->start(&serve_error)) {
-      std::cerr << "introspection server failed: " << serve_error << "\n";
-      return 1;
-    }
-    // CI greps this exact line to learn the ephemeral port; flushed
-    // explicitly because stdout is block-buffered under a pipe.
-    std::cout << "serving introspection on http://127.0.0.1:" << server->port()
-              << "/" << std::endl;
+  if (const int rc = service.open(stream_options, &alerts)) {
+    return rc;
   }
-  std::uint64_t resume_at = 0;
+  StreamEngine& engine = service.engine();
   WallTimer feed_timer;
   try {
-    if (!restore_path.empty()) {
-      const RotatedSnapshotInfo restored =
-          restore_snapshot_rotated(engine, restore_path);
-      resume_at = engine.edges_pushed();
-      std::cout << "monitor: restored " << restored.path
-                << " (generation " << restored.generation
-                << "), resuming at transfer " << resume_at << " ("
-                << engine.cycles_found() << " rings already detected)\n";
-    }
-    if (!snapshot_path.empty()) {
-      std::signal(SIGTERM, handle_shutdown_signal);
-      std::signal(SIGINT, handle_shutdown_signal);
-    }
+    const std::uint64_t resume_at = service.resume();
     feed_timer.reset();
     const auto feed = payments.edges_by_time();
     std::uint64_t burst_remaining = 0;
-    // Wall-clock metrics cadence: dumps land every M ms of real time no
-    // matter how fast or throttled the feed is (edge-count cadence drifts
-    // with --feed-delay-us). Active only with --metrics-every-ms.
-    const bool metrics_by_time = metrics_every_ms > 0 && !metrics_path.empty();
-    std::uint64_t next_metrics_ns =
-        metrics_by_time ? trace_now_ns() + metrics_every_ms * 1000000 : 0;
     for (std::uint64_t i = resume_at; i < feed.size(); ++i) {
       const auto& transfer = feed[i];
       engine.push(transfer.src, transfer.dst, transfer.ts);
@@ -588,53 +323,20 @@ int main(int argc, char** argv) {
       } else if (feed_delay_us > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(feed_delay_us));
       }
-      if (!snapshot_path.empty() && snapshot_every > 0 &&
-          engine.edges_pushed() % snapshot_every == 0) {
-        save_snapshot_rotated(engine, snapshot_path);
-      }
-      if (metrics_by_time) {
-        const std::uint64_t now_ns = trace_now_ns();
-        if (now_ns >= next_metrics_ns) {
-          dump_metrics();
-          next_metrics_ns = now_ns + metrics_every_ms * 1000000;
-        }
-      } else if (!metrics_path.empty() && metrics_every > 0 &&
-                 engine.edges_pushed() % metrics_every == 0) {
-        dump_metrics();
-      }
-      if (g_terminate.load(std::memory_order_relaxed)) {
-        const RotatedSnapshotInfo saved =
-            save_snapshot_rotated(engine, snapshot_path);
-        std::cout << "monitor: shutdown signal after " << engine.edges_pushed()
-                  << " transfers; snapshot written to " << saved.path << "\n";
+      if (service.after_push()) {
         return 3;
       }
     }
     engine.flush();
-    if (!snapshot_path.empty()) {
-      // Final snapshot: a restart after completion resumes to a no-op feed,
-      // and a TERM that raced the last transfers still finds current state.
-      save_snapshot_rotated(engine, snapshot_path);
-    }
   } catch (const std::exception& error) {
     std::cerr << "monitor error: " << error.what() << "\n";
     return 1;
   }
   // For a restored run this times the replayed suffix only — informational.
+  // Taken before finish(), whose linger is serving time, not ingest time.
   const double feed_seconds = feed_timer.elapsed_seconds();
-  if (serve && serve_linger_ms > 0) {
-    // Keep the endpoints up after the feed so a scraper can observe
-    // recovery: each empty flush is a batch boundary, letting the overload
-    // ladder step back down to kNormal and /healthz return to 200. Outside
-    // the feed timer — lingering is serving time, not ingest time.
-    std::cout << "monitor: lingering " << serve_linger_ms
-              << "ms for scrapers" << std::endl;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(serve_linger_ms);
-    while (std::chrono::steady_clock::now() < deadline) {
-      engine.flush();
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
+  if (const int rc = service.finish()) {
+    return rc;
   }
   const StreamStats stream_stats = engine.stats();
   if (alerts.alerts() > 5) {
@@ -649,49 +351,6 @@ int main(int argc, char** argv) {
             << stream_stats.latency_p50_ns << "ns, p99 "
             << stream_stats.latency_p99_ns << "ns, "
             << stream_stats.escalated_edges << " escalated)\n";
-  if (!metrics_path.empty()) {
-    // Final dump, then cross-check the published counters against the very
-    // StreamStats totals they were imported from: any drift between the
-    // registry's named surface and the engine's counters is a bug, caught
-    // here rather than on an operator's dashboard.
-    if (!dump_metrics()) {
-      return 1;
-    }
-    const StreamStats final_stats = engine.stats();
-    const std::vector<WorkerStats> wstats = sched.worker_stats();
-    std::uint64_t tasks_executed = 0;
-    for (std::size_t w = 0; w < wstats.size(); ++w) {
-      tasks_executed +=
-          metrics.value_u64("parcycle_worker_tasks_executed_total",
-                            "worker=\"" + std::to_string(w) + "\"")
-              .value_or(0);
-    }
-    std::uint64_t expected_tasks = 0;
-    for (const WorkerStats& ws : wstats) {
-      expected_tasks += ws.tasks_executed;
-    }
-    const bool ok =
-        metrics.value_u64("parcycle_stream_cycles_found_total") ==
-            final_stats.cycles_found &&
-        metrics.value_u64("parcycle_stream_edges_ingested_total") ==
-            final_stats.edges_ingested &&
-        metrics.value_u64("parcycle_stream_edges_pushed_total") ==
-            final_stats.edges_pushed &&
-        metrics.value_u64("parcycle_stream_batches_total") ==
-            final_stats.batches &&
-        metrics.value_u64("parcycle_stream_escalated_edges_total") ==
-            final_stats.escalated_edges &&
-        metrics.value_u64("parcycle_stream_work_edges_visited_total") ==
-            final_stats.work.edges_visited &&
-        tasks_executed == expected_tasks;
-    if (!ok) {
-      std::cerr << "METRICS MISMATCH: registry counters disagree with "
-                   "StreamStats/WorkerStats totals\n";
-      return 1;
-    }
-    std::cout << "monitor: metrics cross-check ok; snapshot written to "
-              << metrics_path << "\n";
-  }
   if (injecting) {
     // Shed arrivals and budget-truncated searches legitimately lose rings, so
     // a chaos run cannot demand stream == batch. What it CAN demand: every

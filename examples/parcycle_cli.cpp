@@ -6,7 +6,7 @@
 //     --window N                        (required for windowed/temporal)
 //     --algo serial-johnson|serial-rt|fine-johnson|fine-rt|coarse-johnson|
 //            coarse-rt|tiernan|2scent|brute   (default fine-johnson)
-//     --threads N                       (default 4)
+//     --threads N                       (1..1024, default 4)
 //     --max-length N                    (0 = unbounded)
 //     --hops K    hop-constrained mode: run the dedicated BC-DFS subsystem
 //                 (simple mode: serial BC-DFS; windowed mode: serial or
@@ -24,41 +24,29 @@
 //                 timestamp-ordered stream through the incremental engine
 //                 (src/stream/) instead of running a batch enumerator; the
 //                 cycle set is identical by construction
+//     service flags (obs/stream_service.hpp): --trace-out and --profile-*
+//                 on any run; --serve, --snapshot, --restore, --metrics-* and
+//                 the rest need --stream
 //
 // The edge-list format is SNAP-style: "src dst [timestamp]" per line, '#'
 // comments allowed, CRLF tolerated. A binary .pcg cache (written by
 // --save-cache or the benches) is detected by magic and streamed instead of
 // parsed.
 #include <algorithm>
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
-#include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
+#include "bench_support/cli.hpp"
 #include "bench_support/datasets.hpp"
-#include "core/coarse_grained.hpp"
-#include "core/fine_hc_dfs.hpp"
-#include "core/fine_johnson.hpp"
-#include "core/fine_read_tarjan.hpp"
-#include "core/hc_dfs.hpp"
-#include "core/johnson.hpp"
-#include "core/read_tarjan.hpp"
-#include "core/tiernan.hpp"
+#include "bench_support/runner.hpp"
 #include "io/edge_list.hpp"
 #include "io/graph_cache.hpp"
-#include "obs/perf_counters.hpp"
-#include "obs/profiler.hpp"
-#include "obs/server.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
-#include "obs/trace_export.hpp"
+#include "obs/stream_service.hpp"
 #include "stream/engine.hpp"
-#include "support/scheduler.hpp"
 #include "support/stats.hpp"
-#include "temporal/brute.hpp"
-#include "temporal/temporal_johnson.hpp"
-#include "temporal/temporal_read_tarjan.hpp"
-#include "temporal/two_scent.hpp"
 
 namespace {
 
@@ -95,13 +83,10 @@ int usage() {
                "[--no-cycle-union] [--no-bundling] [--print]\n"
                "  [--stream] [--stream-batch N] [--stream-windows W1,W2,...] "
                "[--stream-slack S]\n"
-               "  [--serve[=port]] [--slo <spec>]\n"
-               "  [--profile-out <file>] [--profile-hz N] "
-               "[--profile-clock cpu|wall]\n"
-               "  [--snapshot-path <path>] [--snapshot-every N] "
-               "[--restore <path>] [--trace-out <file>]\n"
                "  [--dataset-file <path>] [--dataset <NAME>] "
                "[--dataset-dir <dir>] [--save-cache <path>] [--serial-load]\n"
+               "  [service flags]\n"
+               "--threads takes 1..1024 workers (default 4).\n"
                "--hops K enumerates hop-constrained cycles (<= K edges) with "
                "the BC-DFS subsystem\n"
                "(simple/windowed modes; windowed picks serial or fine-grained "
@@ -118,28 +103,9 @@ int usage() {
                "stats.\n"
                "--stream-windows runs several concurrent window lanes off one "
                "ingest; --stream-slack tolerates\nout-of-order arrivals up to "
-               "S time units late. --snapshot-path/--snapshot-every persist "
-               "the engine\nstate every N edges (and at completion); "
-               "--restore resumes a snapshot mid-stream without replay.\n"
-               "--trace-out records per-worker spans (tasks, steals, "
-               "search roots, stream batches) and writes\na Chrome "
-               "trace_event JSON on exit — load it in Perfetto or "
-               "chrome://tracing.\n"
-               "--serve (with --stream) runs a live introspection HTTP server "
-               "on 127.0.0.1 for the duration of\nthe replay: /metrics "
-               "(Prometheus), /statusz, /healthz, /tracez. Port 0 (default) "
-               "picks an\nephemeral port, printed on startup. --slo adds "
-               "objectives evaluated each sampler tick, e.g.\n"
-               "--slo \"p99_search_ns<2000000;shed_fraction<0.05@0.1\".\n"
-               "--profile-out samples worker stacks for the whole run "
-               "(per-thread SIGPROF timers,\nCPU clock by default; "
-               "--profile-clock wall shows wait stacks too) and writes\n"
-               "flamegraph.pl collapsed-stack text on exit; --profile-hz "
-               "sets the per-thread rate\n(default 97). --profile-out or "
-               "--serve also opens per-worker hardware counter\ngroups "
-               "(parcycle_perf_* in /metrics) and, with --serve, arms GET "
-               "/profilez?seconds=N;\nserve-only runs default to the wall "
-               "clock so an idle replay still yields samples.\n";
+               "S time units late. The stream-engine service flags need "
+               "--stream.\n\n"
+            << parcycle::kServiceObsUsage << parcycle::kServiceEngineUsage;
   return 2;
 }
 
@@ -155,13 +121,13 @@ int main(int argc, char** argv) {
   }
   std::string path;
   std::string mode = "temporal";
-  std::string algo = "fine-johnson";
+  std::string algo_arg = "fine-johnson";
   std::string dataset;
   std::string dataset_dir;
   std::string save_cache;
   bool serial_load = false;
   Timestamp window = -1;
-  unsigned threads = 4;
+  std::vector<unsigned> threads = {4};
   int hops = 0;
   EnumOptions options;
   bool print = false;
@@ -169,18 +135,13 @@ int main(int argc, char** argv) {
   std::size_t stream_batch = StreamOptions{}.batch_size;
   std::vector<Timestamp> stream_windows;
   Timestamp stream_slack = 0;
-  std::string snapshot_path;
-  std::string restore_path;
-  std::string trace_path;
-  std::uint64_t snapshot_every = 0;
-  bool serve = false;
-  long serve_port = 0;
-  std::string slo_spec;
-  std::string profile_path;
-  long profile_hz = 0;        // 0 = library default
-  std::string profile_clock;  // "", "cpu", or "wall"
+  ServiceOptions service_options;
+  std::string flag_error;
 
   for (int i = 1; i < argc; ++i) {
+    if (parse_service_flag(argc, argv, i, service_options, &flag_error)) {
+      continue;
+    }
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
@@ -200,11 +161,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--mode") {
       mode = next() ? argv[i] : "";
     } else if (arg == "--algo") {
-      algo = next() ? argv[i] : "";
+      algo_arg = next() ? argv[i] : "";
     } else if (arg == "--window") {
       window = next() ? std::atoll(argv[i]) : -1;
     } else if (arg == "--threads") {
-      threads = next() ? static_cast<unsigned>(std::atoi(argv[i])) : 4;
+      std::string threads_error;
+      if (!parse_thread_counts(next() ? argv[i] : "", &threads,
+                               &threads_error) ||
+          threads.size() != 1) {
+        flag_error = threads_error.empty() ? "--threads takes one count"
+                                           : threads_error;
+      }
     } else if (arg == "--max-length") {
       options.max_cycle_length = next() ? std::atoi(argv[i]) : 0;
     } else if (arg == "--hops") {
@@ -237,98 +204,42 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--stream-slack") {
       stream_slack = next() ? std::atoll(argv[i]) : 0;
-    } else if (arg == "--snapshot-path") {
-      snapshot_path = next() ? argv[i] : "";
-    } else if (arg == "--snapshot-every") {
-      snapshot_every = next() ? static_cast<std::uint64_t>(std::atoll(argv[i]))
-                              : 0;
-    } else if (arg == "--restore") {
-      restore_path = next() ? argv[i] : "";
-    } else if (arg == "--trace-out") {
-      trace_path = next() ? argv[i] : "";
-    } else if (arg == "--serve") {
-      serve = true;
-    } else if (arg.rfind("--serve=", 0) == 0) {
-      serve = true;
-      serve_port = std::atol(arg.c_str() + 8);
-    } else if (arg == "--slo") {
-      slo_spec = next() ? argv[i] : "";
-    } else if (arg == "--profile-out") {
-      profile_path = next() ? argv[i] : "";
-    } else if (arg == "--profile-hz") {
-      profile_hz = next() ? std::atol(argv[i]) : 0;
-    } else if (arg == "--profile-clock") {
-      profile_clock = next() ? argv[i] : "";
     } else {
       std::cerr << "unknown option: " << arg << "\n";
       return usage();
     }
   }
 
-  if (path.empty() == dataset.empty()) {
-    std::cerr << "error: pass exactly one of <edge-list> or --dataset\n";
-    return usage();
+  Algo algo = Algo::kFineJohnson;
+  if (flag_error.empty() && !parse_algo(algo_arg, &algo)) {
+    flag_error = "unknown --algo " + algo_arg;
   }
-  if (!profile_clock.empty() && profile_clock != "cpu" &&
-      profile_clock != "wall") {
-    std::cerr << "error: invalid --profile-clock '" << profile_clock
-              << "' (use cpu or wall)\n";
-    return usage();
+  if (flag_error.empty() && path.empty() == dataset.empty()) {
+    flag_error = "pass exactly one of <edge-list> or --dataset";
   }
-  if (profile_hz < 0 || profile_hz > 10000) {
-    std::cerr << "error: invalid --profile-hz (use 1..10000, 0 = default)\n";
+  if (flag_error.empty() && mode != "simple" && mode != "windowed" &&
+      mode != "temporal") {
+    flag_error = "unknown mode: " + mode;
+  }
+  if (flag_error.empty() && service_options.uses_engine() && !stream) {
+    flag_error = "the stream engine service flags act on the live stream "
+                 "engine; pass --stream too";
+  }
+  if (!flag_error.empty()) {
+    std::cerr << "error: " << flag_error << "\n";
     return usage();
   }
 
+  // Declared before the service, which may still report to it while its
+  // engine is torn down.
+  PrintingSink printer;
   // The scheduler exists before the load so text parsing can run chunked
-  // across the same worker pool that will enumerate. When tracing, per-task
-  // timing buys per-task spans; untraced runs keep the zero-clock-read
-  // transition timing. Recorder and export guard precede the Scheduler so
-  // that destruction order joins the pool before the rings are read — the
-  // guard then writes the Chrome trace on every return path.
-  SchedulerOptions sched_options;
-  if (!trace_path.empty()) {
-    sched_options.timing = TimingMode::kPerTask;
+  // across the same worker pool that will enumerate.
+  StreamService service(service_options, threads[0], "parcycle_cli");
+  if (const int rc = service.start()) {
+    return rc;
   }
-  TraceRecorder recorder(std::max(1u, threads), TraceRecorder::kDefaultCapacity,
-                         /*enabled=*/!trace_path.empty() || serve,
-                         /*concurrent_reads=*/serve);
-  ScopedTraceExport trace_export(recorder, trace_path, "parcycle_cli");
-  // Profiling surface (see fraud_detection for the full story): whole-run
-  // stack capture with --profile-out, on-demand /profilez with --serve,
-  // hardware counter groups either way. Observers precede the Scheduler so
-  // they outlive the pool; serve-only runs sample in wall time so an idle
-  // replay still yields samples, and an explicit --profile-clock wins.
-  const bool profiling = !profile_path.empty() || serve;
-  ProfilerOptions prof_options;
-  if (profile_hz > 0) {
-    prof_options.sample_hz = static_cast<int>(profile_hz);
-  }
-  if (profile_clock == "wall" ||
-      (profile_clock.empty() && profile_path.empty())) {
-    prof_options.clock = ProfileClock::kWall;
-  }
-  StackProfiler profiler(std::max(1u, threads), prof_options,
-                         /*enabled=*/profiling);
-  PerfCounterGroups perf(std::max(1u, threads), /*enabled=*/profiling);
-  WorkerObserverChain observers;
-  observers.add(&profiler);
-  observers.add(&perf);
-  if (profiling) {
-    sched_options.thread_observer = &observers;
-  }
-  ScopedProfileExport profile_export(profiler, profile_path);
-  Scheduler sched(threads, sched_options);
-  if (recorder.enabled()) {
-    sched.set_tracer(&recorder);
-  }
-  if (!profile_path.empty()) {
-    std::string profile_error;
-    if (!profiler.start(&profile_error)) {
-      std::cerr << "error: profiler: " << profile_error << "\n";
-      return 1;
-    }
-  }
+  Scheduler& sched = service.scheduler();
   Scheduler* load_sched = serial_load ? nullptr : &sched;
 
   TemporalGraph graph;
@@ -377,7 +288,6 @@ int main(int argc, char** argv) {
     return usage();
   }
 
-  PrintingSink printer;
   CycleSink* sink = print ? &printer : nullptr;
   WallTimer timer;
   EnumResult result;
@@ -402,15 +312,6 @@ int main(int argc, char** argv) {
                  "retention horizon)\n";
     return usage();
   }
-  if (serve && !stream) {
-    std::cerr << "error: --serve introspects the live stream engine; pass "
-                 "--stream too\n";
-    return usage();
-  }
-  if (serve_port < 0 || serve_port > 65535) {
-    std::cerr << "error: invalid --serve port\n";
-    return usage();
-  }
 
   if (stream) {
     StreamOptions stream_options;
@@ -421,100 +322,25 @@ int main(int argc, char** argv) {
     stream_options.max_cycle_length = options.max_cycle_length;
     stream_options.use_reach_prune = options.use_cycle_union;
     stream_options.num_vertices_hint = graph.num_vertices();
-    StreamEngine engine(stream_options, sched, sink);
-    // Constructed before the first push (arms the engine's concurrent-stats
-    // path); the server is declared after the sampler so handlers never
-    // outlive what they render.
-    std::unique_ptr<TimeSeriesSampler> sampler;
-    std::unique_ptr<IntrospectionServer> server;
-    if (serve) {
-      TimeSeriesOptions ts_options;
-      ts_options.slo_spec = slo_spec;
-      ts_options.perf = &perf;
-      ts_options.profiler = &profiler;
-      try {
-        sampler =
-            std::make_unique<TimeSeriesSampler>(engine, sched, ts_options);
-      } catch (const std::invalid_argument& error) {
-        std::cerr << "invalid --slo spec: " << error.what() << "\n";
-        return usage();
-      }
-      sampler->start();
-      IntrospectionOptions http_options;
-      http_options.port = static_cast<std::uint16_t>(serve_port);
-      server = std::make_unique<IntrospectionServer>(http_options);
-      server->add_handler("/metrics", [&sampler] {
-        HttpResponse r;
-        r.body = sampler->render_prometheus();
-        return r;
-      });
-      server->add_handler("/statusz", [&sampler] {
-        HttpResponse r;
-        r.body = sampler->render_statusz();
-        return r;
-      });
-      server->add_handler("/healthz", [&sampler] {
-        const TimeSeriesSampler::Health health = sampler->health();
-        HttpResponse r;
-        r.status = health.ok ? 200 : 503;
-        r.body = health.text;
-        return r;
-      });
-      server->add_handler("/tracez", [&recorder] {
-        HttpResponse r;
-        r.body = render_tracez_text(recorder);
-        return r;
-      });
-      server->add_query_handler("/profilez", [&profiler](
-                                                 const std::string& query) {
-        HttpResponse r;
-        if (!profiler.enabled() || !StackProfiler::supported()) {
-          r.status = 503;
-          r.body = "profiler unavailable (disabled, non-Linux, or "
-                   "ThreadSanitizer build)\n";
-          return r;
-        }
-        double seconds = 1.0;
-        const std::string value = query_param(query, "seconds");
-        if (!value.empty()) {
-          seconds = std::atof(value.c_str());
-        }
-        r.body = profiler.timed_capture(seconds);
-        return r;
-      });
-      std::string serve_error;
-      if (!server->start(&serve_error)) {
-        std::cerr << "introspection server failed: " << serve_error << "\n";
-        return 1;
-      }
-      std::cerr << "serving introspection on http://127.0.0.1:"
-                << server->port() << "/" << std::endl;
+    if (const int rc = service.open(stream_options, sink)) {
+      return rc;
     }
+    StreamEngine& engine = service.engine();
     const auto edges = graph.edges_by_time();
-    std::uint64_t start = 0;
     try {
-      if (!restore_path.empty()) {
-        engine.restore_snapshot_file(restore_path);
-        start = engine.edges_pushed();
-        std::cerr << "restored snapshot " << restore_path << ": resuming at "
-                  << "edge " << start << " of " << edges.size() << "\n";
-      }
-      for (std::uint64_t i = start; i < edges.size(); ++i) {
+      for (std::uint64_t i = service.resume(); i < edges.size(); ++i) {
         const auto& e = edges[i];
         engine.push(e.src, e.dst, e.ts);
-        if (snapshot_every > 0 && !snapshot_path.empty() &&
-            engine.edges_pushed() % snapshot_every == 0) {
-          engine.save_snapshot_file(snapshot_path);
+        if (service.after_push()) {
+          return 3;
         }
       }
-      engine.flush();
-      if (!snapshot_path.empty()) {
-        engine.save_snapshot_file(snapshot_path);
-        std::cerr << "snapshot written to " << snapshot_path << "\n";
-      }
-    } catch (const std::exception& error) {
-      std::cerr << "error: " << error.what() << "\n";
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << "\n";
       return 1;
+    }
+    if (const int rc = service.finish()) {
+      return rc;
     }
     const StreamStats stats = engine.stats();
     result.num_cycles = stats.cycles_found;
@@ -541,81 +367,38 @@ int main(int argc, char** argv) {
                   << " edge visits, " << ws.escalated_edges << " escalated\n";
       }
     }
-  } else if (hops > 0 && mode == "simple") {
-    const Digraph digraph = graph.static_projection();
-    result = hc_simple_cycles(digraph, hops, options, sink);
-  } else if (hops > 0 && mode == "windowed") {
-    const bool fine = algo.rfind("fine", 0) == 0;
-    result = fine ? fine_hc_windowed_cycles(graph, window, hops, sched,
-                                            options, {}, sink)
-                  : hc_windowed_cycles(graph, window, hops, options, sink);
-  } else if (mode == "simple") {
-    const Digraph digraph = graph.static_projection();
-    if (algo == "serial-johnson" || algo == "fine-johnson") {
-      result = johnson_simple_cycles(digraph, options, sink);
-    } else if (algo == "serial-rt" || algo == "fine-rt") {
-      result = read_tarjan_simple_cycles(digraph, options, sink);
-    } else if (algo == "coarse-johnson") {
-      result = coarse_johnson_simple_cycles(digraph, sched, options, sink);
-    } else if (algo == "coarse-rt") {
-      result = coarse_read_tarjan_simple_cycles(digraph, sched, options, sink);
-    } else if (algo == "tiernan") {
-      result = tiernan_simple_cycles(digraph, options, sink);
-    } else {
-      std::cerr << "algo " << algo << " unavailable in simple mode\n";
-      return usage();
-    }
-  } else if (mode == "windowed") {
-    if (algo == "fine-johnson") {
-      result = fine_johnson_windowed_cycles(graph, window, sched, options, {},
-                                            sink);
-    } else if (algo == "fine-rt") {
-      result = fine_read_tarjan_windowed_cycles(graph, window, sched, options,
-                                                {}, sink);
-    } else if (algo == "coarse-johnson") {
-      result = coarse_johnson_windowed_cycles(graph, window, sched, options,
-                                              sink);
-    } else if (algo == "coarse-rt") {
-      result = coarse_read_tarjan_windowed_cycles(graph, window, sched,
-                                                  options, sink);
-    } else if (algo == "serial-johnson") {
-      result = johnson_windowed_cycles(graph, window, options, sink);
-    } else if (algo == "serial-rt") {
-      result = read_tarjan_windowed_cycles(graph, window, options, sink);
-    } else if (algo == "tiernan") {
-      result = tiernan_windowed_cycles(graph, window, options, sink);
-    } else {
-      std::cerr << "algo " << algo << " unavailable in windowed mode\n";
-      return usage();
-    }
-  } else if (mode == "temporal") {
-    if (algo == "fine-johnson") {
-      result = fine_temporal_johnson_cycles(graph, window, sched, options, {},
-                                            sink);
-    } else if (algo == "fine-rt") {
-      result = fine_temporal_read_tarjan_cycles(graph, window, sched, options,
-                                                {}, sink);
-    } else if (algo == "coarse-johnson") {
-      result = coarse_temporal_johnson_cycles(graph, window, sched, options,
-                                              sink);
-    } else if (algo == "coarse-rt") {
-      result = coarse_temporal_read_tarjan_cycles(graph, window, sched,
-                                                  options, sink);
-    } else if (algo == "serial-johnson") {
-      result = temporal_johnson_cycles(graph, window, options, sink);
-    } else if (algo == "serial-rt") {
-      result = temporal_read_tarjan_cycles(graph, window, options, sink);
-    } else if (algo == "2scent") {
-      result = two_scent_cycles(graph, window, options, sink);
-    } else if (algo == "brute") {
-      result = brute_temporal_cycles(graph, window, options, sink);
-    } else {
-      std::cerr << "algo " << algo << " unavailable in temporal mode\n";
-      return usage();
-    }
   } else {
-    std::cerr << "unknown mode: " << mode << "\n";
-    return usage();
+    try {
+      if (hops > 0) {
+        // --hops always runs BC-DFS; a fine --algo picks its parallel form.
+        const Algo bc_dfs = algo == Algo::kFineJohnson ||
+                                    algo == Algo::kFineReadTarjan ||
+                                    algo == Algo::kFineHcDfs
+                                ? Algo::kFineHcDfs
+                                : Algo::kSerialHcDfs;
+        result = mode == "simple"
+                     ? run_hop_constrained(bc_dfs, graph.static_projection(),
+                                           hops, options, sink)
+                           .result
+                     : run_hop_constrained(bc_dfs, graph, window, hops, sched,
+                                           options, {}, sink)
+                           .result;
+      } else if (mode == "simple") {
+        result =
+            run_simple(algo, graph.static_projection(), sched, options, sink)
+                .result;
+      } else if (mode == "windowed") {
+        result = run_windowed_simple(algo, graph, window, sched, options, {},
+                                     sink)
+                     .result;
+      } else {
+        result =
+            run_temporal(algo, graph, window, sched, options, {}, sink).result;
+      }
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return usage();
+    }
   }
 
   const double seconds = timer.elapsed_seconds();

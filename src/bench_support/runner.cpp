@@ -1,5 +1,6 @@
 #include "bench_support/runner.hpp"
 
+#include <cctype>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -12,7 +13,9 @@
 #include "core/johnson.hpp"
 #include "core/johnson_impl.hpp"
 #include "core/read_tarjan.hpp"
+#include "core/tiernan.hpp"
 #include "support/stats.hpp"
+#include "temporal/brute.hpp"
 #include "temporal/temporal_johnson.hpp"
 #include "temporal/temporal_johnson_impl.hpp"
 #include "temporal/temporal_read_tarjan.hpp"
@@ -40,41 +43,113 @@ std::string algo_name(Algo algo) {
       return "serial-BC-DFS";
     case Algo::kFineHcDfs:
       return "fine-BC-DFS";
+    case Algo::kTiernan:
+      return "Tiernan";
+    case Algo::kBrute:
+      return "brute";
   }
   return "?";
+}
+
+bool parse_algo(std::string_view name, Algo* algo) {
+  std::string wanted(name);
+  if (wanted.ends_with("-rt")) {
+    wanted.replace(wanted.size() - 2, 2, "Read-Tarjan");
+  }
+  const auto lower = [](std::string text) {
+    for (char& c : text) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    return text;
+  };
+  for (int i = 0; i <= static_cast<int>(Algo::kBrute); ++i) {
+    if (lower(algo_name(static_cast<Algo>(i))) == lower(wanted)) {
+      *algo = static_cast<Algo>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+namespace {
+
+[[noreturn]] void unavailable(Algo algo, const char* task) {
+  throw std::invalid_argument(algo_name(algo) + " is unavailable for " +
+                              task);
+}
+
+}  // namespace
+
+RunOutcome run_simple(Algo algo, const Digraph& graph, Scheduler& sched,
+                      const EnumOptions& options, CycleSink* sink) {
+  RunOutcome outcome;
+  WallTimer timer;
+  switch (algo) {
+    case Algo::kFineJohnson:
+    case Algo::kSerialJohnson:
+      outcome.result = johnson_simple_cycles(graph, options, sink);
+      break;
+    case Algo::kFineReadTarjan:
+    case Algo::kSerialReadTarjan:
+      outcome.result = read_tarjan_simple_cycles(graph, options, sink);
+      break;
+    case Algo::kCoarseJohnson:
+      outcome.result =
+          coarse_johnson_simple_cycles(graph, sched, options, sink);
+      break;
+    case Algo::kCoarseReadTarjan:
+      outcome.result =
+          coarse_read_tarjan_simple_cycles(graph, sched, options, sink);
+      break;
+    case Algo::kTiernan:
+      outcome.result = tiernan_simple_cycles(graph, options, sink);
+      break;
+    case Algo::kTwoScent:
+    case Algo::kBrute:
+    case Algo::kSerialHcDfs:
+    case Algo::kFineHcDfs:
+      unavailable(algo, "simple cycles");
+  }
+  outcome.seconds = timer.elapsed_seconds();
+  return outcome;
 }
 
 RunOutcome run_windowed_simple(Algo algo, const TemporalGraph& graph,
                                Timestamp window, Scheduler& sched,
                                const EnumOptions& options,
-                               const ParallelOptions& popts) {
+                               const ParallelOptions& popts, CycleSink* sink) {
   RunOutcome outcome;
   WallTimer timer;
   switch (algo) {
     case Algo::kFineJohnson:
-      outcome.result =
-          fine_johnson_windowed_cycles(graph, window, sched, options, popts);
+      outcome.result = fine_johnson_windowed_cycles(graph, window, sched,
+                                                    options, popts, sink);
       break;
     case Algo::kFineReadTarjan:
       outcome.result = fine_read_tarjan_windowed_cycles(graph, window, sched,
-                                                        options, popts);
+                                                        options, popts, sink);
       break;
     case Algo::kCoarseJohnson:
       outcome.result =
-          coarse_johnson_windowed_cycles(graph, window, sched, options);
+          coarse_johnson_windowed_cycles(graph, window, sched, options, sink);
       break;
     case Algo::kCoarseReadTarjan:
-      outcome.result =
-          coarse_read_tarjan_windowed_cycles(graph, window, sched, options);
+      outcome.result = coarse_read_tarjan_windowed_cycles(graph, window, sched,
+                                                          options, sink);
       break;
     case Algo::kSerialJohnson:
-      outcome.result = johnson_windowed_cycles(graph, window, options);
+      outcome.result = johnson_windowed_cycles(graph, window, options, sink);
       break;
     case Algo::kSerialReadTarjan:
-      outcome.result = read_tarjan_windowed_cycles(graph, window, options);
+      outcome.result =
+          read_tarjan_windowed_cycles(graph, window, options, sink);
+      break;
+    case Algo::kTiernan:
+      outcome.result = tiernan_windowed_cycles(graph, window, options, sink);
       break;
     case Algo::kTwoScent:
-      throw std::invalid_argument("2SCENT enumerates temporal cycles only");
+    case Algo::kBrute:
+      unavailable(algo, "windowed simple cycles");
     case Algo::kSerialHcDfs:
     case Algo::kFineHcDfs:
       throw std::invalid_argument(
@@ -87,35 +162,41 @@ RunOutcome run_windowed_simple(Algo algo, const TemporalGraph& graph,
 RunOutcome run_temporal(Algo algo, const TemporalGraph& graph,
                         Timestamp window, Scheduler& sched,
                         const EnumOptions& options,
-                        const ParallelOptions& popts) {
+                        const ParallelOptions& popts, CycleSink* sink) {
   RunOutcome outcome;
   WallTimer timer;
   switch (algo) {
     case Algo::kFineJohnson:
-      outcome.result =
-          fine_temporal_johnson_cycles(graph, window, sched, options, popts);
+      outcome.result = fine_temporal_johnson_cycles(graph, window, sched,
+                                                    options, popts, sink);
       break;
     case Algo::kFineReadTarjan:
       outcome.result = fine_temporal_read_tarjan_cycles(graph, window, sched,
-                                                        options, popts);
+                                                        options, popts, sink);
       break;
     case Algo::kCoarseJohnson:
       outcome.result =
-          coarse_temporal_johnson_cycles(graph, window, sched, options);
+          coarse_temporal_johnson_cycles(graph, window, sched, options, sink);
       break;
     case Algo::kCoarseReadTarjan:
-      outcome.result =
-          coarse_temporal_read_tarjan_cycles(graph, window, sched, options);
+      outcome.result = coarse_temporal_read_tarjan_cycles(graph, window, sched,
+                                                          options, sink);
       break;
     case Algo::kSerialJohnson:
-      outcome.result = temporal_johnson_cycles(graph, window, options);
+      outcome.result = temporal_johnson_cycles(graph, window, options, sink);
       break;
     case Algo::kSerialReadTarjan:
-      outcome.result = temporal_read_tarjan_cycles(graph, window, options);
+      outcome.result =
+          temporal_read_tarjan_cycles(graph, window, options, sink);
       break;
     case Algo::kTwoScent:
-      outcome.result = two_scent_cycles(graph, window, options);
+      outcome.result = two_scent_cycles(graph, window, options, sink);
       break;
+    case Algo::kBrute:
+      outcome.result = brute_temporal_cycles(graph, window, options, sink);
+      break;
+    case Algo::kTiernan:
+      unavailable(algo, "temporal cycles");
     case Algo::kSerialHcDfs:
     case Algo::kFineHcDfs:
       throw std::invalid_argument(
@@ -128,7 +209,7 @@ RunOutcome run_temporal(Algo algo, const TemporalGraph& graph,
 RunOutcome run_hop_constrained(Algo algo, const TemporalGraph& graph,
                                Timestamp window, int max_hops,
                                Scheduler& sched, const EnumOptions& options,
-                               const ParallelOptions& popts) {
+                               const ParallelOptions& popts, CycleSink* sink) {
   if (max_hops < 1) {
     // 0 is BC-DFS's empty result but Johnson's "unbounded" sentinel
     // (max_cycle_length == 0), so a uniform rejection is the only
@@ -139,29 +220,46 @@ RunOutcome run_hop_constrained(Algo algo, const TemporalGraph& graph,
   WallTimer timer;
   switch (algo) {
     case Algo::kSerialHcDfs:
-      outcome.result = hc_windowed_cycles(graph, window, max_hops, options);
+      outcome.result =
+          hc_windowed_cycles(graph, window, max_hops, options, sink);
       break;
     case Algo::kFineHcDfs:
-      outcome.result =
-          fine_hc_windowed_cycles(graph, window, max_hops, sched, options,
-                                  popts);
+      outcome.result = fine_hc_windowed_cycles(graph, window, max_hops, sched,
+                                               options, popts, sink);
       break;
     case Algo::kFineJohnson:
     case Algo::kFineReadTarjan:
     case Algo::kCoarseJohnson:
     case Algo::kCoarseReadTarjan:
     case Algo::kSerialJohnson:
-    case Algo::kSerialReadTarjan: {
+    case Algo::kSerialReadTarjan:
+    case Algo::kTiernan: {
       // The pre-existing approximation of this workload: budget-aware
       // blocking inside the simple-cycle searches.
       EnumOptions budget = options;
       budget.max_cycle_length = max_hops;
-      return run_windowed_simple(algo, graph, window, sched, budget, popts);
+      return run_windowed_simple(algo, graph, window, sched, budget, popts,
+                                 sink);
     }
     case Algo::kTwoScent:
-      throw std::invalid_argument(
-          "2SCENT enumerates temporal cycles only");
+    case Algo::kBrute:
+      unavailable(algo, "hop-constrained cycles");
   }
+  outcome.seconds = timer.elapsed_seconds();
+  return outcome;
+}
+
+RunOutcome run_hop_constrained(Algo algo, const Digraph& graph, int max_hops,
+                               const EnumOptions& options, CycleSink* sink) {
+  if (max_hops < 1) {
+    throw std::invalid_argument("run_hop_constrained: max_hops must be >= 1");
+  }
+  if (algo != Algo::kSerialHcDfs && algo != Algo::kFineHcDfs) {
+    unavailable(algo, "static hop-constrained cycles");
+  }
+  RunOutcome outcome;
+  WallTimer timer;
+  outcome.result = hc_simple_cycles(graph, max_hops, options, sink);
   outcome.seconds = timer.elapsed_seconds();
   return outcome;
 }

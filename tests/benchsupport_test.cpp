@@ -6,11 +6,13 @@
 #include <fstream>
 #include <sstream>
 
+#include "bench_support/cli.hpp"
 #include "bench_support/datasets.hpp"
 #include "bench_support/json.hpp"
 #include "bench_support/partition.hpp"
 #include "bench_support/runner.hpp"
 #include "bench_support/table.hpp"
+#include "graph/generators.hpp"
 
 namespace parcycle {
 namespace {
@@ -213,6 +215,117 @@ TEST(Runner, AlgorithmsAgreeViaDispatch) {
   EXPECT_EQ(fine.result.num_cycles, serial.result.num_cycles);
   EXPECT_EQ(rt.result.num_cycles, serial.result.num_cycles);
   EXPECT_GT(serial.seconds, 0.0);
+}
+
+TEST(Runner, AlgoNamesRoundTrip) {
+  for (int i = 0; i <= static_cast<int>(Algo::kBrute); ++i) {
+    const Algo algo = static_cast<Algo>(i);
+    Algo parsed = Algo::kBrute;
+    ASSERT_TRUE(parse_algo(algo_name(algo), &parsed)) << algo_name(algo);
+    EXPECT_EQ(parsed, algo) << algo_name(algo);
+  }
+  // The command-line spellings.
+  const std::pair<const char*, Algo> spellings[] = {
+      {"fine-johnson", Algo::kFineJohnson},
+      {"fine-rt", Algo::kFineReadTarjan},
+      {"coarse-johnson", Algo::kCoarseJohnson},
+      {"coarse-rt", Algo::kCoarseReadTarjan},
+      {"serial-johnson", Algo::kSerialJohnson},
+      {"serial-rt", Algo::kSerialReadTarjan},
+      {"tiernan", Algo::kTiernan},
+      {"2scent", Algo::kTwoScent},
+      {"brute", Algo::kBrute}};
+  for (const auto& [name, algo] : spellings) {
+    Algo parsed = Algo::kBrute;
+    ASSERT_TRUE(parse_algo(name, &parsed)) << name;
+    EXPECT_EQ(parsed, algo) << name;
+  }
+  Algo parsed = Algo::kBrute;
+  EXPECT_FALSE(parse_algo("johnson", &parsed));
+  EXPECT_FALSE(parse_algo("", &parsed));
+}
+
+// Every (task, algorithm) pair the runner offers reports each cycle it
+// counts to the sink, and every pair it lacks throws.
+TEST(Runner, EveryDispatchFeedsTheSink) {
+  ScaleFreeTemporalParams params;
+  params.num_vertices = 40;
+  params.num_edges = 300;
+  params.time_span = 3000;
+  params.seed = 11;
+  const TemporalGraph graph = scale_free_temporal(params);
+  const Digraph digraph = graph.static_projection();
+  const Timestamp window = 300;
+  EnumOptions options;
+  options.max_cycle_length = 5;  // keeps Tiernan and brute force small
+  const auto check = [](const char* task, Algo algo, const auto& run) {
+    CountingSink sink;
+    const RunOutcome outcome = run(&sink);
+    EXPECT_EQ(outcome.result.num_cycles, sink.count())
+        << task << " " << algo_name(algo);
+    EXPECT_GT(sink.count(), 0u) << task << " " << algo_name(algo);
+  };
+  Scheduler::with_pool(2, [&](Scheduler& sched) {
+    for (int i = 0; i <= static_cast<int>(Algo::kBrute); ++i) {
+      const Algo algo = static_cast<Algo>(i);
+      const bool hc = algo == Algo::kSerialHcDfs || algo == Algo::kFineHcDfs;
+      const auto simple = [&](CycleSink* sink) {
+        return run_simple(algo, digraph, sched, options, sink);
+      };
+      const auto windowed = [&](CycleSink* sink) {
+        return run_windowed_simple(algo, graph, window, sched, options, {},
+                                   sink);
+      };
+      const auto temporal = [&](CycleSink* sink) {
+        return run_temporal(algo, graph, window, sched, options, {}, sink);
+      };
+      if (hc || algo == Algo::kTwoScent || algo == Algo::kBrute) {
+        EXPECT_THROW(simple(nullptr), std::invalid_argument) << algo_name(algo);
+      } else {
+        check("simple", algo, simple);
+      }
+      if (hc || algo == Algo::kTwoScent || algo == Algo::kBrute) {
+        EXPECT_THROW(windowed(nullptr), std::invalid_argument)
+            << algo_name(algo);
+      } else {
+        check("windowed", algo, windowed);
+      }
+      if (hc || algo == Algo::kTiernan) {
+        EXPECT_THROW(temporal(nullptr), std::invalid_argument)
+            << algo_name(algo);
+      } else {
+        check("temporal", algo, temporal);
+      }
+      if (hc) {
+        check("hop-constrained", algo, [&](CycleSink* sink) {
+          return run_hop_constrained(algo, graph, window, 4, sched, {}, {},
+                                     sink);
+        });
+        check("static hop-constrained", algo, [&](CycleSink* sink) {
+          return run_hop_constrained(algo, digraph, 4, {}, sink);
+        });
+      } else {
+        EXPECT_THROW(run_hop_constrained(algo, digraph, 4),
+                     std::invalid_argument)
+            << algo_name(algo);
+      }
+    }
+  });
+}
+
+TEST(Cli, ThreadCountsParseAndReject) {
+  std::vector<unsigned> counts;
+  std::string error;
+  ASSERT_TRUE(parse_thread_counts("1,2,4", &counts, &error)) << error;
+  EXPECT_EQ(counts, (std::vector<unsigned>{1, 2, 4}));
+  ASSERT_TRUE(parse_thread_counts("1024", &counts, &error)) << error;
+  EXPECT_EQ(counts, std::vector<unsigned>{1024});
+  for (const char* bad :
+       {"-1", "0", "1025", "abc", "1,,2", "4294967297", "", "2,", "3x"}) {
+    error.clear();
+    EXPECT_FALSE(parse_thread_counts(bad, &counts, &error)) << bad;
+    EXPECT_NE(error, "") << bad;
+  }
 }
 
 TEST(Runner, StartCostsCoverEveryEdge) {

@@ -8,11 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -23,61 +18,12 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
+#include "obs_test_support.hpp"
 #include "stream/engine.hpp"
 #include "support/scheduler.hpp"
 
 namespace parcycle {
 namespace {
-
-// Minimal blocking HTTP client: one request, read to EOF (the server always
-// answers Connection: close). Returns the full response text, "" on socket
-// failure.
-std::string raw_round_trip(std::uint16_t port, const std::string& request) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return "";
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return "";
-  }
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(fd, request.data() + sent, request.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      break;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buf[4096];
-  ssize_t n = 0;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-std::string http_get(std::uint16_t port, const std::string& path,
-                     int* status = nullptr) {
-  const std::string response = raw_round_trip(
-      port, "GET " + path + " HTTP/1.1\r\nHost: test\r\n\r\n");
-  if (status != nullptr) {
-    *status = 0;
-    if (response.rfind("HTTP/1.1 ", 0) == 0 && response.size() >= 12) {
-      *status = std::atoi(response.c_str() + 9);
-    }
-  }
-  const std::size_t body = response.find("\r\n\r\n");
-  return body == std::string::npos ? "" : response.substr(body + 4);
-}
 
 TEST(ParseHttpRequest, AcceptsWellFormedGetAndStripsQuery) {
   std::string method;

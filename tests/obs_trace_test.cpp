@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "obs/trace_export.hpp"
+#include "obs_test_support.hpp"
 #include "support/scheduler.hpp"
 
 // Global allocation counter: proves the disabled-recorder hot path touches
@@ -196,39 +197,6 @@ TEST(TraceRecorder, ClearResetsAllRings) {
   EXPECT_EQ(rec.recorded(1), 0u);
   EXPECT_EQ(rec.dropped(1), 0u);
   EXPECT_TRUE(rec.events(0).empty());
-}
-
-// Minimal structural JSON check (no parser dependency): balanced braces and
-// brackets outside strings, and the expected top-level key.
-void expect_balanced_json(const std::string& json) {
-  ASSERT_NE(json.find("\"traceEvents\""), std::string::npos);
-  long braces = 0;
-  long brackets = 0;
-  bool in_string = false;
-  for (std::size_t i = 0; i < json.size(); ++i) {
-    const char c = json[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
-      case '{': ++braces; break;
-      case '}': --braces; break;
-      case '[': ++brackets; break;
-      case ']': --brackets; break;
-      default: break;
-    }
-    ASSERT_GE(braces, 0);
-    ASSERT_GE(brackets, 0);
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
-  EXPECT_FALSE(in_string);
 }
 
 // End-to-end: a real scheduler run under per-task timing fills the rings

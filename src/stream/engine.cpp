@@ -13,21 +13,6 @@ namespace parcycle {
 
 namespace {
 
-// Canonical stream order — the order a batch TemporalGraph sorts its edges
-// into — so the reorder stage's releases keep streamed edge ids identical to
-// batch ids even when arrivals were shuffled within the slack.
-bool edge_rank_less(const TemporalEdge& a, const TemporalEdge& b) {
-  if (a.ts != b.ts) return a.ts < b.ts;
-  if (a.src != b.src) return a.src < b.src;
-  return a.dst < b.dst;
-}
-
-// std::push_heap/pop_heap build a max-heap; invert to pop the canonical
-// minimum first.
-bool heap_order(const TemporalEdge& a, const TemporalEdge& b) {
-  return edge_rank_less(b, a);
-}
-
 // max_seen - slack without signed underflow near the Timestamp minimum.
 Timestamp saturating_floor(Timestamp max_seen, Timestamp slack) {
   const Timestamp lowest = std::numeric_limits<Timestamp>::min();
@@ -105,6 +90,8 @@ StreamEngine::StreamEngine(const StreamOptions& options, Scheduler& sched,
     sinks_.back()->lanes.resize(deltas_.size());
   }
   pending_.reserve(options_.batch_size);
+  reorder_.reset(static_cast<std::uint64_t>(options_.reorder_slack),
+                 reorder_floor_);
 }
 
 std::unique_lock<std::mutex> StreamEngine::observer_lock() const {
@@ -135,7 +122,7 @@ void StreamEngine::set_overload_level(OverloadLevel level) {
 // given push sequence.
 void StreamEngine::overload_step_up() {
   const std::size_t high = options_.overload_high_watermark;
-  const std::size_t occupancy = pending_.size() + reorder_heap_.size();
+  const std::size_t occupancy = pending_.size() + reorder_buffered();
   if (high == SIZE_MAX || high == 0 || occupancy < high) {
     return;
   }
@@ -156,7 +143,7 @@ void StreamEngine::overload_step_down() {
   if (level == OverloadLevel::kNormal) {
     return;
   }
-  const std::size_t occupancy = pending_.size() + reorder_heap_.size();
+  const std::size_t occupancy = pending_.size() + reorder_buffered();
   if (occupancy > options_.overload_low_watermark) {
     calm_batches_ = 0;
     return;
@@ -174,18 +161,6 @@ void StreamEngine::enqueue(const TemporalEdge& edge) {
   pending_.push_back(edge);
   if (pending_.size() >= options_.batch_size) {
     process_batch();  // structural backpressure: drain before accepting more
-  }
-}
-
-void StreamEngine::release_ready() {
-  // Everything below the floor is releasable: no future accepted arrival can
-  // precede it (accepted arrivals have ts >= floor, and the floor never
-  // moves backwards), so popping the heap yields the canonical order.
-  while (!reorder_heap_.empty() && reorder_heap_.front().ts < reorder_floor_) {
-    std::pop_heap(reorder_heap_.begin(), reorder_heap_.end(), heap_order);
-    const TemporalEdge edge = reorder_heap_.back();
-    reorder_heap_.pop_back();
-    enqueue(edge);
   }
 }
 
@@ -216,30 +191,37 @@ void StreamEngine::push(VertexId src, VertexId dst, Timestamp ts) {
     late_rejected_ += 1;
     return;
   }
-  reorder_heap_.push_back(TemporalEdge{src, dst, ts, kInvalidEdge});
-  std::push_heap(reorder_heap_.begin(), reorder_heap_.end(), heap_order);
   reorder_peak_buffered_ =
-      std::max<std::uint64_t>(reorder_peak_buffered_, reorder_heap_.size());
+      std::max<std::uint64_t>(reorder_peak_buffered_, reorder_.size() + 1);
   if (ts > reorder_max_seen_) {
     reorder_max_seen_ = ts;
-    reorder_floor_ = std::max(
+    const Timestamp floor = std::max(
         reorder_floor_, saturating_floor(ts, options_.reorder_slack));
+    if (floor != reorder_floor_) {
+      // Everything below the new floor is releasable: no future accepted
+      // arrival can precede it (accepted arrivals have ts >= floor, and the
+      // floor never moves backwards). The arrival itself is at or above the
+      // floor and goes in after, which keeps the ring's span within the slack.
+      reorder_floor_ = floor;
+      reorder_arrival_ = 1;
+      reorder_.release_below(floor,
+                             [this](const TemporalEdge& edge) { enqueue(edge); });
+      reorder_arrival_ = 0;
+    }
   }
-  release_ready();
+  reorder_.insert(src, dst, ts);
 }
 
 void StreamEngine::flush() {
   const std::unique_lock<std::mutex> lock = observer_lock();
-  if (!reorder_heap_.empty()) {
-    std::sort(reorder_heap_.begin(), reorder_heap_.end(), edge_rank_less);
-    for (const TemporalEdge& edge : reorder_heap_) {
-      enqueue(edge);
-    }
-    reorder_heap_.clear();
+  if (!reorder_.empty()) {
     // Harden the watermark: everything up to max_seen is now ingested, so an
     // in-slack straggler older than this flush point would reach the graph
-    // out of order — count it as late instead.
+    // out of order — count it as late instead. The ring drains as it goes,
+    // so a batch this triggers counts only the edges still buffered.
     reorder_floor_ = std::max(reorder_floor_, reorder_max_seen_);
+    reorder_.drain(reorder_floor_,
+                   [this](const TemporalEdge& edge) { enqueue(edge); });
   }
   process_batch();
 }
@@ -355,7 +337,7 @@ void StreamEngine::process_batch() {
                     batch_edges);
     tr->record_span(worker, TraceName::kBatch, t_start, t_end, batch_edges);
     tr->record_counter(worker, TraceName::kReorderBuffered, t_end,
-                       reorder_heap_.size());
+                       reorder_buffered());
     tr->record_counter(worker, TraceName::kLiveEdges, t_end,
                        graph_.live_edges());
   }
@@ -410,13 +392,14 @@ void StreamEngine::search_edges(std::size_t begin, std::size_t end) {
       for (std::size_t lane = 0; lane < deltas_.size(); ++lane) {
         const Timestamp delta = deltas_[lane];
         LaneCounters& counters = sink.lanes[lane];
-        const std::size_t frontier =
+        // The head's in-window out-edges: the frontier here, and the root
+        // step of the search below, which reads them instead of a lookup.
+        const StreamOutEdges head_out =
             edge.src == edge.dst
-                ? 0
-                : graph_
-                      .out_edges_in_window(edge.dst, edge.ts - delta,
-                                           edge.ts - 1)
-                      .size();
+                ? StreamOutEdges{}
+                : graph_.out_edges_in_window(edge.dst, edge.ts - delta,
+                                             edge.ts - 1);
+        const std::size_t frontier = head_out.size();
         const bool hot = !force_serial && edge.src != edge.dst &&
                          frontier >= options_.hot_frontier_threshold;
 
@@ -461,11 +444,11 @@ void StreamEngine::search_edges(std::size_t begin, std::size_t end) {
         // search would settle at 0 without touching a counter or the budget.
         if (frontier > 0 || edge.src == edge.dst) {
           found = hot ? fine_cycles_closed_by_edge(
-                            graph_, edge, delta, sched_, eopts, popts,
-                            *scratch, counters.work, effective_sinks_[lane],
-                            budget)
-                      : cycles_closed_by_edge(graph_, edge, delta, eopts,
-                                              *scratch, counters.work,
+                            graph_, edge, delta, head_out, sched_, eopts,
+                            popts, *scratch, counters.work,
+                            effective_sinks_[lane], budget)
+                      : cycles_closed_by_edge(graph_, edge, delta, head_out,
+                                              eopts, *scratch, counters.work,
                                               effective_sinks_[lane], budget);
         }
         counters.cycles += found;
@@ -508,7 +491,7 @@ StreamStats StreamEngine::stats() const {
   stats.edges_ingested = graph_.total_ingested();
   stats.edges_pushed = edges_pushed_;
   stats.late_edges_rejected = late_rejected_;
-  stats.reorder_buffered = reorder_heap_.size();
+  stats.reorder_buffered = reorder_.size();
   stats.reorder_peak_buffered = reorder_peak_buffered_;
   stats.reorder_max_seen = reorder_max_seen_;
   stats.reorder_floor = reorder_floor_;

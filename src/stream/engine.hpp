@@ -6,10 +6,11 @@
 // Real event streams are not perfectly timestamp-sorted, so an optional
 // bounded reorder stage sits in front of the batch buffer: with
 // StreamOptions::reorder_slack > 0, arrivals may lag the maximum timestamp
-// seen by up to `slack` time units. Buffered arrivals are released in the
-// canonical (ts, src, dst) order — the order a batch TemporalGraph sorts
-// into — once the slack watermark passes them, so an in-slack shuffle of a
-// sorted stream reproduces the sorted replay byte-for-byte (edge ids
+// seen by up to `slack` time units. Buffered arrivals wait in a bucket ring
+// over the slack (stream/reorder_buffer.hpp; O(1) per edge) and are released
+// in the canonical (ts, src, dst) order — the order a batch TemporalGraph
+// sorts into — once the slack watermark passes them, so an in-slack shuffle
+// of a sorted stream reproduces the sorted replay byte-for-byte (edge ids
 // included). Arrivals older than the watermark are counted
 // (WorkCounters::late_edges_rejected) and dropped, never silently ingested
 // out of order. With slack == 0 the engine keeps its strict legacy contract:
@@ -82,6 +83,7 @@
 #include "robust/budget.hpp"
 #include "robust/sink_guard.hpp"
 #include "stream/incremental.hpp"
+#include "stream/reorder_buffer.hpp"
 #include "stream/sliding_window_graph.hpp"
 #include "support/scheduler.hpp"
 #include "support/stats.hpp"
@@ -157,13 +159,13 @@ struct StreamOptions {
   SearchBudget degraded_budget{/*wall_ns=*/2'000'000,
                                /*edge_visits=*/100'000};
   // Overload ladder watermarks, measured in buffered arrivals (pending batch
-  // + reorder heap) at batch boundaries. When occupancy reaches the high
-  // watermark at the start of a batch the ladder climbs one level per
-  // multiple of the watermark; after overload_recover_batches consecutive
-  // batches ending at or below the low watermark it steps back down one
-  // level (hysteresis). SIZE_MAX never triggers — the decision points stay
-  // compiled in and exercised, so enabling protection cannot change the
-  // idle-path behaviour.
+  // + reorder buffer, counting an arrival whose push released the batch) at
+  // batch boundaries. When occupancy reaches the high watermark at the start
+  // of a batch the ladder climbs one level per multiple of the watermark;
+  // after overload_recover_batches consecutive batches ending at or below
+  // the low watermark it steps back down one level (hysteresis). SIZE_MAX
+  // never triggers — the decision points stay compiled in and exercised, so
+  // enabling protection cannot change the idle-path behaviour.
   std::size_t overload_high_watermark = SIZE_MAX;
   // 0 = derive as overload_high_watermark / 2 when the ladder is armed.
   std::size_t overload_low_watermark = 0;
@@ -341,8 +343,10 @@ class StreamEngine {
   // save_snapshot persists the complete mutable state (graph, reorder
   // buffer, pending batch, counters) without flushing; restore_snapshot
   // loads it into a FRESHLY CONSTRUCTED engine whose StreamOptions carry the
-  // same window lanes (validated; other tuning knobs are free to differ).
-  // Corrupt, truncated or mismatching snapshots throw std::runtime_error and
+  // same window lanes (validated; other tuning knobs are free to differ,
+  // except that buffered reorder edges need reorder_slack > 0). Corrupt,
+  // truncated or mismatching snapshots, and ones whose buffered edges could
+  // not be ingested in timestamp order, throw std::runtime_error and
   // leave the engine UNTOUCHED (still fresh): the whole payload is parsed
   // and validated before any member is committed, so a failed restore can be
   // retried against another snapshot — the contract generation rotation
@@ -377,8 +381,12 @@ class StreamEngine {
   std::unique_lock<std::mutex> observer_lock() const;
 
   void enqueue(const TemporalEdge& edge);
-  void release_ready();
   void process_batch();
+  // Arrivals buffered in the reorder stage, including one whose push is
+  // releasing edges into the batch right now (it is inserted after).
+  std::size_t reorder_buffered() const noexcept {
+    return reorder_.size() + reorder_arrival_;
+  }
   // Searches pending_[begin, end) on the calling worker.
   void search_edges(std::size_t begin, std::size_t end);
   // Ladder decision points: both run on worker 0 at batch boundaries, so
@@ -400,8 +408,10 @@ class StreamEngine {
   ScratchPool<StreamSearchScratch> scratch_pool_;
   std::vector<std::unique_ptr<WorkerSink>> sinks_;
   std::vector<TemporalEdge> pending_;
-  // Reorder stage (reorder_slack > 0): min-heap on (ts, src, dst).
-  std::vector<TemporalEdge> reorder_heap_;
+  // Reorder stage (reorder_slack > 0): buffered arrivals in [floor,
+  // max_seen], released in (ts, src, dst) order once below the floor.
+  ReorderBuffer reorder_;
+  std::size_t reorder_arrival_ = 0;  // 1 while push() releases (see above)
   Timestamp reorder_max_seen_;  // max ts ever accepted
   Timestamp reorder_floor_;     // arrivals with ts < floor are late
   std::uint64_t reorder_peak_buffered_ = 0;

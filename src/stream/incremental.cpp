@@ -118,12 +118,11 @@ struct SerialStreamSearch {
   std::uint64_t found = 0;
   bool truncated = false;
 
-  // Path frontier is scratch.path_vertices.back(), reached at `arrival`.
-  void extend(Timestamp arrival, std::int32_t rem) {
-    const VertexId v = scratch.path_vertices.back();
+  // Path frontier is scratch.path_vertices.back(); `out` holds its
+  // out-edges that leave after its arrival and inside the window.
+  void extend(StreamOutEdges out, std::int32_t rem) {
     work.vertices_visited += 1;
-    for (const auto& e :
-         params.graph.out_edges_in_window(v, arrival + 1, params.hi)) {
+    for (const auto& e : out) {
       work.edges_visited += 1;
       if (budget != nullptr && !budget->charge()) {
         truncated = true;
@@ -151,7 +150,8 @@ struct SerialStreamSearch {
       scratch.path_vertices.push_back(e.dst);
       scratch.path_edges.push_back(e.id);
       scratch.on_path.set(e.dst);
-      extend(e.ts, next);
+      extend(params.graph.out_edges_in_window(e.dst, e.ts + 1, params.hi),
+             next);
       scratch.on_path.reset(e.dst);
       scratch.path_vertices.pop_back();
       scratch.path_edges.pop_back();
@@ -197,8 +197,10 @@ struct FineStreamRun {
   }
 };
 
+// Explores from vertices.back(); `out` holds its out-edges that leave after
+// its arrival and inside the window.
 void fine_explore(FineStreamRun& run, std::vector<VertexId>& vertices,
-                  std::vector<EdgeId>& edges, Timestamp arrival,
+                  std::vector<EdgeId>& edges, StreamOutEdges out,
                   std::int32_t rem, WorkCounters& local);
 
 // One spawned branch: enter `v` via edge (`via`, `arrival`) on top of the
@@ -216,7 +218,10 @@ struct StreamBranchTask {
     prefix_vertices.push_back(v);
     prefix_edges.push_back(via);
     WorkCounters local;
-    fine_explore(*run, prefix_vertices, prefix_edges, arrival, rem, local);
+    fine_explore(*run, prefix_vertices, prefix_edges,
+                 run->params.graph.out_edges_in_window(v, arrival + 1,
+                                                       run->params.hi),
+                 rem, local);
     run->merge(local);
   }
 };
@@ -226,15 +231,13 @@ static_assert(spawn_uses_slab_v<StreamBranchTask>,
               "StreamBranchTask outgrew the scheduler's task-slab block");
 
 void fine_explore(FineStreamRun& run, std::vector<VertexId>& vertices,
-                  std::vector<EdgeId>& edges, Timestamp arrival,
+                  std::vector<EdgeId>& edges, StreamOutEdges out,
                   std::int32_t rem, WorkCounters& local) {
   const StreamSearchParams& params = run.params;
-  const VertexId v = vertices.back();
   local.vertices_visited += 1;
   TaskGroup group(run.sched);
   bool spawned = false;
-  for (const auto& e :
-       params.graph.out_edges_in_window(v, arrival + 1, params.hi)) {
+  for (const auto& e : out) {
     local.edges_visited += 1;
     if (run.budget != nullptr && !run.budget->charge()) {
       run.truncated.store(true, std::memory_order_relaxed);
@@ -269,7 +272,9 @@ void fine_explore(FineStreamRun& run, std::vector<VertexId>& vertices,
     }
     vertices.push_back(e.dst);
     edges.push_back(e.id);
-    fine_explore(run, vertices, edges, e.ts, next, local);
+    fine_explore(run, vertices, edges,
+                 params.graph.out_edges_in_window(e.dst, e.ts + 1, params.hi),
+                 next, local);
     vertices.pop_back();
     edges.pop_back();
   }
@@ -286,8 +291,8 @@ void fine_explore(FineStreamRun& run, std::vector<VertexId>& vertices,
 // search can be skipped, with *result already settled.
 bool settle_trivial(const SlidingWindowGraph& graph,
                     const TemporalEdge& closing, Timestamp window,
-                    WorkCounters& work, CycleSink* sink,
-                    std::uint64_t* result) {
+                    StreamOutEdges head_out, WorkCounters& work,
+                    CycleSink* sink, std::uint64_t* result) {
   *result = 0;
   if (closing.src == closing.dst) {
     work.cycles_found += 1;
@@ -302,7 +307,7 @@ bool settle_trivial(const SlidingWindowGraph& graph,
   }
   const Timestamp lo = closing.ts - window;
   const Timestamp hi = closing.ts - 1;
-  if (graph.out_edges_in_window(closing.dst, lo, hi).empty() ||
+  if (head_out.empty() ||
       graph.in_edges_in_window(closing.src, lo, hi).empty()) {
     return true;  // the head cannot leave or the tail cannot be re-entered
   }
@@ -321,10 +326,10 @@ struct PreparedSearch {
 
 std::optional<PreparedSearch> prepare_search(
     const SlidingWindowGraph& graph, const TemporalEdge& closing,
-    Timestamp window, const EnumOptions& options, StreamSearchScratch& scratch,
-    WorkCounters& work, CycleSink* sink, SearchBudgetState* budget,
-    std::uint64_t* settled) {
-  if (settle_trivial(graph, closing, window, work, sink, settled)) {
+    Timestamp window, StreamOutEdges head_out, const EnumOptions& options,
+    StreamSearchScratch& scratch, WorkCounters& work, CycleSink* sink,
+    SearchBudgetState* budget, std::uint64_t* settled) {
+  if (settle_trivial(graph, closing, window, head_out, work, sink, settled)) {
     return std::nullopt;
   }
   const bool bounded = options.max_cycle_length > 0;
@@ -356,6 +361,13 @@ std::optional<PreparedSearch> prepare_search(
       rem0};
 }
 
+// The head's in-window out-edges: the root step of every search.
+StreamOutEdges head_out_edges(const SlidingWindowGraph& graph,
+                              const TemporalEdge& closing, Timestamp window) {
+  return graph.out_edges_in_window(closing.dst, closing.ts - window,
+                                   closing.ts - 1);
+}
+
 }  // namespace
 
 std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
@@ -365,9 +377,22 @@ std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                     StreamSearchScratch& scratch,
                                     WorkCounters& work, CycleSink* sink,
                                     SearchBudgetState* budget) {
+  return cycles_closed_by_edge(graph, closing, window,
+                               head_out_edges(graph, closing, window), options,
+                               scratch, work, sink, budget);
+}
+
+std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
+                                    const TemporalEdge& closing,
+                                    Timestamp window, StreamOutEdges head_out,
+                                    const EnumOptions& options,
+                                    StreamSearchScratch& scratch,
+                                    WorkCounters& work, CycleSink* sink,
+                                    SearchBudgetState* budget) {
   std::uint64_t settled = 0;
-  const auto prepared = prepare_search(graph, closing, window, options,
-                                       scratch, work, sink, budget, &settled);
+  const auto prepared =
+      prepare_search(graph, closing, window, head_out, options, scratch, work,
+                     sink, budget, &settled);
   if (!prepared) {
     return settled;
   }
@@ -378,7 +403,7 @@ std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
   scratch.path_vertices.push_back(closing.dst);
   scratch.on_path.set(closing.dst);
   scratch.on_path.set(closing.src);  // the target never re-enters the path
-  search.extend(params.lo - 1, rem0);
+  search.extend(head_out, rem0);
   scratch.on_path.reset(closing.src);
   scratch.on_path.reset(closing.dst);
   scratch.path_vertices.pop_back();
@@ -396,9 +421,22 @@ std::uint64_t fine_cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                          StreamSearchScratch& scratch,
                                          WorkCounters& work, CycleSink* sink,
                                          SearchBudgetState* budget) {
+  return fine_cycles_closed_by_edge(graph, closing, window,
+                                    head_out_edges(graph, closing, window),
+                                    sched, options, popts, scratch, work, sink,
+                                    budget);
+}
+
+std::uint64_t fine_cycles_closed_by_edge(
+    const SlidingWindowGraph& graph, const TemporalEdge& closing,
+    Timestamp window, StreamOutEdges head_out, Scheduler& sched,
+    const EnumOptions& options, const ParallelOptions& popts,
+    StreamSearchScratch& scratch, WorkCounters& work, CycleSink* sink,
+    SearchBudgetState* budget) {
   std::uint64_t settled = 0;
-  const auto prepared = prepare_search(graph, closing, window, options,
-                                       scratch, work, sink, budget, &settled);
+  const auto prepared =
+      prepare_search(graph, closing, window, head_out, options, scratch, work,
+                     sink, budget, &settled);
   if (!prepared) {
     return settled;
   }
@@ -415,7 +453,7 @@ std::uint64_t fine_cycles_closed_by_edge(const SlidingWindowGraph& graph,
   // Every nested fine_explore waits for its own task group, so the search
   // has fully quiesced when this call returns (and the scratch's prune marks
   // are no longer read).
-  fine_explore(run, vertices, edges, params.lo - 1, prepared->rem0, local);
+  fine_explore(run, vertices, edges, head_out, prepared->rem0, local);
   run.merge(local);
   if (run.truncated.load(std::memory_order_relaxed)) {
     work.searches_truncated += 1;

@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/cycle_types.hpp"
@@ -78,6 +79,9 @@ class StreamSearchScratch {
   std::uint32_t epoch_ = 0;
 };
 
+// Out-edges of one vertex inside a search window.
+using StreamOutEdges = std::span<const SlidingWindowGraph::OutEdge>;
+
 // Enumerates the cycles closed by `closing` (which must already be ingested,
 // or at least have no bearing on the window: the search only reads edges with
 // ts < closing.ts). Counters accumulate into `work`; cycles are reported to
@@ -115,5 +119,24 @@ std::uint64_t fine_cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                          WorkCounters& work,
                                          CycleSink* sink = nullptr,
                                          SearchBudgetState* budget = nullptr);
+
+// The same two searches for a caller that already looked up the head's
+// in-window out-edges: `head_out` must equal
+// graph.out_edges_in_window(closing.dst, closing.ts - window, closing.ts - 1).
+// The engine computes that span for its escalation frontier; passing it in
+// makes it the search's root step instead of a second and third lookup.
+std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
+                                    const TemporalEdge& closing,
+                                    Timestamp window, StreamOutEdges head_out,
+                                    const EnumOptions& options,
+                                    StreamSearchScratch& scratch,
+                                    WorkCounters& work, CycleSink* sink,
+                                    SearchBudgetState* budget);
+std::uint64_t fine_cycles_closed_by_edge(
+    const SlidingWindowGraph& graph, const TemporalEdge& closing,
+    Timestamp window, StreamOutEdges head_out, Scheduler& sched,
+    const EnumOptions& options, const ParallelOptions& popts,
+    StreamSearchScratch& scratch, WorkCounters& work, CycleSink* sink,
+    SearchBudgetState* budget);
 
 }  // namespace parcycle

@@ -18,7 +18,9 @@
 //              accounted as expired, so a snapshot of a stale window does
 //              not serialise dead weight.
 //   [pending]  the unprocessed micro-batch (src, dst, ts)
-//   [reorder]  the in-slack reorder buffer (src, dst, ts)
+//   [reorder]  the in-slack reorder buffer (src, dst, ts), written in
+//              canonical (ts, src, dst) order so that save -> restore ->
+//              save is byte-identical; restore accepts any order
 //
 // The payload is serialised to memory first so the checksum covers every
 // byte; restore reads the whole payload, verifies the checksum, then parses.
@@ -246,10 +248,11 @@ void StreamEngine::save_snapshot(std::ostream& out) const {
   // the floor below which push() rejects arrivals as late) and drop the log
   // prefix that cutoff is guaranteed to expire, accounting it as expired so
   // the restored graph's totals and arrival-rank ids stay exact.
+  const std::vector<TemporalEdge> reorder = reorder_.sorted();
   Timestamp next_front =
       options_.reorder_slack == 0 ? last_pushed_ts_ : reorder_floor_;
-  if (!reorder_heap_.empty()) {
-    next_front = std::min(next_front, reorder_heap_.front().ts);
+  if (!reorder.empty()) {
+    next_front = std::min(next_front, reorder.front().ts);
   }
   if (!pending_.empty()) {
     next_front = std::min(next_front, pending_.front().ts);
@@ -283,8 +286,8 @@ void StreamEngine::save_snapshot(std::ostream& out) const {
   for (const TemporalEdge& e : pending_) {
     w.edge_site(e);
   }
-  w.scalar<std::uint64_t>(reorder_heap_.size());
-  for (const TemporalEdge& e : reorder_heap_) {
+  w.scalar<std::uint64_t>(reorder.size());
+  for (const TemporalEdge& e : reorder) {
     w.edge_site(e);
   }
 
@@ -307,7 +310,7 @@ void StreamEngine::save_snapshot(std::ostream& out) const {
 void StreamEngine::restore_snapshot(std::istream& in) {
   const std::unique_lock<std::mutex> lock = observer_lock();
   if (edges_pushed_ != 0 || graph_.total_ingested() != 0 ||
-      !pending_.empty() || !reorder_heap_.empty()) {
+      !pending_.empty() || !reorder_.empty()) {
     throw std::runtime_error(
         "stream snapshot: restore requires a freshly constructed engine");
   }
@@ -443,14 +446,45 @@ void StreamEngine::restore_snapshot(std::istream& in) {
   for (std::uint64_t i = 0; i < reorder_count; ++i) {
     s_reorder.push_back(r.edge_site("reorder edge"));
   }
-  std::make_heap(s_reorder.begin(), s_reorder.end(),
-                 [](const TemporalEdge& a, const TemporalEdge& b) {
-                   if (a.ts != b.ts) return b.ts < a.ts;
-                   if (a.src != b.src) return b.src < a.src;
-                   return b.dst < a.dst;
-                 });
   if (!r.exhausted()) {
     corrupt("trailing bytes after payload");
+  }
+
+  // The buffered edges must reach the graph in non-decreasing timestamp
+  // order once released, or the first batch after the restore would throw
+  // out of ingest. A valid engine keeps graph <= pending <= last pushed and,
+  // with a slack, last pushed <= floor <= every reorder edge <= max_seen.
+  if (s_reorder_floor > s_reorder_max_seen) {
+    corrupt("reorder floor above the newest accepted timestamp");
+  }
+  Timestamp prev_ts = state.total_ingested > 0
+                          ? state.last_ts
+                          : std::numeric_limits<Timestamp>::min();
+  for (const TemporalEdge& e : s_pending) {
+    if (e.ts < prev_ts) {
+      corrupt("pending edges precede the graph or each other");
+    }
+    prev_ts = e.ts;
+  }
+  if (s_last_pushed_ts < prev_ts) {
+    corrupt("last pushed timestamp precedes the pending batch or the graph");
+  }
+  if (!s_reorder.empty() && options_.reorder_slack == 0) {
+    corrupt("reorder buffer restored into an engine with reorder_slack 0");
+  }
+  // A slack-0 engine keeps no floor. Resumed under a slack, its newest
+  // pushed edge becomes the floor, so an older arrival counts as late
+  // instead of reaching the graph out of order.
+  Timestamp floor = s_reorder_floor;
+  Timestamp max_seen = s_reorder_max_seen;
+  if (options_.reorder_slack > 0) {
+    floor = std::max(floor, s_last_pushed_ts);
+    max_seen = std::max(max_seen, floor);
+  }
+  for (const TemporalEdge& e : s_reorder) {
+    if (e.ts < floor || e.ts > max_seen) {
+      corrupt("reorder edge outside [floor, max_seen]");
+    }
   }
 
   // ---- Commit phase. graph_.restore still performs semantic validation and
@@ -467,8 +501,8 @@ void StreamEngine::restore_snapshot(std::istream& in) {
   late_rejected_ = s_late_rejected;
   reorder_peak_buffered_ = s_reorder_peak;
   last_pushed_ts_ = s_last_pushed_ts;
-  reorder_max_seen_ = s_reorder_max_seen;
-  reorder_floor_ = s_reorder_floor;
+  reorder_max_seen_ = max_seen;
+  reorder_floor_ = floor;
   cycles_found_ = s_cycles_found;
   batches_ = s_batches;
   busy_seconds_ = s_busy_seconds;
@@ -489,7 +523,15 @@ void StreamEngine::restore_snapshot(std::istream& in) {
     }
   }
   pending_ = std::move(s_pending);
-  reorder_heap_ = std::move(s_reorder);
+  // The ring covers the restored span too, so a snapshot taken under a
+  // larger slack restores into a smaller one.
+  reorder_.reset(std::max(static_cast<std::uint64_t>(options_.reorder_slack),
+                          static_cast<std::uint64_t>(max_seen) -
+                              static_cast<std::uint64_t>(floor)),
+                 floor);
+  for (const TemporalEdge& e : s_reorder) {
+    reorder_.insert(e.src, e.dst, e.ts);
+  }
 }
 
 void StreamEngine::save_snapshot_file(const std::string& path) const {

@@ -438,6 +438,28 @@ TEST(StreamFault, OverloadLadderClimbsShedsAndRecovers) {
   EXPECT_EQ(shift_events, stats.overload_shifts);
 }
 
+// flush() releases the reorder buffer into batches; each batch must count
+// only the edges still buffered, so a flush below the watermark stays calm.
+TEST(StreamFault, FlushBelowTheWatermarkLeavesTheLadderNormal) {
+  StreamOptions options = engine_options();
+  options.batch_size = 256;
+  options.reorder_slack = 10'000;
+  options.overload_high_watermark = 1000;
+  Scheduler::with_pool(1, [&](Scheduler& sched) {
+    StreamEngine engine(options, sched, nullptr);
+    for (VertexId i = 0; i < 900; ++i) {
+      engine.push(i % 50, (i * 7 + 1) % 50, i);
+    }
+    ASSERT_EQ(engine.stats().reorder_buffered, 900u);
+    engine.flush();
+    const StreamStats stats = engine.stats();
+    EXPECT_EQ(stats.edges_ingested, 900u);
+    EXPECT_EQ(stats.batches, 4u);
+    EXPECT_EQ(stats.overload_level, OverloadLevel::kNormal);
+    EXPECT_EQ(stats.overload_shifts, 0u);
+  });
+}
+
 TEST(StreamFault, TightenedBudgetsTruncateSearches) {
   const TemporalGraph graph = test_graph();
   const auto edges = graph.edges_by_time();

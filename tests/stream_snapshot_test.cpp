@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -180,6 +182,118 @@ TEST(StreamSnapshot, RoundTripWithReorderBufferInFlight) {
   expect_stats_equal(stats, reference_stats);
 }
 
+// Reverses consecutive pairs whose gap fits `slack`: every arrival is in
+// slack, so the reorder buffer is busy at every point of the stream.
+std::vector<TemporalEdge> pair_swapped_feed(const TemporalGraph& graph,
+                                            Timestamp slack) {
+  const auto sorted = graph.edges_by_time();
+  std::vector<TemporalEdge> feed(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i + 1 < feed.size(); i += 2) {
+    if (feed[i + 1].ts - feed[i].ts <= slack) {
+      std::swap(feed[i], feed[i + 1]);
+    }
+  }
+  return feed;
+}
+
+TEST(StreamSnapshot, RestoreIntoSmallerSlackMatchesUninterruptedRun) {
+  const TemporalGraph graph = test_graph();
+  StreamOptions wide = engine_options();
+  wide.reorder_slack = 40;
+  StreamOptions narrow = wide;
+  narrow.reorder_slack = 10;
+  const std::vector<TemporalEdge> feed = pair_swapped_feed(graph, 10);
+
+  CollectingSink reference_sink;
+  StreamStats reference_stats;
+  Scheduler::with_pool(2, [&](Scheduler& sched) {
+    StreamEngine engine(wide, sched, &reference_sink);
+    for (const auto& e : feed) {
+      engine.push(e.src, e.dst, e.ts);
+    }
+    engine.flush();
+    reference_stats = engine.stats();
+  });
+  ASSERT_EQ(reference_stats.late_edges_rejected, 0u);
+
+  // The wide engine buffers 40 units behind its newest edge; the narrow one
+  // must hold that restored span until its own floor passes it.
+  std::stringstream snapshot;
+  CollectingSink sink;
+  Scheduler::with_pool(2, [&](Scheduler& sched) {
+    StreamEngine engine(wide, sched, &sink);
+    for (std::size_t i = 0; i < 201; ++i) {
+      engine.push(feed[i].src, feed[i].dst, feed[i].ts);
+    }
+    const StreamStats stats = engine.stats();
+    ASSERT_GT(stats.reorder_buffered, 1u);
+    ASSERT_GT(stats.reorder_max_seen - stats.reorder_floor,
+              narrow.reorder_slack);
+    engine.save_snapshot(snapshot);
+  });
+  StreamStats stats;
+  Scheduler::with_pool(2, [&](Scheduler& sched) {
+    StreamEngine engine(narrow, sched, &sink);
+    engine.restore_snapshot(snapshot);
+    for (std::size_t i = engine.edges_pushed(); i < feed.size(); ++i) {
+      engine.push(feed[i].src, feed[i].dst, feed[i].ts);
+    }
+    engine.flush();
+    stats = engine.stats();
+  });
+  EXPECT_EQ(sink.sorted_cycles(), reference_sink.sorted_cycles());
+  EXPECT_EQ(stats.cycles_found, reference_stats.cycles_found);
+  EXPECT_EQ(stats.edges_ingested, reference_stats.edges_ingested);
+  EXPECT_EQ(stats.late_edges_rejected, 0u);
+  EXPECT_EQ(stats.work.edges_visited, reference_stats.work.edges_visited);
+}
+
+// A slack-0 engine keeps no late floor; resumed under a slack, its newest
+// pushed edge must act as one, or an older in-slack arrival would reach the
+// graph out of order and throw out of the next batch.
+TEST(StreamSnapshot, SlackZeroSnapshotResumesUnderASlack) {
+  const TemporalGraph graph = test_graph();
+  const StreamOptions strict = engine_options();
+  StreamOptions loose = strict;
+  loose.reorder_slack = 40;
+  CollectingSink reference_sink;
+  StreamStats reference_stats;
+  run_reference(graph, strict, reference_sink, reference_stats);
+
+  const auto edges = graph.edges_by_time();
+  const std::size_t break_at = 201;
+  std::stringstream snapshot;
+  CollectingSink sink;
+  Scheduler::with_pool(2, [&](Scheduler& sched) {
+    StreamEngine engine(strict, sched, &sink);
+    for (std::size_t i = 0; i < break_at; ++i) {
+      engine.push(edges[i].src, edges[i].dst, edges[i].ts);
+    }
+    engine.save_snapshot(snapshot);
+  });
+  const std::string bytes = snapshot.str();
+  Scheduler::with_pool(2, [&](Scheduler& sched) {
+    StreamEngine engine(loose, sched, &sink);
+    engine.restore_snapshot(snapshot);
+    EXPECT_EQ(engine.stats().reorder_floor, edges[break_at - 1].ts);
+    for (std::size_t i = engine.edges_pushed(); i < edges.size(); ++i) {
+      engine.push(edges[i].src, edges[i].dst, edges[i].ts);
+    }
+    engine.flush();
+    EXPECT_EQ(engine.stats().late_edges_rejected, 0u);
+  });
+  EXPECT_EQ(sink.sorted_cycles(), reference_sink.sorted_cycles());
+
+  Scheduler::with_pool(1, [&](Scheduler& sched) {
+    StreamEngine engine(loose, sched, nullptr);
+    std::stringstream in(bytes);
+    engine.restore_snapshot(in);
+    engine.push(0, 1, edges[break_at - 1].ts - 1);  // older than the cut
+    engine.flush();
+    EXPECT_EQ(engine.stats().late_edges_rejected, 1u);
+  });
+}
+
 TEST(StreamSnapshot, MultiWindowRoundTrip) {
   const TemporalGraph graph = test_graph();
   StreamOptions options = engine_options();
@@ -328,6 +442,148 @@ TEST(StreamSnapshot, CorruptionRejected) {
     bad[8] = static_cast<char>(0xff);
     bad[14] = static_cast<char>(0xff);
     expect_restore_rejected(bad, options);
+  }
+}
+
+// Rewrites a snapshot's payload and re-seals its checksum: the restore must
+// then reject the content itself, not the checksum.
+std::string with_payload_edit(const std::string& bytes,
+                              const std::function<void(std::string&)>& edit) {
+  constexpr std::size_t kHeader = 24;  // magic, version, size, checksum
+  std::string payload = bytes.substr(kHeader);
+  edit(payload);
+  std::uint64_t checksum = 14695981039346656037ULL;
+  for (const char c : payload) {
+    checksum ^= static_cast<unsigned char>(c);
+    checksum *= 1099511628211ULL;
+  }
+  std::string out = bytes.substr(0, kHeader) + payload;
+  std::memcpy(out.data() + 16, &checksum, sizeof(checksum));
+  return out;
+}
+
+constexpr std::size_t kSiteBytes = 2 * sizeof(VertexId) + sizeof(Timestamp);
+
+// Offset of the timestamp of pending edge `i` / reorder edge `i`, counted
+// from the end of the payload: [pending count][P sites][reorder count][R sites].
+std::size_t pending_ts_at(const std::string& payload, std::uint64_t pending,
+                          std::uint64_t reorder, std::size_t i) {
+  return payload.size() - reorder * kSiteBytes - sizeof(std::uint64_t) -
+         (pending - i) * kSiteBytes + 2 * sizeof(VertexId);
+}
+std::size_t reorder_ts_at(const std::string& payload, std::uint64_t reorder,
+                          std::size_t i) {
+  return payload.size() - (reorder - i) * kSiteBytes + 2 * sizeof(VertexId);
+}
+
+void put_ts(std::string& payload, std::size_t at, Timestamp ts) {
+  std::memcpy(payload.data() + at, &ts, sizeof(ts));
+}
+
+// A failed restore throws "stream snapshot: ..." and leaves the engine fresh:
+// `good` (when given) still restores into it afterwards.
+void expect_rejected_leaving_fresh(const std::string& bad,
+                                   const std::string& good,
+                                   const StreamOptions& options) {
+  Scheduler::with_pool(1, [&](Scheduler& sched) {
+    StreamEngine engine(options, sched, nullptr);
+    std::stringstream in(bad);
+    try {
+      engine.restore_snapshot(in);
+      ADD_FAILURE() << "restore accepted an inconsistent snapshot";
+    } catch (const std::runtime_error& err) {
+      EXPECT_EQ(std::string(err.what()).rfind("stream snapshot: ", 0), 0u)
+          << err.what();
+    }
+    EXPECT_EQ(engine.edges_pushed(), 0u);
+    EXPECT_EQ(engine.stats().edges_ingested, 0u);
+    if (good.empty()) {
+      engine.push(0, 1, 5);  // still a working, fresh engine
+      engine.flush();
+      EXPECT_EQ(engine.stats().edges_ingested, 1u);
+      return;
+    }
+    std::stringstream retry(good);
+    engine.restore_snapshot(retry);
+    engine.flush();  // the valid snapshot ingests cleanly
+  });
+}
+
+TEST(StreamSnapshot, InconsistentReorderStateRejected) {
+  const TemporalGraph graph = test_graph();
+  StreamOptions options = engine_options();
+  options.reorder_slack = 40;
+  const std::vector<TemporalEdge> feed = pair_swapped_feed(graph, 40);
+  std::string good;
+  StreamStats at_save;
+  Scheduler::with_pool(1, [&](Scheduler& sched) {
+    StreamEngine engine(options, sched, nullptr);
+    for (std::size_t i = 0; i < 150; ++i) {
+      engine.push(feed[i].src, feed[i].dst, feed[i].ts);
+    }
+    std::stringstream out;
+    engine.save_snapshot(out);
+    good = out.str();
+    at_save = engine.stats();
+  });
+  const std::uint64_t reorder = at_save.reorder_buffered;
+  const std::uint64_t pending =
+      at_save.edges_pushed - at_save.edges_ingested - reorder;
+  ASSERT_GE(reorder, 1u);
+  ASSERT_GE(pending, 2u);
+  ASSERT_GT(at_save.edges_ingested, 0u);
+
+  {
+    SCOPED_TRACE("reorder edges into a slack-0 engine");
+    StreamOptions strict = options;
+    strict.reorder_slack = 0;
+    expect_rejected_leaving_fresh(good, "", strict);
+  }
+  {
+    SCOPED_TRACE("reorder edge below the floor");
+    expect_rejected_leaving_fresh(
+        with_payload_edit(good,
+                          [&](std::string& p) {
+                            put_ts(p, reorder_ts_at(p, reorder, 0),
+                                   at_save.reorder_floor - 1);
+                          }),
+        good, options);
+  }
+  {
+    SCOPED_TRACE("reorder edge above max_seen");
+    expect_rejected_leaving_fresh(
+        with_payload_edit(good,
+                          [&](std::string& p) {
+                            put_ts(p, reorder_ts_at(p, reorder, reorder - 1),
+                                   at_save.reorder_max_seen + 1);
+                          }),
+        good, options);
+  }
+  {
+    SCOPED_TRACE("pending edges that decrease");
+    expect_rejected_leaving_fresh(
+        with_payload_edit(good,
+                          [&](std::string& p) {
+                            Timestamp last = 0;
+                            std::memcpy(
+                                &last,
+                                p.data() + pending_ts_at(p, pending, reorder,
+                                                         pending - 1),
+                                sizeof(last));
+                            put_ts(p, pending_ts_at(p, pending, reorder, 0),
+                                   last + 1);
+                          }),
+        good, options);
+  }
+  {
+    SCOPED_TRACE("pending edge older than the graph's last timestamp");
+    expect_rejected_leaving_fresh(
+        with_payload_edit(good,
+                          [&](std::string& p) {
+                            put_ts(p, pending_ts_at(p, pending, reorder, 0),
+                                   -1);
+                          }),
+        good, options);
   }
 }
 

@@ -275,6 +275,7 @@ StartCosts collect_temporal_start_costs(const TemporalGraph& graph,
   for (const auto& e0 : graph.edges_by_time()) {
     double cost = 0.0;
     if (e0.src != e0.dst) {
+      state.reset();
       search.search_from(e0, state, block.view(e0.id));
       cost = static_cast<double>(state.counters.edges_visited +
                                  state.counters.vertices_visited + 1);
@@ -300,6 +301,7 @@ StartCosts collect_windowed_simple_start_costs(const TemporalGraph& graph,
   for (const auto& e0 : graph.edges_by_time()) {
     double cost = 0.0;
     if (e0.src != e0.dst) {
+      state.reset();
       search.search_from(e0, state, &cycle_union);
       cost = static_cast<double>(state.counters.edges_visited +
                                  state.counters.vertices_visited + 1);

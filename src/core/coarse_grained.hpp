@@ -4,7 +4,9 @@
 // starting edge (windowed), each running the full serial search. Work
 // efficient, but not scalable: a single start owning most of the cycles
 // serialises the run (Theorem 4.2; figure4a_graph is the adversarial
-// witness). These are the baselines the fine-grained algorithms beat.
+// witness). These are the baselines the fine-grained algorithms beat. Each
+// is defined next to its serial driver and runs the same per-start step
+// through roots::coarse_loop (core/driver.hpp).
 #pragma once
 
 #include "core/cycle_types.hpp"

@@ -1,11 +1,23 @@
-// The copy-on-steal driver of the five fine-grained enumerators (Section 5
-// of the paper): fine Johnson, Read-Tarjan and BC-DFS on windowed simple
-// cycles, and fine temporal Johnson and Read-Tarjan. A driver .cpp keeps only
-// its algorithm: a search context, the root setup and the recursive visit.
-// The search context of a root lives on the root's stack; every call waits
-// for its tasks before it returns, so tasks hold raw pointers to it.
+// The drivers every enumerator shares: each algorithm keeps only its search
+// and hands one per-start hook to one of three root loops.
 //
-// Two task shapes share the run struct and the root loop:
+//  * roots::serial_loop runs the starts in order on one state and scratch;
+//  * roots::coarse_loop runs one start per task (the paper's Section 4
+//    baseline), each on its worker's state and scratch;
+//  * fine::FineRun::run_roots is the copy-on-steal driver of the five
+//    fine-grained enumerators (Section 5): fine Johnson, Read-Tarjan and
+//    BC-DFS on windowed simple cycles, and fine temporal Johnson and
+//    Read-Tarjan.
+//
+// roots::StartRun puts the serial and coarse loops over edges_by_time(),
+// with the self-loop rule, the way FineRun does for the fine one; the
+// static-graph drivers call the two loops over their start vertices.
+// roots::drain runs Read-Tarjan calls depth-first on one state, the
+// serial form of fine::exec_call.
+//
+// In a fine run the search context of a root lives on the root's stack;
+// every call waits for its tasks before it returns, so tasks hold raw
+// pointers to it. Two task shapes share the run struct and the root loop:
 //  * prefix repair (Johnson, BC-DFS, temporal Johnson): a stolen task copies
 //    its creator's state under the creator's lock and repairs it back to the
 //    state's spawn-time Mark;
@@ -19,6 +31,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -34,6 +47,167 @@
 #include "support/spinlock.hpp"
 #include "temporal/cycle_union.hpp"
 
+namespace parcycle::roots {
+
+// A self-loop start is a cycle of its own, on no other: reports it into
+// `counters` and returns true, or returns false for any other start.
+inline bool take_self_loop(const TemporalEdge& e0, CycleSink* sink,
+                           WorkCounters& counters) {
+  if (e0.src != e0.dst) {
+    return false;
+  }
+  counters.cycles_found += 1;
+  if (sink != nullptr) {
+    sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
+  }
+  return true;
+}
+
+// The per-start scratch of an edge-start search: a CycleUnionBlock, or an
+// epoch-stamped per-start scratch with init(n).
+template <typename Scratch>
+std::unique_ptr<Scratch> new_scratch(const TemporalGraph& graph,
+                                     Timestamp window, bool use_cycle_union) {
+  if constexpr (std::is_constructible_v<Scratch, const TemporalGraph&,
+                                        Timestamp, bool>) {
+    return std::make_unique<Scratch>(graph, window, use_cycle_union);
+  } else {
+    auto scratch = std::make_unique<Scratch>();
+    scratch->init(graph.num_vertices());
+    return scratch;
+  }
+}
+
+// The serial root loop: search(i, scratch, state) for every start i below
+// `starts`, in order, on one State(n) and one make_scratch(). The search
+// gets a reset state and returns false when it skipped the start without
+// touching it; otherwise the loop merges the state's counters and resets it.
+template <typename State, typename MakeScratch, typename Search>
+WorkCounters serial_loop(std::size_t starts, VertexId n,
+                         const MakeScratch& make_scratch,
+                         const Search& search) {
+  State state(n);
+  const auto scratch = make_scratch();
+  WorkCounters total;
+  for (std::size_t i = 0; i < starts; ++i) {
+    if (search(i, *scratch, state)) {
+      total += state.counters;
+      state.reset();
+    }
+  }
+  return total;
+}
+
+// The coarse root loop: the serial loop with one task per start, which runs
+// on its worker's state and scratch. A start task never waits, so a worker
+// runs one start at a time and never shares its state or scratch.
+template <typename State, typename MakeScratch, typename Search>
+WorkCounters coarse_loop(Scheduler& sched, std::size_t starts, VertexId n,
+                         const MakeScratch& make_scratch,
+                         const Search& search) {
+  struct Worker {
+    std::unique_ptr<State> state;
+    decltype(make_scratch()) scratch;
+  };
+  std::vector<Worker> workers(sched.num_workers());
+  PerWorkerCounters work(sched);
+  parallel_for_each_index(sched, 0, starts, [&](std::size_t i) {
+    Worker& slot =
+        workers[static_cast<std::size_t>(Scheduler::current_worker_id())];
+    // Out of the slot while the start runs: a start that throws (a sink may)
+    // drops its state mid-search, and the worker's next start builds anew.
+    Worker worker = std::move(slot);
+    if (worker.state == nullptr) {
+      worker.state = std::make_unique<State>(n);
+      worker.scratch = make_scratch();
+    }
+    if (search(i, *worker.scratch, *worker.state)) {
+      work.merge(worker.state->counters);
+      worker.state->reset();
+    }
+    slot = std::move(worker);
+  });
+  return work.total();
+}
+
+// Whole-run data of a serial or coarse run over the starting edges of
+// edges_by_time(). A hook search(run, e0, scratch, state) reads it as the
+// fine hooks read FineRun; it gets every start that is not a self-loop, on
+// a reset state, and returns false when it skipped the start without
+// touching the state.
+template <typename StateT, typename Scratch>
+struct StartRun {
+  using State = StateT;
+
+  const TemporalGraph& graph;
+  Timestamp window;
+  EnumOptions options;
+  CycleSink* sink;
+
+  template <typename Search>
+  EnumResult serial(const Search& search) const {
+    return EnumResult::of(serial_loop<State>(graph.num_edges(),
+                                             graph.num_vertices(),
+                                             scratch_maker(),
+                                             per_start(search)));
+  }
+
+  template <typename Search>
+  EnumResult coarse(Scheduler& sched, const Search& search) const {
+    return EnumResult::of(coarse_loop<State>(
+        sched, graph.num_edges(), graph.num_vertices(), scratch_maker(),
+        per_start(search)));
+  }
+
+ private:
+  auto scratch_maker() const {
+    return [this] {
+      return new_scratch<Scratch>(graph, window, options.use_cycle_union);
+    };
+  }
+
+  template <typename Search>
+  auto per_start(const Search& search) const {
+    return [this, &search, edges = graph.edges_by_time()](
+               std::size_t i, Scratch& scratch, State& state) {
+      const TemporalEdge& e0 = edges[i];
+      return take_self_loop(e0, sink, state.counters) ||
+             search(*this, e0, scratch, state);
+    };
+  }
+};
+
+// A serial Read-Tarjan scratch: the search's per-start scratch plus the
+// stack drain() keeps deferred calls on, reused from start to start.
+template <typename Scratch, typename Call>
+struct DrainScratch : Scratch {
+  using Scratch::Scratch;
+  std::vector<Call> pending;
+};
+
+// Runs Read-Tarjan calls depth-first on one state, in fine::exec_call's
+// order without tasks: walks `root`, then pops the deepest deferred call,
+// rewinds the state to its prefix and walks it, until none is left.
+// walk(call, collect) reports the call's cycle and hands each child call to
+// collect. `pending` is empty before and after.
+template <typename State, typename Call, typename Walk>
+void drain(State& state, std::vector<Call>& pending, Call&& root,
+           const Walk& walk) {
+  const std::function<void(Call&&)> collect = [&pending](Call&& call) {
+    pending.push_back(std::move(call));
+  };
+  pending.push_back(std::move(root));
+  while (!pending.empty()) {
+    Call call = std::move(pending.back());
+    pending.pop_back();
+    state.truncate_path(call.path_len);
+    state.truncate_log(call.log_len);
+    walk(call, collect);
+  }
+}
+
+}  // namespace parcycle::roots
+
 namespace parcycle::fine {
 
 // Should the calling worker spawn its next recursive call as a task?
@@ -47,8 +221,8 @@ inline bool should_spawn(const Scheduler& sched, const ParallelOptions& popts) {
   return true;
 }
 
-// Whole-run state. `Scratch` is the per-block search scratch: a
-// CycleUnionBlock, or an epoch-stamped per-start scratch with init(n).
+// Whole-run state. `Scratch` is the per-block search scratch (see
+// roots::new_scratch).
 template <typename StateT, typename Scratch>
 struct FineRun {
   using State = StateT;
@@ -68,14 +242,7 @@ struct FineRun {
   // Pooled, not per worker: a worker waiting inside a root can run another
   // block while the first block's scratch is still in use.
   ScratchPool<Scratch> scratch_pool{[this] {
-    if constexpr (std::is_constructible_v<Scratch, const TemporalGraph&,
-                                          Timestamp, bool>) {
-      return std::make_unique<Scratch>(graph, window, options.use_cycle_union);
-    } else {
-      auto scratch = std::make_unique<Scratch>();
-      scratch->init(graph.num_vertices());
-      return scratch;
-    }
+    return roots::new_scratch<Scratch>(graph, window, options.use_cycle_union);
   }};
   // Per-worker sinks, summed once after the run's final wait.
   PerWorkerCounters work{sched};
@@ -120,12 +287,8 @@ struct FineRun {
           for (std::size_t i = b * kStarts; i < last; ++i) {
             const TemporalEdge& e0 = edges[i];
             TraceSpan trace(tracer, worker, TraceName::kSearchRoot, e0.id);
-            if (e0.src == e0.dst) {  // a cycle of its own, on no other
-              self_loops.cycles_found += 1;
-              if (sink != nullptr) {
-                sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
-              }
-            } else if (search_root(*this, e0, *scratch, *state)) {
+            if (!roots::take_self_loop(e0, sink, self_loops) &&
+                search_root(*this, e0, *scratch, *state)) {
               work.merge(state->counters);
               state->reset();
             }

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "core/fine_driver.hpp"
+#include "core/driver.hpp"
 #include "core/hc_dfs.hpp"
 #include "core/hc_state.hpp"
 

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "core/fine_driver.hpp"
+#include "core/driver.hpp"
 #include "core/johnson_impl.hpp"
 
 namespace parcycle {

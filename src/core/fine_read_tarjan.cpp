@@ -2,8 +2,7 @@
 
 #include <utility>
 
-#include "core/fine_driver.hpp"
-#include "core/johnson_impl.hpp"  // prepare_start
+#include "core/driver.hpp"
 #include "core/read_tarjan_impl.hpp"
 
 namespace parcycle {
@@ -27,18 +26,11 @@ struct SearchContext {
 // Runs the complete search for one starting edge on the block's state.
 bool search_root(Run& run, const TemporalEdge& e0,
                  CycleUnionScratch& cycle_union, ReadTarjanState& state) {
-  SearchContext search{run, {}};
-  if (run.options.max_cycle_length == 1 ||
-      !detail::WindowedJohnsonSearch::prepare_start(
-          run.graph, e0, run.window, run.options.use_cycle_union,
-          &cycle_union, search.ctx)) {
+  detail::WindowedRTCore core(run.graph, run.options, run.sink);
+  if (!core.prepare_root(e0, run.window, cycle_union, state)) {
     return false;
   }
-  state.push(search.ctx.tail, kInvalidEdge);
-  state.push(search.ctx.head, e0.id);
-
-  detail::WindowedRTCore core(run.graph, run.options, run.sink);
-  core.bind(state, search.ctx);
+  SearchContext search{run, core.ctx()};
   detail::ExtPath root_ext;
   if (core.find_root_extension(root_ext)) {
     fine::exec_call(search, state,

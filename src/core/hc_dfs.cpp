@@ -1,6 +1,9 @@
 #include "core/hc_dfs.hpp"
 
 #include <cassert>
+#include <memory>
+
+#include "core/driver.hpp"
 
 namespace parcycle {
 
@@ -67,19 +70,16 @@ class HcStaticSearch {
   HcStaticSearch(const Digraph& graph, CycleSink* sink)
       : graph_(graph), sink_(sink) {}
 
-  std::uint64_t search_from(VertexId start, int max_hops, HcState& state,
-                            const HcDistScratch& dist) {
+  void search_from(VertexId start, int max_hops, HcState& state,
+                   const HcDistScratch& dist) {
     state_ = &state;
     dist_ = &dist;
     start_ = start;
-    found_ = 0;
     circuit(start, max_hops);
-    return found_;
   }
 
  private:
   void report() {
-    found_ += 1;
     state_->counters.cycles_found += 1;
     if (sink_ != nullptr) {
       sink_->on_cycle({state_->path_data(), state_->path_length()}, {});
@@ -123,7 +123,6 @@ class HcStaticSearch {
   HcState* state_ = nullptr;
   const HcDistScratch* dist_ = nullptr;
   VertexId start_ = 0;
-  std::uint64_t found_ = 0;
 };
 
 }  // namespace
@@ -174,19 +173,16 @@ void HcWindowedSearch::report_cycle(const HcState& state, EdgeId closing_edge,
                  {edge_scratch.data(), edge_scratch.size()});
 }
 
-std::uint64_t HcWindowedSearch::search_from(const TemporalEdge& e0,
-                                            HcState& state,
-                                            HcDistScratch& dist) {
-  state.reset();  // also clears counters: callers accumulate after each search
+bool HcWindowedSearch::search_from(const TemporalEdge& e0, HcState& state,
+                                   HcDistScratch& dist) {
   if (!prepare_start(graph_, e0, window_, max_hops_, dist, ctx_)) {
-    return 0;
+    return false;
   }
   state_ = &state;
   dist_ = &dist;
-  found_ = 0;
   state.push(ctx_.tail, kInvalidEdge);
   circuit(ctx_.head, e0.id, max_hops_ - 1);
-  return found_;
+  return true;
 }
 
 bool HcWindowedSearch::circuit(VertexId v, EdgeId via_edge, std::int32_t rem) {
@@ -201,7 +197,6 @@ bool HcWindowedSearch::circuit(VertexId v, EdgeId via_edge, std::int32_t rem) {
     st.counters.edges_visited += 1;
     if (e.dst == ctx_.tail) {
       if (rem >= 1) {
-        found_ += 1;
         st.counters.cycles_found += 1;
         report_cycle(st, e.id, sink_, edge_scratch_);
         found = true;
@@ -230,57 +225,44 @@ bool HcWindowedSearch::circuit(VertexId v, EdgeId via_edge, std::int32_t rem) {
 EnumResult hc_simple_cycles(const Digraph& graph, int max_hops,
                             const EnumOptions& options, CycleSink* sink) {
   (void)options;  // reserved: BC-DFS has no tunables yet
-  EnumResult result;
+  if (max_hops < 1) {
+    return {};
+  }
   const VertexId n = graph.num_vertices();
-  if (n == 0 || max_hops < 1) {
-    return result;
-  }
-  detail::HcStaticSearch search(graph, sink);
-  HcState state(n);
-  HcDistScratch dist;
-  dist.init(n);
-  for (VertexId s = 0; s < n; ++s) {
-    if (graph.out_degree(s) == 0) {
-      continue;
-    }
-    if (!dist.compute_static(graph, s, max_hops - 1)) {
-      continue;  // nothing (not even a self-loop) closes back into s
-    }
-    state.reset();
-    result.num_cycles += search.search_from(s, max_hops, state, dist);
-    result.work += state.counters;
-  }
-  return result;
+  const auto make_dist = [n] {
+    auto dist = std::make_unique<HcDistScratch>();
+    dist->init(n);
+    return dist;
+  };
+  return EnumResult::of(roots::serial_loop<HcState>(
+      n, n, make_dist,
+      [&](std::size_t s, HcDistScratch& dist, HcState& state) {
+        const auto root = static_cast<VertexId>(s);
+        // Skipped when nothing (not even a self-loop) closes back into s.
+        if (graph.out_degree(root) == 0 ||
+            !dist.compute_static(graph, root, max_hops - 1)) {
+          return false;
+        }
+        detail::HcStaticSearch(graph, sink).search_from(root, max_hops,
+                                                        state, dist);
+        return true;
+      }));
 }
 
 EnumResult hc_windowed_cycles(const TemporalGraph& graph, Timestamp window,
                               int max_hops, const EnumOptions& options,
                               CycleSink* sink) {
-  (void)options;
-  EnumResult result;
-  if (graph.num_vertices() == 0 || max_hops < 1) {
-    return result;
+  if (max_hops < 1) {
+    return {};
   }
-  detail::HcWindowedSearch search(graph, window, max_hops, sink);
-  HcState state(graph.num_vertices());
-  HcDistScratch dist;
-  dist.init(graph.num_vertices());
-  for (const auto& e0 : graph.edges_by_time()) {
-    if (e0.src == e0.dst) {
-      // A self-loop is a cycle of one hop; it trivially fits any window.
-      result.num_cycles += 1;
-      result.work.cycles_found += 1;
-      if (sink != nullptr) {
-        const VertexId v = e0.src;
-        const EdgeId id = e0.id;
-        sink->on_cycle({&v, 1}, {&id, 1});
-      }
-      continue;
-    }
-    result.num_cycles += search.search_from(e0, state, dist);
-    result.work += state.counters;
-  }
-  return result;
+  using Run = roots::StartRun<HcState, HcDistScratch>;
+  return Run{graph, window, options, sink}.serial(
+      [max_hops](const Run& run, const TemporalEdge& e0, HcDistScratch& dist,
+                 HcState& state) {
+        return detail::HcWindowedSearch(run.graph, run.window, max_hops,
+                                        run.sink)
+            .search_from(e0, state, dist);
+      });
 }
 
 }  // namespace parcycle

@@ -65,10 +65,11 @@ class HcWindowedSearch {
   static void report_cycle(const HcState& state, EdgeId closing_edge,
                            CycleSink* sink, std::vector<EdgeId>& edge_scratch);
 
-  // Runs the search for starting edge e0; counters accumulate into
-  // state.counters. Returns the number of cycles found.
-  std::uint64_t search_from(const TemporalEdge& e0, HcState& state,
-                            HcDistScratch& dist);
+  // Runs the search for starting edge e0 on a reset state; returns false
+  // when it skipped e0 without touching the state. Counters accumulate into
+  // state.counters.
+  bool search_from(const TemporalEdge& e0, HcState& state,
+                   HcDistScratch& dist);
 
  private:
   bool circuit(VertexId v, EdgeId via_edge, std::int32_t rem);
@@ -80,7 +81,6 @@ class HcWindowedSearch {
   HcState* state_ = nullptr;
   const HcDistScratch* dist_ = nullptr;
   StartContext ctx_;
-  std::uint64_t found_ = 0;
   std::vector<EdgeId> edge_scratch_;
 };
 

@@ -1,7 +1,10 @@
 #include "core/johnson.hpp"
 
 #include <cassert>
+#include <memory>
 
+#include "core/coarse_grained.hpp"
+#include "core/driver.hpp"
 #include "core/johnson_impl.hpp"
 
 namespace parcycle {
@@ -10,23 +13,19 @@ namespace detail {
 
 // ---- StaticJohnsonSearch ---------------------------------------------------
 
-std::uint64_t StaticJohnsonSearch::search_from(VertexId start,
-                                               const SccResult& scc,
-                                               JohnsonState& state) {
+void StaticJohnsonSearch::search_from(VertexId start, const SccResult& scc,
+                                      JohnsonState& state) {
   state_ = &state;
   scc_ = &scc;
   start_ = start;
   start_component_ = scc.component[start];
-  found_ = 0;
   bounded_ = options_.max_cycle_length > 0;
   const std::int32_t rem0 =
       bounded_ ? options_.max_cycle_length : kUnboundedRem;
   circuit(start, rem0);
-  return found_;
 }
 
 void StaticJohnsonSearch::report() {
-  found_ += 1;
   state_->counters.cycles_found += 1;
   if (sink_ != nullptr) {
     sink_->on_cycle({state_->path_data(), state_->path_length()}, {});
@@ -119,17 +118,15 @@ void WindowedJohnsonSearch::report_cycle(const JohnsonState& state,
                  {edge_scratch.data(), edge_scratch.size()});
 }
 
-std::uint64_t WindowedJohnsonSearch::search_from(
-    const TemporalEdge& e0, JohnsonState& state,
-    CycleUnionScratch* cycle_union) {
+bool WindowedJohnsonSearch::search_from(const TemporalEdge& e0,
+                                        JohnsonState& state,
+                                        CycleUnionScratch* cycle_union) {
   assert(e0.src != e0.dst && "self-loops are handled by the driver");
-  state.reset();  // also clears counters: callers accumulate after each search
   if (!prepare_start(graph_, e0, window_, options_.use_cycle_union,
                      cycle_union, ctx_)) {
-    return 0;
+    return false;
   }
   state_ = &state;
-  found_ = 0;
   bounded_ = options_.max_cycle_length > 0;
   state.push(ctx_.tail, kInvalidEdge);
   const std::int32_t rem0 =
@@ -137,7 +134,7 @@ std::uint64_t WindowedJohnsonSearch::search_from(
   if (rem0 >= 1 || !bounded_) {
     circuit(ctx_.head, e0.id, rem0);
   }
-  return found_;
+  return true;
 }
 
 bool WindowedJohnsonSearch::circuit(VertexId v, EdgeId via_edge,
@@ -153,7 +150,6 @@ bool WindowedJohnsonSearch::circuit(VertexId v, EdgeId via_edge,
     st.counters.edges_visited += 1;
     if (e.dst == ctx_.tail) {
       if (rem >= 1) {
-        found_ += 1;
         st.counters.cycles_found += 1;
         report_cycle(st, e.id, sink_, edge_scratch_);
         found = true;
@@ -181,59 +177,72 @@ bool WindowedJohnsonSearch::circuit(VertexId v, EdgeId via_edge,
 
 }  // namespace detail
 
-// ---- public drivers ---------------------------------------------------------
+// ---- serial and coarse drivers ---------------------------------------------
 
-EnumResult johnson_simple_cycles(const Digraph& graph,
-                                 const EnumOptions& options, CycleSink* sink) {
-  EnumResult result;
+namespace {
+
+// Static Johnson, serial without a scheduler and coarse with one: both loops
+// run the same per-start step.
+EnumResult static_johnson(const Digraph& graph, Scheduler* sched,
+                          const EnumOptions& options, CycleSink* sink) {
   const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return result;
-  }
-  detail::StaticJohnsonSearch search(graph, options, sink);
-  JohnsonState state(n);
-  for (VertexId s = 0; s < n; ++s) {
+  const auto make_search = [&] {
+    return std::make_unique<detail::StaticJohnsonSearch>(graph, options, sink);
+  };
+  const auto start = [&graph](std::size_t s,
+                              detail::StaticJohnsonSearch& search,
+                              JohnsonState& state) {
+    const auto root = static_cast<VertexId>(s);
     // Component structure of the subgraph induced by the not-yet-processed
     // vertices; cycles rooted at s stay within the component of s.
     const SccResult scc = strongly_connected_components(
-        graph, [s](VertexId v) { return v >= s; });
-    state.reset();
-    result.num_cycles += search.search_from(s, scc, state);
-    result.work += state.counters;
-  }
-  return result;
+        graph, [root](VertexId v) { return v >= root; });
+    search.search_from(root, scc, state);
+    return true;
+  };
+  return EnumResult::of(
+      sched == nullptr
+          ? roots::serial_loop<JohnsonState>(n, n, make_search, start)
+          : roots::coarse_loop<JohnsonState>(*sched, n, n, make_search,
+                                             start));
+}
+
+using WindowedRun = roots::StartRun<JohnsonState, CycleUnionScratch>;
+
+// The per-start hook of serial and coarse windowed Johnson.
+bool windowed_start(const WindowedRun& run, const TemporalEdge& e0,
+                    CycleUnionScratch& cycle_union, JohnsonState& state) {
+  return detail::WindowedJohnsonSearch(run.graph, run.window, run.options,
+                                       run.sink)
+      .search_from(e0, state, &cycle_union);
+}
+
+}  // namespace
+
+EnumResult johnson_simple_cycles(const Digraph& graph,
+                                 const EnumOptions& options, CycleSink* sink) {
+  return static_johnson(graph, nullptr, options, sink);
+}
+
+EnumResult coarse_johnson_simple_cycles(const Digraph& graph, Scheduler& sched,
+                                        const EnumOptions& options,
+                                        CycleSink* sink) {
+  return static_johnson(graph, &sched, options, sink);
 }
 
 EnumResult johnson_windowed_cycles(const TemporalGraph& graph,
                                    Timestamp window,
                                    const EnumOptions& options,
                                    CycleSink* sink) {
-  EnumResult result;
-  const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return result;
-  }
-  detail::WindowedJohnsonSearch search(graph, window, options, sink);
-  JohnsonState state(n);
-  CycleUnionScratch cycle_union;
-  cycle_union.init(n);
-  std::vector<EdgeId> edge_scratch;
-  for (const auto& e0 : graph.edges_by_time()) {
-    if (e0.src == e0.dst) {
-      // A self-loop is a cycle of length one; it trivially fits any window.
-      result.num_cycles += 1;
-      result.work.cycles_found += 1;
-      if (sink != nullptr) {
-        const VertexId v = e0.src;
-        const EdgeId id = e0.id;
-        sink->on_cycle({&v, 1}, {&id, 1});
-      }
-      continue;
-    }
-    result.num_cycles += search.search_from(e0, state, &cycle_union);
-    result.work += state.counters;
-  }
-  return result;
+  return WindowedRun{graph, window, options, sink}.serial(windowed_start);
+}
+
+EnumResult coarse_johnson_windowed_cycles(const TemporalGraph& graph,
+                                          Timestamp window, Scheduler& sched,
+                                          const EnumOptions& options,
+                                          CycleSink* sink) {
+  return WindowedRun{graph, window, options, sink}.coarse(sched,
+                                                          windowed_start);
 }
 
 }  // namespace parcycle

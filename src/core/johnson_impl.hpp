@@ -1,8 +1,8 @@
-// Internal search cores of the Johnson algorithm, shared by the serial
-// driver (johnson.cpp) and the coarse-grained parallel driver
-// (coarse_grained.cpp). The fine-grained variant (fine_johnson.cpp) keeps
-// only its recursive visit, which spawns tasks through the shared
-// copy-on-steal driver (fine_driver.hpp), and reuses prepare_start,
+// Internal search cores of the Johnson algorithm. The serial and the
+// coarse-grained drivers (johnson.cpp) run them through the root loops of
+// core/driver.hpp, one per-start step for both. The fine-grained variant
+// (fine_johnson.cpp) keeps only its recursive visit, which spawns tasks
+// through the shared copy-on-steal driver, and reuses prepare_start,
 // report_cycle, JohnsonState and StartContext.
 #pragma once
 
@@ -39,11 +39,10 @@ class StaticJohnsonSearch {
                       CycleSink* sink)
       : graph_(graph), options_(options), sink_(sink) {}
 
-  // Enumerates all cycles whose smallest vertex is `start`. `scc` must be the
-  // component structure of the subgraph induced by {v >= start}. Work
-  // counters accumulate into state.counters; returns the number of cycles.
-  std::uint64_t search_from(VertexId start, const SccResult& scc,
-                            JohnsonState& state);
+  // Enumerates all cycles whose smallest vertex is `start` on a reset
+  // state. `scc` must be the component structure of the subgraph induced by
+  // {v >= start}. Work counters accumulate into state.counters.
+  void search_from(VertexId start, const SccResult& scc, JohnsonState& state);
 
  private:
   bool circuit(VertexId v, std::int32_t rem);
@@ -56,7 +55,6 @@ class StaticJohnsonSearch {
   const SccResult* scc_ = nullptr;
   VertexId start_ = 0;
   VertexId start_component_ = 0;
-  std::uint64_t found_ = 0;
   bool bounded_ = false;
 };
 
@@ -71,10 +69,12 @@ class WindowedJohnsonSearch {
                         const EnumOptions& options, CycleSink* sink)
       : graph_(graph), window_(window), options_(options), sink_(sink) {}
 
-  // Runs the search for starting edge e0. `cycle_union` provides reusable
-  // reachability scratch when options.use_cycle_union is set (may be null).
-  std::uint64_t search_from(const TemporalEdge& e0, JohnsonState& state,
-                            CycleUnionScratch* cycle_union);
+  // Runs the search for starting edge e0 on a reset state; returns false
+  // when it skipped e0 without touching the state. `cycle_union` provides
+  // reusable reachability scratch when options.use_cycle_union is set (may
+  // be null). Work counters accumulate into state.counters.
+  bool search_from(const TemporalEdge& e0, JohnsonState& state,
+                   CycleUnionScratch* cycle_union);
 
   // Shared helpers (also used by the fine-grained driver).
   static bool prepare_start(const TemporalGraph& graph, const TemporalEdge& e0,
@@ -92,7 +92,6 @@ class WindowedJohnsonSearch {
   CycleSink* sink_;
   JohnsonState* state_ = nullptr;
   StartContext ctx_;
-  std::uint64_t found_ = 0;
   bool bounded_ = false;
   std::vector<EdgeId> edge_scratch_;
 };

@@ -1,8 +1,10 @@
 #include "core/read_tarjan.hpp"
 
-#include <cassert>
+#include <memory>
 #include <utility>
 
+#include "core/coarse_grained.hpp"
+#include "core/driver.hpp"
 #include "core/read_tarjan_impl.hpp"
 
 namespace parcycle {
@@ -10,6 +12,21 @@ namespace parcycle {
 namespace detail {
 
 // ---- WindowedRTCore --------------------------------------------------------
+
+bool WindowedRTCore::prepare_root(const TemporalEdge& e0, Timestamp window,
+                                  CycleUnionScratch& cycle_union,
+                                  ReadTarjanState& state) {
+  if (options_.max_cycle_length == 1 ||  // only self-loops have length 1
+      !WindowedJohnsonSearch::prepare_start(graph_, e0, window,
+                                            options_.use_cycle_union,
+                                            &cycle_union, ctx_)) {
+    return false;
+  }
+  state_ = &state;
+  state.push(ctx_.tail, kInvalidEdge);
+  state.push(ctx_.head, e0.id);
+  return true;
+}
 
 void WindowedRTCore::report(const ExtPath& ext) {
   state_->counters.cycles_found += 1;
@@ -267,29 +284,71 @@ std::uint64_t StaticRTCore::walk(const ExtPath& ext,
 
 }  // namespace detail
 
-// ---- serial drivers ---------------------------------------------------------
+// ---- serial and coarse drivers ---------------------------------------------
 
 namespace {
 
-// Depth-first execution of deferred children on a single state: pop the
-// deepest child, rewind the state to its prefix, walk, repeat. This is
-// exactly the fine-grained task structure executed by one thread.
-template <typename Core, typename Excluded>
-std::uint64_t drain_children(Core& core, ReadTarjanState& state,
-                             std::vector<detail::RTChild>& pending,
-                             Excluded excluded_member) {
-  std::uint64_t cycles = 0;
-  const detail::ChildFn collect = [&pending](detail::RTChild&& child) {
-    pending.push_back(std::move(child));
+using detail::ChildFn;
+using detail::ExtPath;
+using detail::RTChild;
+
+using StaticScratch = roots::DrainScratch<detail::StaticRTCore, RTChild>;
+
+// Static Read-Tarjan, serial without a scheduler and coarse with one: both
+// loops run the same per-start step.
+EnumResult static_read_tarjan(const Digraph& graph, Scheduler* sched,
+                              const EnumOptions& options, CycleSink* sink) {
+  const VertexId n = graph.num_vertices();
+  const auto make_core = [&] {
+    return std::make_unique<StaticScratch>(graph, options, sink);
   };
-  while (!pending.empty()) {
-    detail::RTChild child = std::move(pending.back());
-    pending.pop_back();
-    state.truncate_path(child.path_len);
-    state.truncate_log(child.log_len);
-    cycles += core.walk(child.ext, child.*excluded_member, collect);
+  const auto start = [&graph](std::size_t s, StaticScratch& core,
+                              ReadTarjanState& state) {
+    const auto root = static_cast<VertexId>(s);
+    const SccResult scc = strongly_connected_components(
+        graph, [root](VertexId v) { return v >= root; });
+    core.bind(state, root, scc);
+    state.push(root, kInvalidEdge);
+    ExtPath root_ext;
+    if (core.find_root_extension(root_ext)) {
+      roots::drain(
+          state, core.pending,
+          RTChild{state.path_length(), state.log_length(), std::move(root_ext),
+                  {}, {}},
+          [&core](const RTChild& call, const ChildFn& collect) {
+            core.walk(call.ext, call.excluded_targets, collect);
+          });
+    }
+    return true;
+  };
+  return EnumResult::of(
+      sched == nullptr
+          ? roots::serial_loop<ReadTarjanState>(n, n, make_core, start)
+          : roots::coarse_loop<ReadTarjanState>(*sched, n, n, make_core,
+                                                start));
+}
+
+using WindowedScratch = roots::DrainScratch<CycleUnionScratch, RTChild>;
+using WindowedRun = roots::StartRun<ReadTarjanState, WindowedScratch>;
+
+// The per-start hook of serial and coarse windowed Read-Tarjan.
+bool windowed_start(const WindowedRun& run, const TemporalEdge& e0,
+                    WindowedScratch& scratch, ReadTarjanState& state) {
+  detail::WindowedRTCore core(run.graph, run.options, run.sink);
+  if (!core.prepare_root(e0, run.window, scratch, state)) {
+    return false;
   }
-  return cycles;
+  ExtPath root_ext;
+  if (core.find_root_extension(root_ext)) {
+    roots::drain(
+        state, scratch.pending,
+        RTChild{state.path_length(), state.log_length(), std::move(root_ext),
+                {}, {}},
+        [&core](const RTChild& call, const ChildFn& collect) {
+          core.walk(call.ext, call.excluded_edges, collect);
+        });
+  }
+  return true;
 }
 
 }  // namespace
@@ -297,84 +356,30 @@ std::uint64_t drain_children(Core& core, ReadTarjanState& state,
 EnumResult read_tarjan_simple_cycles(const Digraph& graph,
                                      const EnumOptions& options,
                                      CycleSink* sink) {
-  EnumResult result;
-  const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return result;
-  }
-  detail::StaticRTCore core(graph, options, sink);
-  ReadTarjanState state(n);
-  std::vector<detail::RTChild> pending;
-  for (VertexId s = 0; s < n; ++s) {
-    const SccResult scc = strongly_connected_components(
-        graph, [s](VertexId v) { return v >= s; });
-    state.reset();
-    core.bind(state, s, scc);
-    state.push(s, kInvalidEdge);
-    detail::ExtPath root_ext;
-    if (core.find_root_extension(root_ext)) {
-      pending.push_back(detail::RTChild{state.path_length(),
-                                        state.log_length(),
-                                        std::move(root_ext),
-                                        {},
-                                        {}});
-      result.num_cycles += drain_children(core, state, pending,
-                                          &detail::RTChild::excluded_targets);
-    }
-    result.work += state.counters;
-  }
-  return result;
+  return static_read_tarjan(graph, nullptr, options, sink);
+}
+
+EnumResult coarse_read_tarjan_simple_cycles(const Digraph& graph,
+                                            Scheduler& sched,
+                                            const EnumOptions& options,
+                                            CycleSink* sink) {
+  return static_read_tarjan(graph, &sched, options, sink);
 }
 
 EnumResult read_tarjan_windowed_cycles(const TemporalGraph& graph,
                                        Timestamp window,
                                        const EnumOptions& options,
                                        CycleSink* sink) {
-  EnumResult result;
-  const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return result;
-  }
-  detail::WindowedRTCore core(graph, options, sink);
-  ReadTarjanState state(n);
-  CycleUnionScratch cycle_union;
-  cycle_union.init(n);
-  std::vector<detail::RTChild> pending;
-  for (const auto& e0 : graph.edges_by_time()) {
-    if (e0.src == e0.dst) {
-      result.num_cycles += 1;
-      result.work.cycles_found += 1;
-      if (sink != nullptr) {
-        sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
-      }
-      continue;
-    }
-    state.reset();
-    StartContext ctx;
-    if (!detail::WindowedJohnsonSearch::prepare_start(
-            graph, e0, window, options.use_cycle_union, &cycle_union, ctx)) {
-      continue;
-    }
-    core.bind(state, ctx);
-    state.push(ctx.tail, kInvalidEdge);
-    state.push(ctx.head, e0.id);
-    if (options.max_cycle_length == 1) {
-      result.work += state.counters;
-      continue;  // only self-loops have length 1; handled above
-    }
-    detail::ExtPath root_ext;
-    if (core.find_root_extension(root_ext)) {
-      pending.push_back(detail::RTChild{state.path_length(),
-                                        state.log_length(),
-                                        std::move(root_ext),
-                                        {},
-                                        {}});
-      result.num_cycles += drain_children(core, state, pending,
-                                          &detail::RTChild::excluded_edges);
-    }
-    result.work += state.counters;
-  }
-  return result;
+  return WindowedRun{graph, window, options, sink}.serial(windowed_start);
+}
+
+EnumResult coarse_read_tarjan_windowed_cycles(const TemporalGraph& graph,
+                                              Timestamp window,
+                                              Scheduler& sched,
+                                              const EnumOptions& options,
+                                              CycleSink* sink) {
+  return WindowedRun{graph, window, options, sink}.coarse(sched,
+                                                          windowed_start);
 }
 
 }  // namespace parcycle

@@ -1,6 +1,6 @@
 // Internal search cores of the Read-Tarjan algorithm, shared by the serial
-// driver (read_tarjan.cpp), the coarse-grained parallel driver
-// (coarse_grained.cpp) and the fine-grained driver (fine_read_tarjan.cpp).
+// and coarse-grained drivers (read_tarjan.cpp) and the fine-grained driver
+// (fine_read_tarjan.cpp).
 //
 // Formulation (Sections 3.4 and 6 of the paper): a recursive
 // call owns a current path Pi and a path extension E (a known way to close Pi
@@ -65,6 +65,12 @@ class WindowedRTCore {
   }
 
   const StartContext& ctx() const noexcept { return ctx_; }
+
+  // Sets up the root of starting edge e0 on a reset state: binds the core
+  // to it and pushes [tail, head]. Returns false, with the state untouched,
+  // when no cycle of two or more edges can pass through e0.
+  bool prepare_root(const TemporalEdge& e0, Timestamp window,
+                    CycleUnionScratch& cycle_union, ReadTarjanState& state);
 
   // Finds the initial extension from the head of the starting edge; the path
   // must already be [tail, head]. Returns false when no cycle exists.

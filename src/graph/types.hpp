@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 namespace parcycle {
 
@@ -11,6 +12,17 @@ using Timestamp = std::int64_t;
 
 inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
 inline constexpr EdgeId kInvalidEdge = static_cast<EdgeId>(-1);
+
+// a - b, clamped to the Timestamp range instead of overflowing: the lower
+// end of a window [a - b, ...] near the Timestamp minimum.
+constexpr Timestamp saturating_sub(Timestamp a, Timestamp b) noexcept {
+  Timestamp out = 0;
+  if (__builtin_sub_overflow(a, b, &out)) {
+    return b > 0 ? std::numeric_limits<Timestamp>::min()
+                 : std::numeric_limits<Timestamp>::max();
+  }
+  return out;
+}
 
 // A directed temporal edge. `id` is the edge's rank in the global
 // (timestamp, source, destination) order, so comparing ids is the canonical

@@ -1,13 +1,12 @@
 #include "io/edge_stream.hpp"
 
 #include <bit>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "graph/temporal_graph.hpp"
 #include "io/graph_cache.hpp"
+#include "support/fnv1a.hpp"
 
 namespace parcycle {
 
@@ -16,37 +15,11 @@ namespace {
 static_assert(std::endian::native == std::endian::little,
               "edge streaming assumes a little-endian target");
 
-// Mirrors the .pcg constants (see io/graph_cache.cpp — the format owner).
-constexpr char kCacheMagic[4] = {'P', 'C', 'G', '1'};
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-// Header: magic + u32 version + u64 V + u64 E + i64 min_ts + i64 max_ts
-// + u64 checksum.
-constexpr std::uint64_t kCacheHeaderBytes = 48;
 // Edges per column-read chunk: ~64 KiB of timestamps per refill.
 constexpr std::uint64_t kChunkEdges = 8192;
 
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t state) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    state ^= bytes[i];
-    state *= kFnvPrime;
-  }
-  return state;
-}
-
 [[noreturn]] void bad_stream(const std::string& what) {
   throw std::runtime_error("edge stream: " + what);
-}
-
-template <typename T>
-T read_scalar(std::istream& in, const char* what) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(value));
-  if (static_cast<std::size_t>(in.gcount()) != sizeof(value)) {
-    bad_stream(std::string("truncated cache header: ") + what);
-  }
-  return value;
 }
 
 template <typename T>
@@ -83,34 +56,16 @@ EdgeStreamReader EdgeStreamReader::open_file(const std::string& path,
     bad_stream("cannot open '" + path + "'");
   }
   std::ifstream& in = reader.cache_;
-  char magic[4] = {};
-  in.read(magic, sizeof(magic));
-  if (static_cast<std::size_t>(in.gcount()) != sizeof(magic) ||
-      std::memcmp(magic, kCacheMagic, sizeof(kCacheMagic)) != 0) {
-    bad_stream("bad cache magic in '" + path + "'");
+  GraphCacheHeader header;
+  try {
+    header = read_graph_cache_header(in);
+  } catch (const std::runtime_error& error) {
+    bad_stream("'" + path + "': " + error.what());
   }
-  const auto version = read_scalar<std::uint32_t>(in, "version");
-  if (version != kGraphCacheVersion) {
-    bad_stream("unsupported cache version " + std::to_string(version));
-  }
-  const auto num_vertices = read_scalar<std::uint64_t>(in, "vertex count");
-  const auto num_edges = read_scalar<std::uint64_t>(in, "edge count");
-  read_scalar<std::int64_t>(in, "min timestamp");
-  read_scalar<std::int64_t>(in, "max timestamp");
-  const auto stored_checksum = read_scalar<std::uint64_t>(in, "checksum");
-  if (num_vertices >= std::numeric_limits<VertexId>::max() ||
-      num_edges >= std::numeric_limits<EdgeId>::max()) {
-    bad_stream("cache counts out of range");
-  }
-
-  const std::uint64_t offset_bytes =
-      std::uint64_t{2} * (num_vertices + 1) * sizeof(std::size_t);
-  const std::uint64_t payload_bytes =
-      offset_bytes +
-      num_edges * (2 * sizeof(VertexId) + sizeof(Timestamp));
+  const std::uint64_t payload_bytes = header.payload_bytes();
   in.seekg(0, std::ios::end);
   const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  if (file_size != kCacheHeaderBytes + payload_bytes) {
+  if (file_size != GraphCacheHeader::kBytes + payload_bytes) {
     bad_stream("cache size disagrees with header counts (truncated or "
                "corrupt)");
   }
@@ -119,9 +74,9 @@ EdgeStreamReader EdgeStreamReader::open_file(const std::string& path,
   // sequential scan — the column order of the payload IS the byte order the
   // checksum was computed in, so no reassembly is needed. After this pass a
   // corrupt cache can never feed a single edge downstream.
-  in.seekg(static_cast<std::streamoff>(kCacheHeaderBytes));
+  in.seekg(static_cast<std::streamoff>(GraphCacheHeader::kBytes));
   std::vector<char> block(1 << 20);
-  std::uint64_t checksum = kFnvOffset;
+  std::uint64_t checksum = kFnv1aOffset;
   std::uint64_t remaining = payload_bytes;
   while (remaining > 0) {
     const auto take =
@@ -134,15 +89,15 @@ EdgeStreamReader EdgeStreamReader::open_file(const std::string& path,
     checksum = fnv1a(block.data(), static_cast<std::size_t>(take), checksum);
     remaining -= static_cast<std::uint64_t>(take);
   }
-  if (checksum != stored_checksum) {
+  if (checksum != header.checksum) {
     bad_stream("cache checksum mismatch (corrupt file)");
   }
 
-  reader.src_base_ = kCacheHeaderBytes + offset_bytes;
-  reader.dst_base_ = reader.src_base_ + num_edges * sizeof(VertexId);
-  reader.ts_base_ = reader.dst_base_ + num_edges * sizeof(VertexId);
-  reader.total_edges_ = num_edges;
-  reader.num_vertices_ = static_cast<VertexId>(num_vertices);
+  reader.src_base_ = GraphCacheHeader::kBytes + header.offset_bytes();
+  reader.dst_base_ = reader.src_base_ + header.num_edges * sizeof(VertexId);
+  reader.ts_base_ = reader.dst_base_ + header.num_edges * sizeof(VertexId);
+  reader.total_edges_ = header.num_edges;
+  reader.num_vertices_ = static_cast<VertexId>(header.num_vertices);
   in.clear();
   return reader;
 }

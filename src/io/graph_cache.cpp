@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "support/fnv1a.hpp"
+
 namespace parcycle {
 
 namespace {
@@ -22,17 +24,6 @@ static_assert(sizeof(std::size_t) == 8,
               "graph cache stores CSR offsets as 64-bit values");
 
 constexpr char kMagic[4] = {'P', 'C', 'G', '1'};
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t state) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    state ^= bytes[i];
-    state *= kFnvPrime;
-  }
-  return state;
-}
 
 template <typename T>
 std::uint64_t fnv1a_array(const std::vector<T>& values, std::uint64_t state) {
@@ -119,7 +110,7 @@ void save_graph_cache(const TemporalGraph& graph, std::ostream& out) {
   const std::vector<std::size_t> out_offsets = collect_offsets(graph, true);
   const std::vector<std::size_t> in_offsets = collect_offsets(graph, false);
 
-  std::uint64_t checksum = kFnvOffset;
+  std::uint64_t checksum = kFnv1aOffset;
   checksum = fnv1a_array(out_offsets, checksum);
   checksum = fnv1a_array(in_offsets, checksum);
   checksum = fnv1a_array(columns.src, checksum);
@@ -143,7 +134,7 @@ void save_graph_cache(const TemporalGraph& graph, std::ostream& out) {
   }
 }
 
-TemporalGraph load_graph_cache(std::istream& in) {
+GraphCacheHeader read_graph_cache_header(std::istream& in) {
   char magic[4] = {};
   read_bytes(in, magic, sizeof(magic), "magic");
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -155,32 +146,34 @@ TemporalGraph load_graph_cache(std::istream& in) {
                              std::to_string(version) + " (expected " +
                              std::to_string(kGraphCacheVersion) + ")");
   }
-  const auto num_vertices = read_scalar<std::uint64_t>(in, "vertex count");
-  const auto num_edges = read_scalar<std::uint64_t>(in, "edge count");
-  const auto min_ts = read_scalar<std::int64_t>(in, "min timestamp");
-  const auto max_ts = read_scalar<std::int64_t>(in, "max timestamp");
-  const auto stored_checksum = read_scalar<std::uint64_t>(in, "checksum");
-  if (num_vertices >= std::numeric_limits<VertexId>::max() ||
-      num_edges >= std::numeric_limits<EdgeId>::max()) {
+  GraphCacheHeader header;
+  header.num_vertices = read_scalar<std::uint64_t>(in, "vertex count");
+  header.num_edges = read_scalar<std::uint64_t>(in, "edge count");
+  header.min_ts = read_scalar<std::int64_t>(in, "min timestamp");
+  header.max_ts = read_scalar<std::int64_t>(in, "max timestamp");
+  header.checksum = read_scalar<std::uint64_t>(in, "checksum");
+  if (header.num_vertices >= std::numeric_limits<VertexId>::max() ||
+      header.num_edges >= std::numeric_limits<EdgeId>::max()) {
     throw std::runtime_error("graph cache counts out of range");
   }
+  return header;
+}
 
-  const auto offset_count = static_cast<std::size_t>(num_vertices) + 1;
-  const auto edge_count = static_cast<std::size_t>(num_edges);
+TemporalGraph load_graph_cache(std::istream& in) {
+  const GraphCacheHeader header = read_graph_cache_header(in);
+  const auto offset_count = static_cast<std::size_t>(header.num_vertices) + 1;
+  const auto edge_count = static_cast<std::size_t>(header.num_edges);
   // Bound the untrusted counts against the actual remaining bytes before
   // allocating anything (files and string streams are seekable): a corrupt
   // header must surface as an error, never as a multi-gigabyte allocation.
   // Exact equality also rejects trailing garbage — the format is canonical.
-  const std::uint64_t expected_payload =
-      std::uint64_t{2} * offset_count * sizeof(std::size_t) +
-      std::uint64_t{edge_count} * (2 * sizeof(VertexId) + sizeof(Timestamp));
   const std::istream::pos_type here = in.tellg();
   if (here != std::istream::pos_type(-1)) {
     in.seekg(0, std::ios::end);
     const std::istream::pos_type end_pos = in.tellg();
     in.seekg(here);
     if (end_pos != std::istream::pos_type(-1) &&
-        static_cast<std::uint64_t>(end_pos - here) != expected_payload) {
+        static_cast<std::uint64_t>(end_pos - here) != header.payload_bytes()) {
       throw std::runtime_error(
           "graph cache size disagrees with header counts (truncated or "
           "corrupt)");
@@ -194,13 +187,13 @@ TemporalGraph load_graph_cache(std::istream& in) {
   const auto dst = read_array<VertexId>(in, edge_count, "destination array");
   const auto ts = read_array<Timestamp>(in, edge_count, "timestamp array");
 
-  std::uint64_t checksum = kFnvOffset;
+  std::uint64_t checksum = kFnv1aOffset;
   checksum = fnv1a_array(out_offsets, checksum);
   checksum = fnv1a_array(in_offsets, checksum);
   checksum = fnv1a_array(src, checksum);
   checksum = fnv1a_array(dst, checksum);
   checksum = fnv1a_array(ts, checksum);
-  if (checksum != stored_checksum) {
+  if (checksum != header.checksum) {
     throw std::runtime_error("graph cache checksum mismatch (corrupt file)");
   }
 
@@ -215,12 +208,13 @@ TemporalGraph load_graph_cache(std::istream& in) {
   TemporalGraph graph;
   try {
     graph = TemporalGraph::from_sorted_parts(
-        static_cast<VertexId>(num_vertices), std::move(parts));
+        static_cast<VertexId>(header.num_vertices), std::move(parts));
   } catch (const std::invalid_argument& error) {
     throw std::runtime_error(std::string("corrupt graph cache: ") +
                              error.what());
   }
-  if (graph.min_timestamp() != min_ts || graph.max_timestamp() != max_ts) {
+  if (graph.min_timestamp() != header.min_ts ||
+      graph.max_timestamp() != header.max_ts) {
     throw std::runtime_error(
         "corrupt graph cache: header timestamps disagree with edges");
   }

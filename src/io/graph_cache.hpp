@@ -33,6 +33,33 @@ namespace parcycle {
 inline constexpr std::uint32_t kGraphCacheVersion = 1;
 inline constexpr char kGraphCacheExtension[] = ".pcg";
 
+// The fixed-size header that opens a cache.
+struct GraphCacheHeader {
+  static constexpr std::uint64_t kBytes = 48;
+
+  std::uint64_t num_vertices = 0;
+  std::uint64_t num_edges = 0;
+  Timestamp min_ts = 0;
+  Timestamp max_ts = 0;
+  std::uint64_t checksum = 0;  // FNV-1a 64 of the payload
+
+  // Bytes of the two offset arrays, which open the payload.
+  std::uint64_t offset_bytes() const noexcept {
+    return 2 * (num_vertices + 1) * sizeof(std::uint64_t);
+  }
+  // Bytes of the whole payload: the offset arrays, then the src, dst and ts
+  // columns.
+  std::uint64_t payload_bytes() const noexcept {
+    return offset_bytes() +
+           num_edges * (2 * sizeof(VertexId) + sizeof(Timestamp));
+  }
+};
+
+// Reads the header at the stream's position: checks the magic, the version
+// and that the counts fit the id types. Throws std::runtime_error otherwise,
+// also on a short read.
+GraphCacheHeader read_graph_cache_header(std::istream& in);
+
 void save_graph_cache(const TemporalGraph& graph, std::ostream& out);
 TemporalGraph load_graph_cache(std::istream& in);
 

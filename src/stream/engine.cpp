@@ -11,16 +11,6 @@
 
 namespace parcycle {
 
-namespace {
-
-// max_seen - slack without signed underflow near the Timestamp minimum.
-Timestamp saturating_floor(Timestamp max_seen, Timestamp slack) {
-  const Timestamp lowest = std::numeric_limits<Timestamp>::min();
-  return max_seen < lowest + slack ? lowest : max_seen - slack;
-}
-
-}  // namespace
-
 const char* overload_level_name(OverloadLevel level) noexcept {
   switch (level) {
     case OverloadLevel::kNormal:
@@ -196,7 +186,7 @@ void StreamEngine::push(VertexId src, VertexId dst, Timestamp ts) {
   if (ts > reorder_max_seen_) {
     reorder_max_seen_ = ts;
     const Timestamp floor = std::max(
-        reorder_floor_, saturating_floor(ts, options_.reorder_slack));
+        reorder_floor_, saturating_sub(ts, options_.reorder_slack));
     if (floor != reorder_floor_) {
       // Everything below the new floor is releasable: no future accepted
       // arrival can precede it (accepted arrivals have ts >= floor, and the
@@ -282,7 +272,7 @@ void StreamEngine::process_batch() {
   const std::uint64_t t_start = trace_now_ns();
   // Every search of this batch only needs edges with
   // ts >= closing.ts - retention >= batch_min_ts - retention.
-  graph_.expire_before(pending_.front().ts - retention_);
+  graph_.expire_before(saturating_sub(pending_.front().ts, retention_));
   const std::uint64_t t_expired = tr ? trace_now_ns() : 0;
   for (TemporalEdge& e : pending_) {
     e.id = graph_.ingest(e.src, e.dst, e.ts);
@@ -397,8 +387,8 @@ void StreamEngine::search_edges(std::size_t begin, std::size_t end) {
         const StreamOutEdges head_out =
             edge.src == edge.dst
                 ? StreamOutEdges{}
-                : graph_.out_edges_in_window(edge.dst, edge.ts - delta,
-                                             edge.ts - 1);
+                : graph_.out_edges_in_window(
+                      edge.dst, saturating_sub(edge.ts, delta), edge.ts - 1);
         const std::size_t frontier = head_out.size();
         const bool hot = !force_serial && edge.src != edge.dst &&
                          frontier >= options_.hot_frontier_threshold;

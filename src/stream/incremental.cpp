@@ -6,7 +6,7 @@
 #include <optional>
 #include <utility>
 
-#include "core/fine_driver.hpp"   // fine::should_spawn
+#include "core/driver.hpp"  // fine::should_spawn
 #include "core/johnson_impl.hpp"  // detail::kUnboundedRem / child_rem
 #include "obs/trace.hpp"
 
@@ -305,7 +305,7 @@ bool settle_trivial(const SlidingWindowGraph& graph,
   if (window <= 0) {
     return true;  // strictly increasing timestamps need a positive span
   }
-  const Timestamp lo = closing.ts - window;
+  const Timestamp lo = saturating_sub(closing.ts, window);
   const Timestamp hi = closing.ts - 1;
   if (head_out.empty() ||
       graph.in_edges_in_window(closing.src, lo, hi).empty()) {
@@ -338,7 +338,7 @@ std::optional<PreparedSearch> prepare_search(
   if (rem0 < 1) {
     return std::nullopt;  // max_cycle_length == 1 admits only self-loops
   }
-  const Timestamp lo = closing.ts - window;
+  const Timestamp lo = saturating_sub(closing.ts, window);
   const Timestamp hi = closing.ts - 1;
   scratch.ensure(graph.num_vertices());
   if (options.use_cycle_union) {
@@ -364,8 +364,8 @@ std::optional<PreparedSearch> prepare_search(
 // The head's in-window out-edges: the root step of every search.
 StreamOutEdges head_out_edges(const SlidingWindowGraph& graph,
                               const TemporalEdge& closing, Timestamp window) {
-  return graph.out_edges_in_window(closing.dst, closing.ts - window,
-                                   closing.ts - 1);
+  return graph.out_edges_in_window(
+      closing.dst, saturating_sub(closing.ts, window), closing.ts - 1);
 }
 
 }  // namespace

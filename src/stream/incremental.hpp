@@ -122,7 +122,8 @@ std::uint64_t fine_cycles_closed_by_edge(const SlidingWindowGraph& graph,
 
 // The same two searches for a caller that already looked up the head's
 // in-window out-edges: `head_out` must equal
-// graph.out_edges_in_window(closing.dst, closing.ts - window, closing.ts - 1).
+// graph.out_edges_in_window(closing.dst, saturating_sub(closing.ts, window),
+//                           closing.ts - 1).
 // The engine computes that span for its escalation frontier; passing it in
 // makes it the search's root step instead of a second and third lookup.
 std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "stream/engine.hpp"
+#include "support/fnv1a.hpp"
 
 namespace parcycle {
 
@@ -63,18 +64,6 @@ constexpr std::uint32_t kVersion = 4;
 // Upper bound on a plausible payload: rejects absurd sizes from a corrupt
 // header before we try to allocate them.
 constexpr std::uint64_t kMaxPayloadBytes = std::uint64_t{1} << 33;
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t state) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    state ^= bytes[i];
-    state *= kFnvPrime;
-  }
-  return state;
-}
 
 [[noreturn]] void corrupt(const std::string& what) {
   throw std::runtime_error("stream snapshot: " + what);
@@ -257,9 +246,7 @@ void StreamEngine::save_snapshot(std::ostream& out) const {
   if (!pending_.empty()) {
     next_front = std::min(next_front, pending_.front().ts);
   }
-  constexpr Timestamp kLowestTs = std::numeric_limits<Timestamp>::min();
-  const Timestamp cutoff =
-      next_front < kLowestTs + retention_ ? kLowestTs : next_front - retention_;
+  const Timestamp cutoff = saturating_sub(next_front, retention_);
   const auto live = graph_.live_log();
   std::size_t drop = 0;  // the log is ts-ascending: expired edges are a prefix
   while (drop < live.size() && live[drop].ts < cutoff) {
@@ -292,8 +279,7 @@ void StreamEngine::save_snapshot(std::ostream& out) const {
   }
 
   const std::vector<char>& payload = w.bytes();
-  const std::uint64_t checksum = fnv1a(payload.data(), payload.size(),
-                                       kFnvOffset);
+  const std::uint64_t checksum = fnv1a(payload.data(), payload.size());
   out.write(kMagic, sizeof(kMagic));
   const std::uint32_t version = kVersion;
   out.write(reinterpret_cast<const char*>(&version), sizeof(version));
@@ -345,7 +331,7 @@ void StreamEngine::restore_snapshot(std::istream& in) {
       corrupt("truncated payload");
     }
   }
-  if (fnv1a(payload.data(), payload.size(), kFnvOffset) != checksum) {
+  if (fnv1a(payload.data(), payload.size()) != checksum) {
     corrupt("checksum mismatch");
   }
 

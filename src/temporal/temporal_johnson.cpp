@@ -4,10 +4,9 @@
 #include <cassert>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <vector>
 
-#include "core/fine_driver.hpp"
+#include "core/driver.hpp"
 #include "core/johnson_impl.hpp"  // kUnboundedRem / child_rem
 #include "temporal/temporal_johnson_impl.hpp"
 
@@ -139,25 +138,29 @@ void TemporalJohnsonSearch::report_instances(const ClosingTimeState& state,
 // Serial search
 // ---------------------------------------------------------------------------
 
-std::uint64_t TemporalJohnsonSearch::search_from(const TemporalEdge& e0,
-                                                 ClosingTimeState& state,
-                                                 CycleUnionView cycle_union) {
-  state.reset();
+bool TemporalJohnsonSearch::search_from(const TemporalEdge& e0,
+                                        ClosingTimeState& state,
+                                        CycleUnionView cycle_union) {
   Timestamp hi = 0;
   if (!prepare_root(graph_, e0, window_, cycle_union, state, hi)) {
-    return 0;
+    return false;
   }
   tail_ = e0.src;
   hi_ = hi;
   union_ = cycle_union;
-  instances_found_ = 0;
   const bool bounded = options_.max_cycle_length > 0;
   const std::int32_t rem0 = bounded ? options_.max_cycle_length - 1
                                     : detail::kUnboundedRem;
   if (rem0 >= 1) {
     explore(state, rem0);
   }
-  return instances_found_;
+  return true;
+}
+
+bool search_start(const TemporalJohnsonRun& run, const TemporalEdge& e0,
+                  CycleUnionBlock& block, ClosingTimeState& state) {
+  return TemporalJohnsonSearch(run.graph, run.window, run.options, run.sink)
+      .search_from(e0, state, block.view(e0.id));
 }
 
 bool TemporalJohnsonSearch::explore(ClosingTimeState& st, std::int32_t rem) {
@@ -214,7 +217,6 @@ bool TemporalJohnsonSearch::explore(ClosingTimeState& st, std::int32_t rem) {
         const std::uint64_t count =
             instances_before(st.hop(hop_index), scratch[k].ts);
         if (count > 0 && (!bounded || rem >= 1)) {
-          instances_found_ += count;
           st.counters.cycles_found += count;
           found = true;
           success_max = std::max(success_max, scratch[k].ts);
@@ -276,77 +278,23 @@ bool TemporalJohnsonSearch::explore(ClosingTimeState& st, std::int32_t rem) {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Serial driver
+// Serial and coarse-grained drivers
 // ---------------------------------------------------------------------------
 
 EnumResult temporal_johnson_cycles(const TemporalGraph& graph,
                                    Timestamp window,
                                    const EnumOptions& options,
                                    CycleSink* sink) {
-  EnumResult result;
-  const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return result;
-  }
-  detail::TemporalJohnsonSearch search(graph, window, options, sink);
-  ClosingTimeState state(n);
-  CycleUnionBlock block(graph, window, options.use_cycle_union);
-  for (const auto& e0 : graph.edges_by_time()) {
-    if (e0.src == e0.dst) {
-      result.num_cycles += 1;
-      result.work.cycles_found += 1;
-      if (sink != nullptr) {
-        sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
-      }
-      continue;
-    }
-    result.num_cycles += search.search_from(e0, state, block.view(e0.id));
-    result.work += state.counters;
-  }
-  return result;
+  return detail::TemporalJohnsonRun{graph, window, options, sink}.serial(
+      detail::search_start);
 }
-
-// ---------------------------------------------------------------------------
-// Coarse-grained driver
-// ---------------------------------------------------------------------------
 
 EnumResult coarse_temporal_johnson_cycles(const TemporalGraph& graph,
                                           Timestamp window, Scheduler& sched,
                                           const EnumOptions& options,
                                           CycleSink* sink) {
-  const VertexId n = graph.num_vertices();
-  PerWorkerCounters work(sched);
-  ScratchPool<ClosingTimeState> pool(
-      [n] { return std::make_unique<ClosingTimeState>(n); });
-  // A start task never waits, so a worker's cached block is never shared.
-  std::vector<CycleUnionBlock> blocks(
-      sched.num_workers(),
-      CycleUnionBlock(graph, window, options.use_cycle_union));
-  const auto edges = graph.edges_by_time();
-  parallel_for_each_index(sched, 0, edges.size(), [&](std::size_t i) {
-    const TemporalEdge& e0 = edges[i];
-    if (e0.src == e0.dst) {
-      if (sink != nullptr) {
-        sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
-      }
-      WorkCounters counters;
-      counters.cycles_found = 1;
-      work.merge(counters);
-      return;
-    }
-    const CycleUnionView cycle_union =
-        blocks[static_cast<std::size_t>(Scheduler::current_worker_id())].view(
-            e0.id);
-    if (!cycle_union.contains(e0.dst)) {
-      return;
-    }
-    auto state = pool.acquire();
-    detail::TemporalJohnsonSearch search(graph, window, options, sink);
-    search.search_from(e0, *state, cycle_union);
-    work.merge(state->counters);
-    pool.release(std::move(state));
-  });
-  return EnumResult::of(work.total());
+  return detail::TemporalJohnsonRun{graph, window, options, sink}.coarse(
+      sched, detail::search_start);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 // Internal search core for temporal cycle enumeration in the Johnson family:
 // time-respecting DFS with 2SCENT closing times and path bundles (paper
-// Section 7). Shared by the serial driver, the coarse-grained driver and the
-// 2SCENT baseline; the fine-grained driver reimplements the recursion with
-// task spawning (through core/fine_driver.hpp) but reuses the same state and
-// helpers.
+// Section 7). Its per-start hook serves the serial driver, the
+// coarse-grained driver and the 2SCENT baseline through the root loops of
+// core/driver.hpp; the fine-grained driver reimplements the recursion with
+// task spawning but reuses the same state and helpers.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/cycle_types.hpp"
+#include "core/driver.hpp"
 #include "core/options.hpp"
 #include "graph/temporal_graph.hpp"
 #include "temporal/cycle_union.hpp"
@@ -23,11 +24,11 @@ class TemporalJohnsonSearch {
                         const EnumOptions& options, CycleSink* sink)
       : graph_(graph), window_(window), options_(options), sink_(sink) {}
 
-  // Runs the full search rooted at starting edge e0, pruned to its
-  // cycle-union. Counters accumulate in state.counters; returns the number
-  // of temporal cycle instances.
-  std::uint64_t search_from(const TemporalEdge& e0, ClosingTimeState& state,
-                            CycleUnionView cycle_union);
+  // Runs the full search rooted at starting edge e0 on a reset state,
+  // pruned to its cycle-union; returns false when it skipped e0 without
+  // touching the state. Counters accumulate in state.counters.
+  bool search_from(const TemporalEdge& e0, ClosingTimeState& state,
+                   CycleUnionView cycle_union);
 
   // Shared helpers ------------------------------------------------------------
 
@@ -54,8 +55,14 @@ class TemporalJohnsonSearch {
   VertexId tail_ = kInvalidVertex;
   Timestamp hi_ = 0;
   CycleUnionView union_;
-  std::uint64_t instances_found_ = 0;
 };
+
+using TemporalJohnsonRun = roots::StartRun<ClosingTimeState, CycleUnionBlock>;
+
+// The per-start hook of serial and coarse temporal Johnson, and of 2SCENT's
+// search pass (a run without cycle-unions).
+bool search_start(const TemporalJohnsonRun& run, const TemporalEdge& e0,
+                  CycleUnionBlock& block, ClosingTimeState& state);
 
 // Number of path instances arriving strictly before `ts` (prefix sum over the
 // hop's bundle edges, which are ascending by ts).

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "core/fine_driver.hpp"
+#include "core/driver.hpp"
 #include "core/johnson_impl.hpp"  // kUnboundedRem / child_rem
 #include "temporal/cycle_union.hpp"
 #include "temporal/temporal_rt_state.hpp"
@@ -250,128 +250,52 @@ bool prepare_start(const TemporalGraph& graph, const TemporalEdge& e0,
   return true;
 }
 
-// Depth-first drain used by the serial and coarse drivers.
-std::uint64_t drain(TemporalRTCore& core, TemporalRTState& state,
-                    std::vector<TRTChild>& pending) {
-  std::uint64_t cycles = 0;
-  const TChildFn collect = [&pending](TRTChild&& child) {
-    pending.push_back(std::move(child));
-  };
-  while (!pending.empty()) {
-    TRTChild child = std::move(pending.back());
-    pending.pop_back();
-    state.truncate_path(child.path_len);
-    state.truncate_log(child.log_len);
-    cycles += core.walk(child.ext, child.excluded, collect);
-  }
-  return cycles;
-}
+using Scratch = roots::DrainScratch<CycleUnionBlock, TRTChild>;
+using Run = roots::StartRun<TemporalRTState, Scratch>;
 
-struct TRTScratch {
-  explicit TRTScratch(VertexId n) : state(n) {}
-  TemporalRTState state;
-  std::vector<TRTChild> pending;
-};
-
-std::uint64_t run_start(const TemporalGraph& graph, const TemporalEdge& e0,
-                        Timestamp window, const EnumOptions& options,
-                        CycleSink* sink, CycleUnionView cycle_union,
-                        TRTScratch& scratch) {
-  scratch.state.reset();
-  TemporalRTCore core(graph, options, sink);
-  if (!prepare_start(graph, e0, window, options, cycle_union, scratch.state,
-                     core)) {
-    return 0;
+// The per-start hook of the serial and coarse drivers.
+bool search_start(const Run& run, const TemporalEdge& e0, Scratch& scratch,
+                  TemporalRTState& state) {
+  TemporalRTCore core(run.graph, run.options, run.sink);
+  if (!prepare_start(run.graph, e0, run.window, run.options,
+                     scratch.view(e0.id), state, core)) {
+    return false;
   }
   TExtPath root_ext;
-  if (!core.find_root_extension(root_ext)) {
-    return 0;
+  if (core.find_root_extension(root_ext)) {
+    roots::drain(state, scratch.pending,
+                 TRTChild{state.path_length(), state.log_length(),
+                          std::move(root_ext), {}},
+                 [&core](const TRTChild& call, const TChildFn& collect) {
+                   core.walk(call.ext, call.excluded, collect);
+                 });
   }
-  scratch.pending.push_back(TRTChild{scratch.state.path_length(),
-                                     scratch.state.log_length(),
-                                     std::move(root_ext),
-                                     {}});
-  return drain(core, scratch.state, scratch.pending);
+  return true;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Serial driver
+// Serial and coarse-grained drivers
 // ---------------------------------------------------------------------------
 
 EnumResult temporal_read_tarjan_cycles(const TemporalGraph& graph,
                                        Timestamp window,
                                        const EnumOptions& options,
                                        CycleSink* sink) {
-  EnumResult result;
-  const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return result;
-  }
-  TRTScratch scratch(n);
-  CycleUnionBlock block(graph, window, options.use_cycle_union);
-  for (const auto& e0 : graph.edges_by_time()) {
-    if (e0.src == e0.dst) {
-      result.num_cycles += 1;
-      result.work.cycles_found += 1;
-      if (sink != nullptr) {
-        sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
-      }
-      continue;
-    }
-    result.num_cycles += run_start(graph, e0, window, options, sink,
-                                   block.view(e0.id), scratch);
-    result.work += scratch.state.counters;
-  }
-  return result;
+  return Run{graph, window, options, sink}.serial(search_start);
 }
-
-// ---------------------------------------------------------------------------
-// Coarse-grained driver
-// ---------------------------------------------------------------------------
 
 EnumResult coarse_temporal_read_tarjan_cycles(const TemporalGraph& graph,
                                               Timestamp window,
                                               Scheduler& sched,
                                               const EnumOptions& options,
                                               CycleSink* sink) {
-  const VertexId n = graph.num_vertices();
-  PerWorkerCounters work(sched);
-  ScratchPool<TRTScratch> pool(
-      [n] { return std::make_unique<TRTScratch>(n); });
-  // A start task never waits, so a worker's cached block is never shared.
-  std::vector<CycleUnionBlock> blocks(
-      sched.num_workers(),
-      CycleUnionBlock(graph, window, options.use_cycle_union));
-  const auto edges = graph.edges_by_time();
-  parallel_for_each_index(sched, 0, edges.size(), [&](std::size_t i) {
-    const TemporalEdge& e0 = edges[i];
-    if (e0.src == e0.dst) {
-      if (sink != nullptr) {
-        sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
-      }
-      WorkCounters counters;
-      counters.cycles_found = 1;
-      work.merge(counters);
-      return;
-    }
-    const CycleUnionView cycle_union =
-        blocks[static_cast<std::size_t>(Scheduler::current_worker_id())].view(
-            e0.id);
-    if (!cycle_union.contains(e0.dst)) {
-      return;
-    }
-    auto scratch = pool.acquire();
-    run_start(graph, e0, window, options, sink, cycle_union, *scratch);
-    work.merge(scratch->state.counters);
-    pool.release(std::move(scratch));
-  });
-  return EnumResult::of(work.total());
+  return Run{graph, window, options, sink}.coarse(sched, search_start);
 }
 
 // ---------------------------------------------------------------------------
-// Fine-grained driver: the prefix-replay shape of core/fine_driver.hpp, as
+// Fine-grained driver: the prefix-replay shape of core/driver.hpp, as
 // fine Read-Tarjan on windowed simple cycles uses it.
 // ---------------------------------------------------------------------------
 

@@ -7,6 +7,9 @@
 //  * temporal_read_tarjan_cycles         — serial
 //  * coarse_temporal_read_tarjan_cycles  — one task per starting edge
 //  * fine_temporal_read_tarjan_cycles    — one task per call, copy-on-steal
+//
+// The serial and coarse variants share one per-start hook and drain its calls
+// depth-first (core/driver.hpp's roots::drain); the fine one spawns them.
 #pragma once
 
 #include "core/cycle_types.hpp"

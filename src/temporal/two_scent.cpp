@@ -114,33 +114,16 @@ DynamicBitset two_scent_seed_edges(const TemporalGraph& graph,
 EnumResult two_scent_cycles(const TemporalGraph& graph, Timestamp window,
                             const EnumOptions& options, CycleSink* sink,
                             TwoScentStats* stats) {
-  EnumResult result;
-  const VertexId n = graph.num_vertices();
-  if (n == 0) {
-    return result;
-  }
   const DynamicBitset seeds = two_scent_seed_edges(graph, window, stats);
-
   EnumOptions search_options = options;
   search_options.use_cycle_union = false;  // phase 1 already did the pruning
-  detail::TemporalJohnsonSearch search(graph, window, search_options, sink);
-  ClosingTimeState state(n);
-  for (const auto& e0 : graph.edges_by_time()) {
-    if (e0.src == e0.dst) {
-      result.num_cycles += 1;
-      result.work.cycles_found += 1;
-      if (sink != nullptr) {
-        sink->on_cycle({&e0.src, 1}, {&e0.id, 1});
-      }
-      continue;
-    }
-    if (!seeds.test(e0.id)) {
-      continue;
-    }
-    result.num_cycles += search.search_from(e0, state, {});
-    result.work += state.counters;
-  }
-  return result;
+  return detail::TemporalJohnsonRun{graph, window, search_options, sink}
+      .serial([&seeds](const detail::TemporalJohnsonRun& run,
+                       const TemporalEdge& e0, CycleUnionBlock& block,
+                       ClosingTimeState& state) {
+        return seeds.test(e0.id) &&
+               detail::search_start(run, e0, block, state);
+      });
 }
 
 }  // namespace parcycle

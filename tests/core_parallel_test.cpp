@@ -3,15 +3,25 @@
 // policy and copy-on-steal mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <span>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/coarse_grained.hpp"
 #include "core/fine_johnson.hpp"
 #include "core/fine_read_tarjan.hpp"
+#include "core/hc_dfs.hpp"
 #include "core/johnson.hpp"
 #include "core/read_tarjan.hpp"
 #include "graph/generators.hpp"
 #include "support/prng.hpp"
+#include "temporal/temporal_johnson.hpp"
+#include "temporal/temporal_read_tarjan.hpp"
+#include "temporal/two_scent.hpp"
 
 namespace parcycle {
 namespace {
@@ -72,11 +82,206 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, CoarseGrainedTest,
 // Coarse-grained Johnson is work efficient: its total edge visits equal the
 // serial algorithm's (Proposition 4.1).
 TEST(CoarseGrained, WorkEqualsSerial) {
-  const TemporalGraph g = test_graph(11);
-  const auto serial = johnson_windowed_cycles(g, 250);
-  Scheduler sched(4);
-  const auto coarse = coarse_johnson_windowed_cycles(g, 250, sched);
-  EXPECT_EQ(coarse.work.edges_visited, serial.work.edges_visited);
+  {
+    const TemporalGraph g = test_graph(11);
+    const auto serial = johnson_windowed_cycles(g, 250);
+    Scheduler sched(4);
+    const auto coarse = coarse_johnson_windowed_cycles(g, 250, sched);
+    EXPECT_EQ(coarse.work.edges_visited, serial.work.edges_visited);
+  }
+
+  // Every serial driver, on a graph with self-loops and with and without a
+  // length bound (1 admits only the self-loops), reports the cycles its
+  // counters found; every coarse driver does exactly its serial driver's
+  // search work at every worker count.
+  ScaleFreeTemporalParams params;
+  params.num_vertices = 40;
+  params.num_edges = 900;
+  params.time_span = 1500;
+  params.attachment = 0.6;
+  params.seed = 19;
+  params.allow_self_loops = true;
+  const TemporalGraph loops = scale_free_temporal(params);
+  const auto edges = loops.edges_by_time();
+  const auto self_loops = static_cast<std::uint64_t>(
+      std::count_if(edges.begin(), edges.end(),
+                    [](const TemporalEdge& e) { return e.src == e.dst; }));
+  ASSERT_GT(self_loops, 0u);
+  ScaleFreeTemporalParams small = params;
+  small.num_vertices = 12;
+  small.num_edges = 40;
+  const Digraph d = scale_free_temporal(small).static_projection();
+  const Timestamp window = 150;
+  const Timestamp delta = 400;
+  for (const int max_len : {0, 1, 4}) {
+    SCOPED_TRACE(testing::Message() << "max_cycle_length " << max_len);
+    EnumOptions options;
+    options.max_cycle_length = max_len;
+    const int max_hops = max_len == 0 ? 8 : max_len;
+    const EnumResult sj = johnson_simple_cycles(d, options);
+    const EnumResult sr = read_tarjan_simple_cycles(d, options);
+    const EnumResult swj = johnson_windowed_cycles(loops, window, options);
+    const EnumResult swr = read_tarjan_windowed_cycles(loops, window, options);
+    const EnumResult stj = temporal_johnson_cycles(loops, delta, options);
+    const EnumResult str = temporal_read_tarjan_cycles(loops, delta, options);
+    const std::pair<const char*, EnumResult> static_runs[] = {
+        {"Johnson", sj},
+        {"Read-Tarjan", sr},
+        {"BC-DFS", hc_simple_cycles(d, max_hops, options)},
+    };
+    for (const auto& [driver, result] : static_runs) {
+      SCOPED_TRACE(driver);
+      EXPECT_EQ(result.num_cycles, result.work.cycles_found);
+    }
+    // The edge-start drivers; at length 1 they report the self-loops alone.
+    const std::pair<const char*, EnumResult> edge_runs[] = {
+        {"windowed Johnson", swj},
+        {"windowed Read-Tarjan", swr},
+        {"windowed BC-DFS",
+         hc_windowed_cycles(loops, window, max_hops, options)},
+        {"temporal Johnson", stj},
+        {"temporal Read-Tarjan", str},
+        {"2SCENT", two_scent_cycles(loops, delta, options)},
+    };
+    for (const auto& [driver, result] : edge_runs) {
+      SCOPED_TRACE(driver);
+      EXPECT_EQ(result.num_cycles, result.work.cycles_found);
+      if (max_len == 1) {
+        EXPECT_EQ(result.num_cycles, self_loops);
+      } else {
+        EXPECT_GT(result.num_cycles, self_loops);
+      }
+    }
+    EXPECT_EQ(stj.num_cycles, str.num_cycles);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(testing::Message() << threads << " workers");
+      Scheduler workers(threads);
+      const auto same_work = [](const char* driver, const EnumResult& par,
+                                const EnumResult& ser) {
+        SCOPED_TRACE(driver);
+        EXPECT_EQ(par.num_cycles, ser.num_cycles);
+        EXPECT_EQ(par.work.cycles_found, ser.work.cycles_found);
+        EXPECT_EQ(par.work.edges_visited, ser.work.edges_visited);
+        EXPECT_EQ(par.work.vertices_visited, ser.work.vertices_visited);
+      };
+      same_work("Johnson",
+                coarse_johnson_simple_cycles(d, workers, options), sj);
+      same_work("Read-Tarjan",
+                coarse_read_tarjan_simple_cycles(d, workers, options), sr);
+      same_work("windowed Johnson",
+                coarse_johnson_windowed_cycles(loops, window, workers, options),
+                swj);
+      same_work("windowed Read-Tarjan",
+                coarse_read_tarjan_windowed_cycles(loops, window, workers,
+                                                   options),
+                swr);
+      same_work("temporal Johnson",
+                coarse_temporal_johnson_cycles(loops, delta, workers, options),
+                stj);
+      same_work("temporal Read-Tarjan",
+                coarse_temporal_read_tarjan_cycles(loops, delta, workers,
+                                                   options),
+                str);
+    }
+  }
+}
+
+// A sink that throws on every cycle of one start and collects the others. A
+// start is a cycle's smallest edge id, or its smallest vertex on a static
+// graph.
+class FailingStartSink final : public CycleSink {
+ public:
+  explicit FailingStartSink(std::uint32_t victim) : victim_(victim) {}
+
+  static std::uint32_t start_of(std::span<const VertexId> vertices,
+                                std::span<const EdgeId> edges) {
+    return edges.empty() ? *std::min_element(vertices.begin(), vertices.end())
+                         : *std::min_element(edges.begin(), edges.end());
+  }
+
+  void on_cycle(std::span<const VertexId> vertices,
+                std::span<const EdgeId> edges) override {
+    if (start_of(vertices, edges) == victim_) {
+      throw std::runtime_error("sink failure");
+    }
+    kept_.on_cycle(vertices, edges);
+  }
+
+  std::vector<CycleRecord> sorted_cycles() const {
+    return kept_.sorted_cycles();
+  }
+
+ private:
+  std::uint32_t victim_;
+  CollectingSink kept_;
+};
+
+// A sink exception ends the start it hit and leaves the run's other starts,
+// on the same worker too, exactly the serial driver's cycles.
+TEST(CoarseGrained, SinkFailureSparesOtherStarts) {
+  const TemporalGraph g = test_graph(29);
+  const Digraph d = erdos_renyi(12, 40, 5);
+  using Serial = std::function<EnumResult(CycleSink*)>;
+  using Coarse = std::function<EnumResult(Scheduler&, CycleSink*)>;
+  const std::tuple<const char*, Serial, Coarse> drivers[] = {
+      {"Johnson", [&](CycleSink* s) { return johnson_simple_cycles(d, {}, s); },
+       [&](Scheduler& w, CycleSink* s) {
+         return coarse_johnson_simple_cycles(d, w, {}, s);
+       }},
+      {"Read-Tarjan",
+       [&](CycleSink* s) { return read_tarjan_simple_cycles(d, {}, s); },
+       [&](Scheduler& w, CycleSink* s) {
+         return coarse_read_tarjan_simple_cycles(d, w, {}, s);
+       }},
+      {"windowed Johnson",
+       [&](CycleSink* s) { return johnson_windowed_cycles(g, 150, {}, s); },
+       [&](Scheduler& w, CycleSink* s) {
+         return coarse_johnson_windowed_cycles(g, 150, w, {}, s);
+       }},
+      {"windowed Read-Tarjan",
+       [&](CycleSink* s) { return read_tarjan_windowed_cycles(g, 150, {}, s); },
+       [&](Scheduler& w, CycleSink* s) {
+         return coarse_read_tarjan_windowed_cycles(g, 150, w, {}, s);
+       }},
+      {"temporal Johnson",
+       [&](CycleSink* s) { return temporal_johnson_cycles(g, 400, {}, s); },
+       [&](Scheduler& w, CycleSink* s) {
+         return coarse_temporal_johnson_cycles(g, 400, w, {}, s);
+       }},
+      {"temporal Read-Tarjan",
+       [&](CycleSink* s) { return temporal_read_tarjan_cycles(g, 400, {}, s); },
+       [&](Scheduler& w, CycleSink* s) {
+         return coarse_temporal_read_tarjan_cycles(g, 400, w, {}, s);
+       }},
+  };
+  for (const auto& [driver, serial, coarse] : drivers) {
+    SCOPED_TRACE(driver);
+    CollectingSink all;
+    serial(&all);
+    const std::vector<CycleRecord> cycles = all.sorted_cycles();
+    // The victim is the middle one of the starts that have a cycle.
+    std::vector<std::uint32_t> starts;
+    for (const CycleRecord& c : cycles) {
+      starts.push_back(FailingStartSink::start_of(c.vertices, c.edges));
+    }
+    std::sort(starts.begin(), starts.end());
+    starts.erase(std::unique(starts.begin(), starts.end()), starts.end());
+    ASSERT_GT(starts.size(), 2u);
+    const std::uint32_t victim = starts[starts.size() / 2];
+    std::vector<CycleRecord> others;
+    for (const CycleRecord& c : cycles) {
+      if (FailingStartSink::start_of(c.vertices, c.edges) != victim) {
+        others.push_back(c);
+      }
+    }
+    for (const unsigned threads : {1u, 2u}) {
+      SCOPED_TRACE(testing::Message() << threads << " workers");
+      Scheduler workers(threads);
+      FailingStartSink sink(victim);
+      EXPECT_THROW(coarse(workers, &sink), std::runtime_error);
+      EXPECT_EQ(sink.sorted_cycles(), others);
+    }
+  }
 }
 
 // --- fine-grained -------------------------------------------------------------

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "graph/generators.hpp"
 #include "io/edge_list.hpp"
+#include "io/edge_stream.hpp"
 
 namespace parcycle {
 namespace {
@@ -171,6 +173,97 @@ TEST(GraphCache, UnreadablePathsThrow) {
                std::runtime_error);
   EXPECT_THROW(save_graph_cache_file(TemporalGraph(), "/nonexistent/g.pcg"),
                std::runtime_error);
+}
+
+// --- EdgeStreamReader over a cache file --------------------------------------
+
+std::string write_file(const std::string& name, const std::string& bytes) {
+  const std::string path = testing::TempDir() + name;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
+
+// More than two 8,192-edge chunk refills, streamed in edges_by_time() order.
+TEST(EdgeStream, CacheStreamsEdgesByTime) {
+  const TemporalGraph graph = generated(20'000, 11);
+  const std::string path = write_file("stream_all.pcg", cache_bytes(graph));
+  EdgeStreamReader reader = EdgeStreamReader::open_file(path);
+  EXPECT_TRUE(reader.streaming_from_cache());
+  EXPECT_EQ(reader.total_edges(), graph.num_edges());
+  EXPECT_EQ(reader.num_vertices(), graph.num_vertices());
+  TemporalEdge edge;
+  for (const TemporalEdge& want : graph.edges_by_time()) {
+    ASSERT_TRUE(reader.next(edge)) << "edge " << want.id;
+    ASSERT_EQ(edge.src, want.src) << "edge " << want.id;
+    ASSERT_EQ(edge.dst, want.dst) << "edge " << want.id;
+    ASSERT_EQ(edge.ts, want.ts) << "edge " << want.id;
+    ASSERT_EQ(edge.id, kInvalidEdge);
+  }
+  EXPECT_FALSE(reader.next(edge));
+  EXPECT_EQ(reader.position(), graph.num_edges());
+}
+
+// skip(k) then next() yields edge k, from a fresh reader and from one whose
+// chunk already holds other edges; skipping past the end clamps.
+TEST(EdgeStream, SkipResumesAtEdgeK) {
+  const TemporalGraph graph = generated(20'000, 12);
+  const auto edges = graph.edges_by_time();
+  const std::string path = write_file("stream_skip.pcg", cache_bytes(graph));
+  for (const std::uint64_t read_first : {std::uint64_t{0}, std::uint64_t{10}}) {
+    for (const std::uint64_t k :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{8'181},
+          std::uint64_t{8'182}, std::uint64_t{12'345},
+          std::uint64_t{edges.size() - read_first - 1}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "read " << read_first << " skip " << k);
+      EdgeStreamReader reader = EdgeStreamReader::open_file(path);
+      TemporalEdge edge;
+      for (std::uint64_t i = 0; i < read_first; ++i) {
+        ASSERT_TRUE(reader.next(edge));
+      }
+      reader.skip(k);
+      const std::uint64_t at = read_first + k;
+      EXPECT_EQ(reader.position(), at);
+      ASSERT_TRUE(reader.next(edge));
+      EXPECT_EQ(edge.src, edges[at].src);
+      EXPECT_EQ(edge.dst, edges[at].dst);
+      EXPECT_EQ(edge.ts, edges[at].ts);
+    }
+  }
+  EdgeStreamReader reader = EdgeStreamReader::open_file(path);
+  reader.skip(edges.size() + 5);
+  EXPECT_EQ(reader.position(), edges.size());
+  TemporalEdge edge;
+  EXPECT_FALSE(reader.next(edge));
+}
+
+// A damaged cache throws from open_file, so no edge of it is ever yielded.
+// Prefixes shorter than the 4-byte magic are not sniffed as caches at all.
+TEST(EdgeStream, DamagedCacheRejectedBeforeFirstEdge) {
+  const std::string bytes = cache_bytes(generated(1'000, 13));
+  const auto rejects = [](const std::string& damaged, const char* what) {
+    const std::string path = write_file("stream_damaged.pcg", damaged);
+    EXPECT_THROW(EdgeStreamReader::open_file(path), std::runtime_error)
+        << what;
+  };
+  std::string wrong_magic = bytes;
+  wrong_magic[0] = 'X';
+  rejects(wrong_magic, "bad magic");
+  std::string wrong_version = bytes;
+  wrong_version[4] = 99;
+  rejects(wrong_version, "bad version");
+  for (std::size_t keep = 4; keep <= 48; ++keep) {
+    rejects(bytes.substr(0, keep), "truncated header");
+  }
+  rejects(bytes.substr(0, bytes.size() / 2), "half the payload");
+  rejects(bytes.substr(0, bytes.size() - 1), "payload one byte short");
+  for (const std::size_t victim : {std::size_t{48}, bytes.size() / 2,
+                                   bytes.size() - 1}) {
+    std::string flipped = bytes;
+    flipped[victim] = static_cast<char>(flipped[victim] ^ 0x04);
+    rejects(flipped, "payload bit flip");
+  }
 }
 
 }  // namespace

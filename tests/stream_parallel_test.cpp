@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -136,7 +137,9 @@ std::vector<LaneReplay> standalone_replay(const TemporalGraph& graph,
       const std::size_t frontier =
           e.src == e.dst
               ? 0
-              : live.out_edges_in_window(e.dst, e.ts - delta, e.ts - 1).size();
+              : live.out_edges_in_window(e.dst, saturating_sub(e.ts, delta),
+                                         e.ts - 1)
+                    .size();
       EnumOptions eopts;
       eopts.use_cycle_union = options.use_reach_prune &&
                               frontier >= options.prune_frontier_threshold;
@@ -186,6 +189,29 @@ TEST(StreamParallel, ChunkedBatchesMatchStandaloneReplay) {
         }
       }
     }
+  }
+}
+
+// A triangle within one window of the Timestamp minimum: the expiry cutoff
+// and the search bounds clamp at the minimum instead of wrapping around, so
+// the engine closes the one cycle, exactly as the standalone replay does.
+TEST(StreamParallel, WindowNearTimestampMinimumClosesTheTriangle) {
+  constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
+  const TemporalGraph graph(
+      3, {{0, 1, kMin + 1}, {1, 2, kMin + 2}, {2, 0, kMin + 3}});
+  StreamOptions options;
+  options.windows = {100};
+  const std::vector<LaneReplay> reference = standalone_replay(graph, options);
+  ASSERT_EQ(reference[0].cycles, 1u);
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    const StreamStats run = replay_with(graph, threads, options);
+    EXPECT_EQ(run.cycles_found, 1u);
+    EXPECT_EQ(run.expired_edges, 0u);
+    ASSERT_EQ(run.per_window.size(), 1u);
+    EXPECT_EQ(run.per_window[0].cycles_found, reference[0].cycles);
+    EXPECT_EQ(run.per_window[0].work.edges_visited,
+              reference[0].work.edges_visited);
   }
 }
 

@@ -83,7 +83,7 @@ bool WindowedJohnsonSearch::prepare_start(const TemporalGraph& graph,
   ctx.tail = e0.src;
   ctx.head = e0.dst;
   ctx.t0 = e0.ts;
-  ctx.hi = e0.ts + window;
+  ctx.hi = saturating_add(e0.ts, window);
   ctx.cycle_union = nullptr;
   // Cheap rejection: the head must have an admissible out-edge and the tail
   // an admissible in-edge.

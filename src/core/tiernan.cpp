@@ -101,7 +101,7 @@ class WindowedTiernan {
       ctx_.tail = e0.src;
       ctx_.head = e0.dst;
       ctx_.t0 = e0.ts;
-      ctx_.hi = e0.ts + window_;
+      ctx_.hi = saturating_add(e0.ts, window_);
       ctx_.cycle_union = nullptr;  // brute force: no pruning of any kind
       const bool bounded = options_.max_cycle_length > 0;
       const std::int32_t rem0 =

@@ -24,6 +24,17 @@ constexpr Timestamp saturating_sub(Timestamp a, Timestamp b) noexcept {
   return out;
 }
 
+// a + b, clamped the same way: the upper end of a window [..., a + b] near
+// the Timestamp maximum.
+constexpr Timestamp saturating_add(Timestamp a, Timestamp b) noexcept {
+  Timestamp out = 0;
+  if (__builtin_add_overflow(a, b, &out)) {
+    return b > 0 ? std::numeric_limits<Timestamp>::max()
+                 : std::numeric_limits<Timestamp>::min();
+  }
+  return out;
+}
+
 // A directed temporal edge. `id` is the edge's rank in the global
 // (timestamp, source, destination) order, so comparing ids is the canonical
 // tie-break the enumeration algorithms use to assign each cycle to exactly

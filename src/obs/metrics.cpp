@@ -329,7 +329,8 @@ void MetricsRegistry::import_stream(const StreamStats& stats) {
                 "Window lanes whose sink is quarantined");
   import_work("parcycle_stream_work", stats.work);
   set_histogram("parcycle_stream_search_latency_ns", "", stats.latency,
-                "Per-edge search latency, all window lanes");
+                "Search latency per edge-lane, all window lanes: wall ns of "
+                "the search, 0 for a lane that settled without one");
   for (const StreamWindowStats& lane : stats.per_window) {
     std::string labels = "window=\"";
     append_u64(labels, static_cast<std::uint64_t>(lane.window));
@@ -343,7 +344,9 @@ void MetricsRegistry::import_stream(const StreamStats& stats) {
                 lane.work.edges_visited,
                 "Edges visited during enumeration per window lane");
     set_histogram("parcycle_stream_lane_search_latency_ns", labels,
-                  lane.latency, "Per-edge search latency per window lane");
+                  lane.latency,
+                  "Search latency per edge in this window lane: wall ns of "
+                  "the search, 0 for an edge that settled without one");
   }
 }
 

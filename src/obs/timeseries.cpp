@@ -210,8 +210,9 @@ void TimeSeriesSampler::sample_once(std::uint64_t now_ns) {
                       "Shed rate over the last sampling tick");
   registry_.set_gauge("parcycle_stream_rolling_p99_search_ns", "",
                       p99_search_ns_.latest(),
-                      "Rolling p99 per-edge search latency over the sampler "
-                      "window");
+                      "Rolling p99 search latency per edge-lane over the "
+                      "sampler window: wall ns of the search, 0 for a lane "
+                      "that settled without one");
   registry_.import_process();
   if (options_.perf != nullptr) {
     registry_.import_perf(*options_.perf);

@@ -3,8 +3,10 @@
 // A dedicated thread snapshots StreamStats (via the engine's
 // concurrent-stats path) and the scheduler's live worker counters every
 // interval, derives per-tick rates (edges/s, cycles/s, shed/s) and a rolling
-// p99 of the per-edge search latency (from per-tick delta histograms), and
-// appends everything to fixed-capacity per-series rings. The same tick
+// p99 of the search latency (from per-tick delta histograms; one sample per
+// edge-lane, the search's wall time or 0 for a lane that settled without a
+// search, see StreamStats::latency), and appends everything to
+// fixed-capacity per-series rings. The same tick
 // drives the SLO tracker (obs/slo.hpp) and, when
 // TimeSeriesOptions::adaptive_budget_multiplier > 0, seeds the engine's
 // degraded search budget with k×rolling-p99 (static configuration stays the

@@ -372,24 +372,20 @@ void StreamEngine::search_edges(std::size_t begin, std::size_t end) {
   }
   auto scratch = scratch_pool_.acquire();
   std::exception_ptr error;
-  // One clock read per edge-lane: each lane, and each edge, starts where the
-  // previous one ended.
-  std::uint64_t t_lane = trace_now_ns();
   for (std::size_t i = begin; i < end; ++i) {
     const TemporalEdge& edge = pending_[i];
-    const std::uint64_t edge_start = t_lane;  // for the whole-edge span
+    // Without a tracer only a lane that searches reads the clock: once
+    // before its search and once after. A tracer adds the reads of the edge
+    // span and of the decision instants.
+    const std::uint64_t edge_start = tr != nullptr ? trace_now_ns() : 0;
     try {
       for (std::size_t lane = 0; lane < deltas_.size(); ++lane) {
         const Timestamp delta = deltas_[lane];
         LaneCounters& counters = sink.lanes[lane];
-        // The head's in-window out-edges: the frontier here, and the root
-        // step of the search below, which reads them instead of a lookup.
-        const StreamOutEdges head_out =
-            edge.src == edge.dst
-                ? StreamOutEdges{}
-                : graph_.out_edges_in_window(
-                      edge.dst, saturating_sub(edge.ts, delta), edge.ts - 1);
-        const std::size_t frontier = head_out.size();
+        // The settle decision and the head's in-window out-edges: the
+        // frontier here, and the root step of the search below.
+        const EdgeLane root = settle_edge_lane(graph_, edge, delta);
+        const std::size_t frontier = root.head_out.size();
         const bool hot = !force_serial && edge.src != edge.dst &&
                          frontier >= options_.hot_frontier_threshold;
 
@@ -403,15 +399,28 @@ void StreamEngine::search_edges(std::size_t begin, std::size_t end) {
         eopts.use_cycle_union =
             force_prune || (options_.use_reach_prune &&
                             frontier >= options_.prune_frontier_threshold);
-        if (tr != nullptr) {
-          // Decision instants reuse the lane's start timestamp: tracing the
-          // escalate/prune verdicts costs no clock reads.
+        if (tr != nullptr && (hot || eopts.use_cycle_union)) {
+          const std::uint64_t t_decided = trace_now_ns();
           if (hot) {
-            tr->record_instant(wid, TraceName::kEscalated, t_lane, edge.id);
+            tr->record_instant(wid, TraceName::kEscalated, t_decided,
+                               edge.id);
           }
           if (eopts.use_cycle_union) {
-            tr->record_instant(wid, TraceName::kPruned, t_lane, edge.id);
+            tr->record_instant(wid, TraceName::kPruned, t_decided, edge.id);
           }
+        }
+        if (hot) {
+          counters.escalated += 1;
+        }
+        if (adaptive_applied) {
+          counters.work.adaptive_budget_applications += 1;
+        }
+        if (root.settled) {
+          // No search ran: the lane's search latency is 0.
+          counters.cycles +=
+              settled_lane_cycles(edge, counters.work, effective_sinks_[lane]);
+          counters.latency.record(0);
+          continue;
         }
         // A fresh budget per lane search: the deadline is per-search, and
         // the disabled case stays a null pointer all the way down the DFS.
@@ -420,36 +429,25 @@ void StreamEngine::search_edges(std::size_t begin, std::size_t end) {
         if (budget_cfg.enabled()) {
           budget_state.emplace(budget_cfg);
           budget = &*budget_state;
-          if (adaptive_applied) {
-            counters.work.adaptive_budget_applications += 1;
-          }
         }
-        std::uint64_t found = 0;
         const std::uint64_t truncated_before =
             counters.work.searches_truncated;
-        if (hot) {
-          counters.escalated += 1;
-        }
-        // A head with no live out-edge in the window closes nothing; the
-        // search would settle at 0 without touching a counter or the budget.
-        if (frontier > 0 || edge.src == edge.dst) {
-          found = hot ? fine_cycles_closed_by_edge(
-                            graph_, edge, delta, head_out, sched_, eopts,
-                            popts, *scratch, counters.work,
-                            effective_sinks_[lane], budget)
-                      : cycles_closed_by_edge(graph_, edge, delta, head_out,
-                                              eopts, *scratch, counters.work,
-                                              effective_sinks_[lane], budget);
-        }
-        counters.cycles += found;
+        const std::uint64_t t_search = trace_now_ns();
+        counters.cycles +=
+            hot ? fine_cycles_closed_by_edge(graph_, edge, delta, root, sched_,
+                                             eopts, popts, *scratch,
+                                             counters.work,
+                                             effective_sinks_[lane], budget)
+                : cycles_closed_by_edge(graph_, edge, delta, root, eopts,
+                                        *scratch, counters.work,
+                                        effective_sinks_[lane], budget);
         const std::uint64_t t_done = trace_now_ns();
+        counters.latency.record(t_done - t_search);
         if (tr != nullptr &&
             counters.work.searches_truncated != truncated_before) {
           tr->record_instant(wid, TraceName::kSearchTruncated, t_done,
                              edge.id);
         }
-        counters.latency.record(t_done - t_lane);
-        t_lane = t_done;
       }
     } catch (...) {
       // Contain the failure to this edge. Its scratch may hold a half-built
@@ -460,13 +458,14 @@ void StreamEngine::search_edges(std::size_t begin, std::size_t end) {
         error = std::current_exception();
       }
       scratch = scratch_pool_.acquire();
-      t_lane = trace_now_ns();
       continue;
     }
-    if (tr != nullptr &&
-        t_lane - edge_start >= options_.trace_search_threshold_ns) {
-      tr->record_span(wid, TraceName::kEdgeSearch, edge_start, t_lane,
-                      edge.id);
+    if (tr != nullptr) {
+      const std::uint64_t edge_end = trace_now_ns();
+      if (edge_end - edge_start >= options_.trace_search_threshold_ns) {
+        tr->record_span(wid, TraceName::kEdgeSearch, edge_start, edge_end,
+                        edge.id);
+      }
     }
   }
   scratch_pool_.release(std::move(scratch));

@@ -60,12 +60,16 @@
 // edges_pushed() and it behaves exactly like the uninterrupted run.
 //
 // Throughput and latency are tracked in per-worker sinks (counter_sink
-// style): per-edge search wall times land in cache-line-aligned per-worker
-// log2 histograms, merged once by stats() into p50/p99/max, per lane and
-// aggregated. Latency of an escalated edge includes any tasks its worker
-// executed while waiting on the search group — possibly a whole chunk of
-// other edges — so percentiles describe the engine as operated, not the
-// pure search cost.
+// style): one search latency per edge-lane lands in cache-line-aligned
+// per-worker log2 histograms, merged once by stats() into p50/p99/max, per
+// lane and aggregated. Search latency is the wall time of the lane's search
+// (prepare, prune and DFS), and 0 for a lane that settles without one
+// (settle_edge_lane: a self-loop, an empty head or an empty tail), which
+// reads no clock. The histogram count is therefore edges × lanes and its
+// sum the total search time. Latency of an escalated edge includes any
+// tasks its worker executed while waiting on the search group — possibly a
+// whole chunk of other edges — so percentiles describe the engine as
+// operated, not the pure search cost.
 #pragma once
 
 #include <atomic>
@@ -188,8 +192,10 @@ struct StreamWindowStats {
   std::uint64_t latency_p50_ns = 0;
   std::uint64_t latency_p99_ns = 0;
   std::uint64_t latency_max_ns = 0;
-  // The merged per-edge search latency histogram the percentiles above are
-  // computed from (obs/metrics.hpp renders it as a Prometheus histogram).
+  // The merged search latency histogram the percentiles above are computed
+  // from, one sample per edge: the search's wall time, 0 for an edge that
+  // settled without a search (obs/metrics.hpp renders it as a Prometheus
+  // histogram).
   Log2Histogram latency;
   // Sink-isolation accounting for this lane's GuardedSink (all zero when
   // guard_sinks is off or the lane has no sink).
@@ -230,12 +236,15 @@ struct StreamStats {
   // Aggregate across lanes; also carries the ingest-pressure counters
   // (late_edges_rejected, graph_compactions) for the ops dashboards.
   WorkCounters work;
-  // Per-edge search latency over the whole run, from merged per-worker log2
-  // histograms: upper bound of the bucket containing the percentile.
+  // Search latency over the whole run, one sample per edge-lane: the wall
+  // time of the lane's search, 0 for a lane that settled without one. From
+  // merged per-worker log2 histograms: upper bound of the bucket containing
+  // the percentile.
   std::uint64_t latency_p50_ns = 0;
   std::uint64_t latency_p99_ns = 0;
   std::uint64_t latency_max_ns = 0;
-  // Merged across all lanes; source of the aggregate percentiles above.
+  // Merged across all lanes (count = edges × lanes, sum = total search
+  // time); source of the aggregate percentiles above.
   Log2Histogram latency;
   // -- Robustness (zero in a healthy, unprotected or untriggered run) -------
   // Current ladder level and the number of level changes (both directions).
@@ -368,7 +377,8 @@ class StreamEngine {
     WorkCounters work;
     std::uint64_t cycles = 0;
     std::uint64_t escalated = 0;
-    // Per-edge search wall times (log2 buckets, bit_width(ns) indexing).
+    // Search latency per edge: wall ns of its search, 0 when it settled
+    // without one (log2 buckets, bit_width(ns) indexing).
     Log2Histogram latency;
   };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -287,37 +288,10 @@ void fine_explore(FineStreamRun& run, std::vector<VertexId>& vertices,
 // Shared entry logic
 // ---------------------------------------------------------------------------
 
-// Handles the trivial outcomes shared by both variants. Returns true when the
-// search can be skipped, with *result already settled.
-bool settle_trivial(const SlidingWindowGraph& graph,
-                    const TemporalEdge& closing, Timestamp window,
-                    StreamOutEdges head_out, WorkCounters& work,
-                    CycleSink* sink, std::uint64_t* result) {
-  *result = 0;
-  if (closing.src == closing.dst) {
-    work.cycles_found += 1;
-    if (sink != nullptr) {
-      sink->on_cycle({&closing.src, 1}, {&closing.id, 1});
-    }
-    *result = 1;
-    return true;
-  }
-  if (window <= 0) {
-    return true;  // strictly increasing timestamps need a positive span
-  }
-  const Timestamp lo = saturating_sub(closing.ts, window);
-  const Timestamp hi = closing.ts - 1;
-  if (head_out.empty() ||
-      graph.in_edges_in_window(closing.src, lo, hi).empty()) {
-    return true;  // the head cannot leave or the tail cannot be re-entered
-  }
-  return false;
-}
-
-// Shared prologue of both variants: trivial settlement, budget derivation,
-// window bounds, scratch growth and the (optional) reverse-BFS prune with
-// its root-reachability early-out. Returns the search parameters, or nothing
-// when *settled already holds the final count — keeping the serial and fine
+// Shared prologue of both variants for a lane that did not settle: budget
+// derivation, window bounds, scratch growth and the (optional) reverse-BFS
+// prune with its root-reachability early-out. Returns the search parameters,
+// or nothing when the lane closes no cycle — keeping the serial and fine
 // paths structurally unable to diverge on any of these decisions.
 struct PreparedSearch {
   StreamSearchParams params;
@@ -326,12 +300,9 @@ struct PreparedSearch {
 
 std::optional<PreparedSearch> prepare_search(
     const SlidingWindowGraph& graph, const TemporalEdge& closing,
-    Timestamp window, StreamOutEdges head_out, const EnumOptions& options,
-    StreamSearchScratch& scratch, WorkCounters& work, CycleSink* sink,
-    SearchBudgetState* budget, std::uint64_t* settled) {
-  if (settle_trivial(graph, closing, window, head_out, work, sink, settled)) {
-    return std::nullopt;
-  }
+    Timestamp window, const EnumOptions& options,
+    StreamSearchScratch& scratch, WorkCounters& work,
+    SearchBudgetState* budget) {
   const bool bounded = options.max_cycle_length > 0;
   const std::int32_t rem0 =
       bounded ? options.max_cycle_length - 1 : detail::kUnboundedRem;
@@ -361,14 +332,37 @@ std::optional<PreparedSearch> prepare_search(
       rem0};
 }
 
-// The head's in-window out-edges: the root step of every search.
-StreamOutEdges head_out_edges(const SlidingWindowGraph& graph,
-                              const TemporalEdge& closing, Timestamp window) {
-  return graph.out_edges_in_window(
-      closing.dst, saturating_sub(closing.ts, window), closing.ts - 1);
+}  // namespace
+
+EdgeLane settle_edge_lane(const SlidingWindowGraph& graph,
+                          const TemporalEdge& closing, Timestamp window) {
+  if (closing.src == closing.dst || window <= 0 ||
+      closing.ts == std::numeric_limits<Timestamp>::min()) {
+    // A self-loop closes only itself; strictly increasing timestamps need a
+    // positive span and an earlier timestamp.
+    return EdgeLane{{}, true};
+  }
+  const Timestamp lo = saturating_sub(closing.ts, window);
+  const Timestamp hi = closing.ts - 1;
+  const StreamOutEdges head_out =
+      graph.out_edges_in_window(closing.dst, lo, hi);
+  // The head cannot leave, or the tail cannot be re-entered.
+  return EdgeLane{head_out,
+                  head_out.empty() ||
+                      graph.in_edges_in_window(closing.src, lo, hi).empty()};
 }
 
-}  // namespace
+std::uint64_t settled_lane_cycles(const TemporalEdge& closing,
+                                  WorkCounters& work, CycleSink* sink) {
+  if (closing.src != closing.dst) {
+    return 0;
+  }
+  work.cycles_found += 1;
+  if (sink != nullptr) {
+    sink->on_cycle({&closing.src, 1}, {&closing.id, 1});
+  }
+  return 1;
+}
 
 std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                     const TemporalEdge& closing,
@@ -378,23 +372,24 @@ std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                     WorkCounters& work, CycleSink* sink,
                                     SearchBudgetState* budget) {
   return cycles_closed_by_edge(graph, closing, window,
-                               head_out_edges(graph, closing, window), options,
-                               scratch, work, sink, budget);
+                               settle_edge_lane(graph, closing, window),
+                               options, scratch, work, sink, budget);
 }
 
 std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                     const TemporalEdge& closing,
-                                    Timestamp window, StreamOutEdges head_out,
+                                    Timestamp window, const EdgeLane& lane,
                                     const EnumOptions& options,
                                     StreamSearchScratch& scratch,
                                     WorkCounters& work, CycleSink* sink,
                                     SearchBudgetState* budget) {
-  std::uint64_t settled = 0;
-  const auto prepared =
-      prepare_search(graph, closing, window, head_out, options, scratch, work,
-                     sink, budget, &settled);
+  if (lane.settled) {
+    return settled_lane_cycles(closing, work, sink);
+  }
+  const auto prepared = prepare_search(graph, closing, window, options,
+                                       scratch, work, budget);
   if (!prepared) {
-    return settled;
+    return 0;
   }
   const StreamSearchParams& params = prepared->params;
   const std::int32_t rem0 = prepared->rem0;
@@ -403,7 +398,7 @@ std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
   scratch.path_vertices.push_back(closing.dst);
   scratch.on_path.set(closing.dst);
   scratch.on_path.set(closing.src);  // the target never re-enters the path
-  search.extend(head_out, rem0);
+  search.extend(lane.head_out, rem0);
   scratch.on_path.reset(closing.src);
   scratch.on_path.reset(closing.dst);
   scratch.path_vertices.pop_back();
@@ -422,23 +417,24 @@ std::uint64_t fine_cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                          WorkCounters& work, CycleSink* sink,
                                          SearchBudgetState* budget) {
   return fine_cycles_closed_by_edge(graph, closing, window,
-                                    head_out_edges(graph, closing, window),
+                                    settle_edge_lane(graph, closing, window),
                                     sched, options, popts, scratch, work, sink,
                                     budget);
 }
 
 std::uint64_t fine_cycles_closed_by_edge(
     const SlidingWindowGraph& graph, const TemporalEdge& closing,
-    Timestamp window, StreamOutEdges head_out, Scheduler& sched,
+    Timestamp window, const EdgeLane& lane, Scheduler& sched,
     const EnumOptions& options, const ParallelOptions& popts,
     StreamSearchScratch& scratch, WorkCounters& work, CycleSink* sink,
     SearchBudgetState* budget) {
-  std::uint64_t settled = 0;
-  const auto prepared =
-      prepare_search(graph, closing, window, head_out, options, scratch, work,
-                     sink, budget, &settled);
+  if (lane.settled) {
+    return settled_lane_cycles(closing, work, sink);
+  }
+  const auto prepared = prepare_search(graph, closing, window, options,
+                                       scratch, work, budget);
   if (!prepared) {
-    return settled;
+    return 0;
   }
   const StreamSearchParams& params = prepared->params;
   // The escalated search gets its own root span nested inside the engine's
@@ -453,7 +449,7 @@ std::uint64_t fine_cycles_closed_by_edge(
   // Every nested fine_explore waits for its own task group, so the search
   // has fully quiesced when this call returns (and the scratch's prune marks
   // are no longer read).
-  fine_explore(run, vertices, edges, head_out, prepared->rem0, local);
+  fine_explore(run, vertices, edges, lane.head_out, prepared->rem0, local);
   run.merge(local);
   if (run.truncated.load(std::memory_order_relaxed)) {
     work.searches_truncated += 1;

@@ -120,22 +120,42 @@ std::uint64_t fine_cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                          CycleSink* sink = nullptr,
                                          SearchBudgetState* budget = nullptr);
 
-// The same two searches for a caller that already looked up the head's
-// in-window out-edges: `head_out` must equal
-// graph.out_edges_in_window(closing.dst, saturating_sub(closing.ts, window),
-//                           closing.ts - 1).
-// The engine computes that span for its escalation frontier; passing it in
-// makes it the search's root step instead of a second and third lookup.
+// One edge-lane: a closing edge searched under one window length. Its settle
+// decision is made once, before any search (or clock read): the lane settles
+// — no search runs — when the closing edge is a self-loop (it closes its own
+// 1-cycle and nothing else), when the window is empty or ts is the
+// Timestamp minimum, when the head has no live out-edge in
+// [ts - window, ts - 1], or when the tail has no live in-edge there. The
+// tail is looked up only when the head is not empty.
+struct EdgeLane {
+  // The head's in-window out-edges: the search's root step, and the
+  // engine's escalation frontier. Empty for a self-loop.
+  StreamOutEdges head_out;
+  bool settled = false;
+};
+
+EdgeLane settle_edge_lane(const SlidingWindowGraph& graph,
+                          const TemporalEdge& closing, Timestamp window);
+
+// The cycles a settled lane closes: a self-loop's 1-cycle, counted into
+// `work` and reported to `sink` (nullable); 0 for any other settled lane.
+std::uint64_t settled_lane_cycles(const TemporalEdge& closing,
+                                  WorkCounters& work, CycleSink* sink);
+
+// The same two searches for a caller that already settled the lane:
+// `lane` must equal settle_edge_lane(graph, closing, window). The engine
+// reads the frontier off it and times only the lanes that did not settle;
+// a settled lane passed here closes settled_lane_cycles and searches nothing.
 std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                     const TemporalEdge& closing,
-                                    Timestamp window, StreamOutEdges head_out,
+                                    Timestamp window, const EdgeLane& lane,
                                     const EnumOptions& options,
                                     StreamSearchScratch& scratch,
                                     WorkCounters& work, CycleSink* sink,
                                     SearchBudgetState* budget);
 std::uint64_t fine_cycles_closed_by_edge(
     const SlidingWindowGraph& graph, const TemporalEdge& closing,
-    Timestamp window, StreamOutEdges head_out, Scheduler& sched,
+    Timestamp window, const EdgeLane& lane, Scheduler& sched,
     const EnumOptions& options, const ParallelOptions& popts,
     StreamSearchScratch& scratch, WorkCounters& work, CycleSink* sink,
     SearchBudgetState* budget);

@@ -30,7 +30,7 @@ class BruteTemporal {
         continue;
       }
       tail_ = e0.src;
-      hi_ = e0.ts + window_;
+      hi_ = saturating_add(e0.ts, window_);
       const bool bounded = options_.max_cycle_length > 0;
       const std::int32_t rem0 =
           bounded ? options_.max_cycle_length - 1 : detail::kUnboundedRem;

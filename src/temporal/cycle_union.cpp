@@ -102,7 +102,7 @@ void CycleUnionBlock::compute(std::size_t block) {
   // Forward: start j is seeded at its head once the scan passes t0_j and
   // dies once it passes t0_j + window; an edge (u -> v, t) carries the live
   // bits of u to v. Arrivals are logged in ascending time.
-  const Timestamp end_ts = starts[count - 1].ts + window_;
+  const Timestamp end_ts = saturating_add(starts[count - 1].ts, window_);
   const std::size_t begin = first_after(edges, first, starts[0].ts);
   std::size_t num_log = 0;
   Lanes live;
@@ -121,7 +121,8 @@ void CycleUnionBlock::compute(std::size_t block) {
         live.set(seeded);
       }
     }
-    for (; dead < seeded && starts[dead].ts + window_ < t; ++dead) {
+    for (; dead < seeded && saturating_add(starts[dead].ts, window_) < t;
+         ++dead) {
       live.reset(dead);
     }
     if (!live.any()) {
@@ -178,7 +179,8 @@ void CycleUnionBlock::compute(std::size_t block) {
   i = end;
   while (i > begin) {
     const Timestamp t = edges[i - 1].ts;
-    for (; born > 0 && t <= starts[born - 1].ts + window_; --born) {
+    for (; born > 0 && t <= saturating_add(starts[born - 1].ts, window_);
+         --born) {
       if (closable.test(born - 1)) {
         live.set(born - 1);
       }
@@ -192,7 +194,8 @@ void CycleUnionBlock::compute(std::size_t block) {
         break;
       }
       // Nothing in flight: resume at the last edge of the next window.
-      i = first_after(edges.first(i), begin, starts[next].ts + window_);
+      i = first_after(edges.first(i), begin,
+                      saturating_add(starts[next].ts, window_));
       continue;
     }
     for (; num_log > 0 && log_[num_log - 1].ts >= t; --num_log) {

@@ -74,7 +74,7 @@ bool TemporalJohnsonSearch::prepare_root(const TemporalGraph& graph,
                                          CycleUnionView cycle_union,
                                          ClosingTimeState& state,
                                          Timestamp& hi_out) {
-  const Timestamp hi = e0.ts + window;
+  const Timestamp hi = saturating_add(e0.ts, window);
   hi_out = hi;
   // A head outside the union means no temporal cycle through e0; so does a
   // head without a strictly-later out-edge or a tail without a later

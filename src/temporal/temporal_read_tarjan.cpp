@@ -230,7 +230,7 @@ bool prepare_start(const TemporalGraph& graph, const TemporalEdge& e0,
                    Timestamp window, const EnumOptions& options,
                    CycleUnionView cycle_union, TemporalRTState& state,
                    TemporalRTCore& core) {
-  const Timestamp hi = e0.ts + window;
+  const Timestamp hi = saturating_add(e0.ts, window);
   // A head inside a block's union implies a later head out-edge and tail
   // in-edge in the window; without a block, look them up.
   if (!cycle_union.contains(e0.dst)) {
@@ -326,7 +326,8 @@ bool trt_search_root(FineRun& run, const TemporalEdge& e0,
                      state, core)) {
     return false;  // no cycle: skipped before touching the state
   }
-  FineTRTContext search{run, e0.src, e0.ts + run.window, cycle_union};
+  FineTRTContext search{run, e0.src, saturating_add(e0.ts, run.window),
+                        cycle_union};
   TExtPath root_ext;
   if (core.find_root_extension(root_ext)) {
     fine::exec_call(search, state,

@@ -9,9 +9,11 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "obs/trace.hpp"
 #include "stream/engine.hpp"
 #include "stream/incremental.hpp"
 #include "stream/sliding_window_graph.hpp"
@@ -118,11 +120,20 @@ StreamStats replay_with(const TemporalGraph& graph, unsigned threads,
 
 // One lane of a standalone serial replay: cycles_closed_by_edge on every
 // edge with the engine's prune rule, plus the edges whose frontier reaches
-// the escalation threshold (the ones the engine escalates).
+// the escalation threshold (the ones the engine escalates) and the lanes
+// that settle without a search, by reason.
 struct LaneReplay {
   std::uint64_t cycles = 0;
   std::uint64_t hot = 0;
   WorkCounters work;
+  std::uint64_t self_loops = 0;
+  std::uint64_t empty_heads = 0;
+  std::uint64_t empty_tails = 0;
+  std::uint64_t searched = 0;
+
+  std::uint64_t settled() const {
+    return self_loops + empty_heads + empty_tails;
+  }
 };
 
 std::vector<LaneReplay> standalone_replay(const TemporalGraph& graph,
@@ -134,19 +145,25 @@ std::vector<LaneReplay> standalone_replay(const TemporalGraph& graph,
     e.id = live.ingest(e.src, e.dst, e.ts);
     for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
       const Timestamp delta = options.windows[lane];
-      const std::size_t frontier =
-          e.src == e.dst
-              ? 0
-              : live.out_edges_in_window(e.dst, saturating_sub(e.ts, delta),
-                                         e.ts - 1)
-                    .size();
+      LaneReplay& replay = lanes[lane];
+      const EdgeLane root = settle_edge_lane(live, e, delta);
+      const std::size_t frontier = root.head_out.size();
       EnumOptions eopts;
       eopts.use_cycle_union = options.use_reach_prune &&
                               frontier >= options.prune_frontier_threshold;
-      lanes[lane].cycles += cycles_closed_by_edge(live, e, delta, eopts,
-                                                  scratch, lanes[lane].work);
+      replay.cycles +=
+          cycles_closed_by_edge(live, e, delta, eopts, scratch, replay.work);
       if (e.src != e.dst && frontier >= options.hot_frontier_threshold) {
-        lanes[lane].hot += 1;
+        replay.hot += 1;
+      }
+      if (!root.settled) {
+        replay.searched += 1;
+      } else if (e.src == e.dst) {
+        replay.self_loops += 1;
+      } else if (frontier == 0) {
+        replay.empty_heads += 1;
+      } else {
+        replay.empty_tails += 1;
       }
     }
   }
@@ -195,10 +212,11 @@ TEST(StreamParallel, ChunkedBatchesMatchStandaloneReplay) {
 // A triangle within one window of the Timestamp minimum: the expiry cutoff
 // and the search bounds clamp at the minimum instead of wrapping around, so
 // the engine closes the one cycle, exactly as the standalone replay does.
+// An edge at the minimum itself settles: nothing lies strictly before it.
 TEST(StreamParallel, WindowNearTimestampMinimumClosesTheTriangle) {
   constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
   const TemporalGraph graph(
-      3, {{0, 1, kMin + 1}, {1, 2, kMin + 2}, {2, 0, kMin + 3}});
+      4, {{3, 0, kMin}, {0, 1, kMin + 1}, {1, 2, kMin + 2}, {2, 0, kMin + 3}});
   StreamOptions options;
   options.windows = {100};
   const std::vector<LaneReplay> reference = standalone_replay(graph, options);
@@ -212,6 +230,87 @@ TEST(StreamParallel, WindowNearTimestampMinimumClosesTheTriangle) {
     EXPECT_EQ(run.per_window[0].cycles_found, reference[0].cycles);
     EXPECT_EQ(run.per_window[0].work.edges_visited,
               reference[0].work.edges_visited);
+  }
+}
+
+// The test graph with a self-loop spliced in after every 23rd edge, so the
+// edge-lanes of a replay mix self-loops, empty heads, empty tails and real
+// searches.
+TemporalGraph mixed_feed() {
+  const TemporalGraph base = test_graph();
+  std::vector<TemporalEdge> edges;
+  for (const TemporalEdge& e : base.edges_by_time()) {
+    edges.push_back(e);
+    if (edges.size() % 23 == 0) {
+      edges.push_back({e.src, e.src, e.ts});
+    }
+  }
+  return TemporalGraph(base.num_vertices(), std::move(edges));
+}
+
+// The latency contract: one histogram sample per edge-lane, where a lane
+// that settles without a search records 0 ns and a lane that searches
+// records the search's wall time. Bucket 0 therefore holds exactly the
+// settled lanes, and the histogram sum is the time of the searches, which a
+// traced run bounds by its edge spans (each covers all of its edge's lanes).
+TEST(StreamParallel, LatencyHistogramTimesOnlyTheSearches) {
+  const TemporalGraph graph = mixed_feed();
+  StreamOptions options;
+  options.windows = {kWindow / 2, kWindow};
+  options.batch_size = 64;
+  options.hot_frontier_threshold = 8;
+  const std::vector<LaneReplay> reference = standalone_replay(graph, options);
+  for (const LaneReplay& want : reference) {
+    ASSERT_GT(want.self_loops, 0u);
+    ASSERT_GT(want.empty_heads, 0u);
+    ASSERT_GT(want.empty_tails, 0u);
+    ASSERT_GT(want.searched, 0u);
+    ASSERT_GT(want.hot, 0u);
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    for (const bool traced : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads " << threads << " traced " << traced);
+      TraceRecorder recorder(threads, 1u << 14);
+      const StreamStats run =
+          Scheduler::with_pool(threads, [&](Scheduler& sched) {
+            if (traced) {
+              sched.set_tracer(&recorder);
+            }
+            StreamEngine engine(options, sched, nullptr);
+            for (const auto& e : graph.edges_by_time()) {
+              engine.push(e.src, e.dst, e.ts);
+            }
+            engine.flush();
+            return engine.stats();
+          });
+      ASSERT_EQ(run.edges_ingested, graph.num_edges());
+      ASSERT_EQ(run.per_window.size(), reference.size());
+      for (std::size_t lane = 0; lane < reference.size(); ++lane) {
+        const StreamWindowStats& got = run.per_window[lane];
+        const LaneReplay& want = reference[lane];
+        EXPECT_EQ(got.cycles_found, want.cycles);
+        EXPECT_EQ(got.work.edges_visited, want.work.edges_visited);
+        EXPECT_EQ(got.escalated_edges, want.hot);
+        EXPECT_EQ(got.latency.count(), run.edges_ingested);
+        EXPECT_EQ(got.latency.buckets[0], want.settled());
+        EXPECT_GE(got.latency.sum, want.searched);
+      }
+      EXPECT_EQ(run.latency.count(),
+                run.edges_ingested * reference.size());
+      if (traced) {
+        std::uint64_t span_ns = 0;
+        for (unsigned w = 0; w < threads; ++w) {
+          ASSERT_EQ(recorder.dropped(w), 0u);
+          for (const TraceEvent& event : recorder.events(w)) {
+            if (event.name == TraceName::kEdgeSearch) {
+              span_ns += event.dur_ns;
+            }
+          }
+        }
+        EXPECT_LE(run.latency.sum, span_ns);
+      }
+    }
   }
 }
 

@@ -3,18 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/coarse_grained.hpp"
 #include "core/fine_hc_dfs.hpp"
 #include "core/fine_johnson.hpp"
 #include "core/fine_read_tarjan.hpp"
+#include "core/hc_dfs.hpp"
+#include "core/johnson.hpp"
+#include "core/read_tarjan.hpp"
+#include "core/tiernan.hpp"
 #include "graph/generators.hpp"
 #include "support/prng.hpp"
 #include "temporal/brute.hpp"
 #include "temporal/cycle_union.hpp"
 #include "temporal/temporal_johnson.hpp"
 #include "temporal/temporal_read_tarjan.hpp"
+#include "temporal/two_scent.hpp"
 
 namespace parcycle {
 namespace {
@@ -398,6 +406,49 @@ TEST(TemporalParallel, WindowSweep) {
     const auto fr = fine_temporal_read_tarjan_cycles(g, window, sched);
     EXPECT_EQ(fj.num_cycles, serial.num_cycles) << "window " << window;
     EXPECT_EQ(fr.num_cycles, serial.num_cycles) << "window " << window;
+  }
+}
+
+// A triangle within one window of the Timestamp maximum: every batch
+// enumerator's window upper end t0 + window clamps at the maximum instead of
+// wrapping around, so each closes the one cycle.
+TEST(TemporalParallel, WindowNearTimestampMaximumClosesTheTriangle) {
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  const TemporalGraph g(
+      3, {{0, 1, kMax - 3}, {1, 2, kMax - 2}, {2, 0, kMax - 1}});
+  constexpr Timestamp kWindow = 100;
+  constexpr int kHops = 3;
+  Scheduler sched(2);
+  const std::vector<std::pair<const char*, EnumResult>> runs = {
+      {"windowed johnson", johnson_windowed_cycles(g, kWindow)},
+      {"coarse windowed johnson",
+       coarse_johnson_windowed_cycles(g, kWindow, sched)},
+      {"fine windowed johnson",
+       fine_johnson_windowed_cycles(g, kWindow, sched)},
+      {"windowed read-tarjan", read_tarjan_windowed_cycles(g, kWindow)},
+      {"coarse windowed read-tarjan",
+       coarse_read_tarjan_windowed_cycles(g, kWindow, sched)},
+      {"fine windowed read-tarjan",
+       fine_read_tarjan_windowed_cycles(g, kWindow, sched)},
+      {"temporal johnson", temporal_johnson_cycles(g, kWindow)},
+      {"coarse temporal johnson",
+       coarse_temporal_johnson_cycles(g, kWindow, sched)},
+      {"fine temporal johnson",
+       fine_temporal_johnson_cycles(g, kWindow, sched)},
+      {"temporal read-tarjan", temporal_read_tarjan_cycles(g, kWindow)},
+      {"coarse temporal read-tarjan",
+       coarse_temporal_read_tarjan_cycles(g, kWindow, sched)},
+      {"fine temporal read-tarjan",
+       fine_temporal_read_tarjan_cycles(g, kWindow, sched)},
+      {"2scent", two_scent_cycles(g, kWindow)},
+      {"windowed tiernan", tiernan_windowed_cycles(g, kWindow)},
+      {"windowed bc-dfs", hc_windowed_cycles(g, kWindow, kHops)},
+      {"fine windowed bc-dfs",
+       fine_hc_windowed_cycles(g, kWindow, kHops, sched)},
+      {"brute force", brute_temporal_cycles(g, kWindow)},
+  };
+  for (const auto& [name, result] : runs) {
+    EXPECT_EQ(result.num_cycles, 1u) << name;
   }
 }
 

@@ -182,21 +182,28 @@ void BM_JohnsonStateCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_JohnsonStateCopy)->Arg(1024)->Arg(16384);
 
+// The steal-path replay of a Read-Tarjan state, budget- and arrival-keyed.
+template <typename Marks>
 void BM_ReadTarjanPrefixCopy(benchmark::State& state) {
   const VertexId n = static_cast<VertexId>(state.range(0));
-  ReadTarjanState victim(n);
+  ReadTarjanState<Marks> victim(n);
   for (VertexId v = 0; v < n / 4; ++v) {
-    victim.push(v, kInvalidEdge);
+    victim.push(v, kInvalidEdge, v);
     victim.logged_set((v + n / 2) % n, 5);
   }
-  ReadTarjanState thief(n);
+  ReadTarjanState<Marks> thief(n);
   for (auto _ : state) {
     thief.reset();
     thief.copy_prefix_from(victim, n / 8, n / 8);
     benchmark::DoNotOptimize(thief.path_length());
   }
 }
-BENCHMARK(BM_ReadTarjanPrefixCopy)->Arg(1024)->Arg(16384);
+BENCHMARK_TEMPLATE(BM_ReadTarjanPrefixCopy, BudgetMarks)
+    ->Arg(1024)
+    ->Arg(16384);
+BENCHMARK_TEMPLATE(BM_ReadTarjanPrefixCopy, ArrivalMarks)
+    ->Arg(1024)
+    ->Arg(16384);
 
 void BM_SccTarjan(benchmark::State& state) {
   const Digraph graph = erdos_renyi(5000, 25000, 11);

@@ -1,8 +1,10 @@
-// Mutable search state of the Read-Tarjan algorithm.
+// Mutable search state of the Read-Tarjan algorithm, for every flavour:
+// static and windowed simple cycles mark dead ends by remaining hop budget,
+// temporal cycles by arrival time (BudgetMarks / ArrivalMarks below).
 //
 // Unlike Johnson's state, all blocking here is call-local and evolves
 // monotonically along a root-to-leaf chain of the recursion tree, so it is
-// kept as an undo log: every write to the per-vertex fail budget appends
+// kept as an undo log: every write to a vertex's dead-end mark appends
 // (vertex, old, new). Rewinding a task switch is `truncate_log`, and a stolen
 // task reconstructs the spawn-time state by replaying the log prefix onto a
 // fresh state.
@@ -16,7 +18,9 @@
 // critical sections" than fine-grained Johnson — here they are empty.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -28,14 +32,43 @@
 
 namespace parcycle {
 
+// Marks keyed by remaining hop budget: mark m on v means reaching v with a
+// budget of m or less cannot close the cycle.
+struct BudgetMarks {
+  using Key = std::int32_t;
+  static constexpr Key kUnmarked = -1;
+  static bool passes(Key key, Key mark) noexcept { return key > mark; }
+};
+
+// Marks keyed by arrival time: mark t on v means arriving at v at any time
+// >= t cannot close the cycle (later arrivals only ever see fewer usable
+// out-edges).
+struct ArrivalMarks {
+  using Key = Timestamp;
+  static constexpr Key kUnmarked = std::numeric_limits<Timestamp>::max();
+  static bool passes(Key key, Key mark) noexcept { return key < mark; }
+};
+
+// One hop of a path or path extension: the vertex reached, the edge taken
+// to it and that edge's timestamp (the arrival). Static graphs have no edge
+// ids or timestamps and leave them kInvalidEdge and 0. Laid out as
+// TemporalGraph::OutEdge, so reading an out-edge as a hop is one copy.
+struct RTHop {
+  Timestamp ts;
+  VertexId v;
+  EdgeId edge;
+};
+
+template <typename Marks>
 class ReadTarjanState {
  public:
-  static constexpr std::int32_t kUnblocked = -1;
+  using Key = typename Marks::Key;
+  static constexpr Key kUnmarked = Marks::kUnmarked;
 
   struct LogEntry {
     VertexId v;
-    std::int32_t old_rem;
-    std::int32_t new_rem;
+    Key old_mark;
+    Key new_mark;
   };
 
   ReadTarjanState() = default;
@@ -43,11 +76,10 @@ class ReadTarjanState {
 
   void init(VertexId capacity) {
     capacity_ = capacity;
-    path_.assign(capacity + 1, kInvalidVertex);
-    path_edges_.assign(capacity + 1, kInvalidEdge);
+    path_.assign(capacity + 1, RTHop{0, kInvalidVertex, kInvalidEdge});
     path_len_ = 0;
     on_path_.resize(capacity);
-    fail_rem_.assign(capacity, kUnblocked);
+    marks_.assign(capacity, kUnmarked);
     log_.clear();
   }
 
@@ -62,16 +94,18 @@ class ReadTarjanState {
   // ---- path ------------------------------------------------------------
 
   std::size_t path_length() const noexcept { return path_len_; }
-  VertexId path_vertex(std::size_t i) const noexcept { return path_[i]; }
-  EdgeId path_edge(std::size_t i) const noexcept { return path_edges_[i]; }
-  const VertexId* path_data() const noexcept { return path_.data(); }
-  VertexId frontier() const noexcept { return path_[path_len_ - 1]; }
+  VertexId path_vertex(std::size_t i) const noexcept { return path_[i].v; }
+  EdgeId path_edge(std::size_t i) const noexcept { return path_[i].edge; }
+  Timestamp path_arrival(std::size_t i) const noexcept { return path_[i].ts; }
+  VertexId frontier() const noexcept { return path_[path_len_ - 1].v; }
+  Timestamp frontier_arrival() const noexcept {
+    return path_[path_len_ - 1].ts;
+  }
   bool on_path(VertexId v) const noexcept { return on_path_.test(v); }
 
-  void push(VertexId v, EdgeId via_edge) {
+  void push(VertexId v, EdgeId via_edge, Timestamp arrival = 0) {
     assert(path_len_ <= capacity_);
-    path_[path_len_] = v;
-    path_edges_[path_len_] = via_edge;
+    path_[path_len_] = RTHop{arrival, v, via_edge};
     path_len_ += 1;
     on_path_.set(v);
   }
@@ -79,29 +113,29 @@ class ReadTarjanState {
   void truncate_path(std::size_t len) {
     while (path_len_ > len) {
       path_len_ -= 1;
-      on_path_.reset(path_[path_len_]);
+      on_path_.reset(path_[path_len_].v);
     }
   }
 
   // ---- blocking --------------------------------------------------------
 
-  std::int32_t fail_rem(VertexId v) const noexcept { return fail_rem_[v]; }
+  Key mark(VertexId v) const noexcept { return marks_[v]; }
 
-  bool can_visit(VertexId v, std::int32_t rem) const noexcept {
-    return !on_path_.test(v) && rem > fail_rem_[v];
+  bool can_visit(VertexId v, Key key) const noexcept {
+    return !on_path_.test(v) && Marks::passes(key, marks_[v]);
   }
 
-  // Logged write of the fail budget (both block and restore go through here
-  // so the log stays linear). Buffer growth is the one mutation that can
-  // invalidate a concurrent thief's lock-free prefix read, so it alone takes
-  // the lock; ordinary appends land beyond every live prefix and are safe.
-  void logged_set(VertexId v, std::int32_t value) {
+  // Logged write of a mark (both block and restore go through here so the
+  // log stays linear). Buffer growth is the one mutation that can invalidate
+  // a concurrent thief's lock-free prefix read, so it alone takes the lock;
+  // ordinary appends land beyond every live prefix and are safe.
+  void logged_set(VertexId v, Key value) {
     if (log_.size() == log_.capacity()) {
       LockGuard<Spinlock> guard(realloc_lock_);
       log_.reserve(log_.empty() ? 256 : 2 * log_.capacity());
     }
-    log_.push_back(LogEntry{v, fail_rem_[v], value});
-    fail_rem_[v] = value;
+    log_.push_back(LogEntry{v, marks_[v], value});
+    marks_[v] = value;
   }
 
   std::size_t log_length() const noexcept { return log_.size(); }
@@ -110,7 +144,7 @@ class ReadTarjanState {
     while (log_.size() > len) {
       const LogEntry entry = log_.back();
       log_.pop_back();
-      fail_rem_[entry.v] = entry.old_rem;
+      marks_[entry.v] = entry.old_mark;
     }
   }
 
@@ -125,14 +159,15 @@ class ReadTarjanState {
     // Holding the victim's realloc lock pins its log buffer; the entries
     // below the prefix are immutable while the stolen task is live.
     LockGuard<Spinlock> guard(victim.realloc_lock_);
+    std::copy_n(victim.path_.begin(), path_prefix, path_.begin());
+    path_len_ = path_prefix;
     for (std::size_t i = 0; i < path_prefix; ++i) {
-      push(victim.path_[i], victim.path_edges_[i]);
+      on_path_.set(path_[i].v);
     }
-    log_.reserve(log_prefix);
-    for (std::size_t i = 0; i < log_prefix; ++i) {
-      const LogEntry& entry = victim.log_[i];
-      log_.push_back(entry);
-      fail_rem_[entry.v] = entry.new_rem;
+    log_.assign(victim.log_.begin(),
+                victim.log_.begin() + static_cast<std::ptrdiff_t>(log_prefix));
+    for (const LogEntry& entry : log_) {
+      marks_[entry.v] = entry.new_mark;
     }
     counters.state_copies += 1;
   }
@@ -151,11 +186,10 @@ class ReadTarjanState {
  private:
   VertexId capacity_ = 0;
   std::size_t floor_ = 0;
-  std::vector<VertexId> path_;
-  std::vector<EdgeId> path_edges_;
+  std::vector<RTHop> path_;
   std::size_t path_len_ = 0;
   DynamicBitset on_path_;
-  std::vector<std::int32_t> fail_rem_;
+  std::vector<Key> marks_;
   std::vector<LogEntry> log_;
   Spinlock realloc_lock_;
 };

@@ -8,8 +8,10 @@
 //  * coarse_temporal_read_tarjan_cycles  — one task per starting edge
 //  * fine_temporal_read_tarjan_cycles    — one task per call, copy-on-steal
 //
-// The serial and coarse variants share one per-start hook and drain its calls
-// depth-first (core/driver.hpp's roots::drain); the fine one spawns them.
+// The call is the one Read-Tarjan core (core/read_tarjan_impl.hpp) under a
+// temporal adjacency policy. All three variants share one per-start hook;
+// the serial and coarse ones drain its calls depth-first (core/driver.hpp's
+// roots::drain), the fine one spawns them.
 #pragma once
 
 #include "core/cycle_types.hpp"

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <stdexcept>
@@ -393,6 +394,125 @@ TEST(FineGrained, ReadTarjanWorkEfficiency) {
   EXPECT_EQ(fine.num_cycles, serial.num_cycles);
   // Identical search work; only copies/scheduling differ.
   EXPECT_EQ(fine.work.edges_visited, serial.work.edges_visited);
+}
+
+// Cycles, edge visits and vertex visits of static, windowed and temporal
+// Read-Tarjan, one search core for all three, at three length bounds. Every
+// driver does the serial search's work: serial, coarse on 2 workers, and
+// fine on 1, 2 and 4 workers under both spawn policies. A bounded search
+// does not scan a candidate that has no budget left, in every flavour.
+TEST(FineGrained, ReadTarjanCountersPinned) {
+  struct Pin {
+    std::uint64_t cycles;
+    std::uint64_t edges_visited;
+    std::uint64_t vertices_visited;
+  };
+  struct Row {
+    int max_cycle_length;
+    Pin simple;
+    Pin windowed[2];  // cycle-union on, off
+    Pin temporal[2];
+  };
+  const Row rows[] = {
+      {0,
+       {246, 3406, 1235},
+       {{676, 9232, 2351}, {676, 10889, 5361}},
+       {{1260, 14355, 2412}, {1260, 26046, 12870}}},
+      {3,
+       {8, 101, 40},
+       {{150, 1567, 227}, {150, 2331, 740}},
+       {{504, 7813, 908}, {504, 14030, 4010}}},
+      {4,
+       {19, 204, 79},
+       {{231, 2955, 575}, {231, 4183, 1704}},
+       {{868, 12746, 1928}, {868, 27593, 13289}}},
+  };
+  const Digraph simple = erdos_renyi(16, 40, 7);
+  ScaleFreeTemporalParams ties;  // about ten edges per timestamp
+  ties.num_vertices = 24;
+  ties.num_edges = 700;
+  ties.time_span = 70;
+  ties.attachment = 0.6;
+  ties.seed = 2;
+  const TemporalGraph g = scale_free_temporal(ties);
+  constexpr Timestamp kWindowedWindow = 3;
+  constexpr Timestamp kTemporalWindow = 12;
+
+  const auto expect_pin = [](const char* run, const EnumResult& result,
+                             const Pin& pin) {
+    EXPECT_EQ(result.num_cycles, pin.cycles) << run;
+    EXPECT_EQ(result.work.edges_visited, pin.edges_visited) << run;
+    EXPECT_EQ(result.work.vertices_visited, pin.vertices_visited) << run;
+  };
+  const auto options_of = [](const Row& row, bool use_cycle_union) {
+    EnumOptions options;
+    options.max_cycle_length = row.max_cycle_length;
+    options.use_cycle_union = use_cycle_union;
+    return options;
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(testing::Message()
+                 << "max_cycle_length " << row.max_cycle_length);
+    expect_pin("serial static",
+               read_tarjan_simple_cycles(simple, options_of(row, true)),
+               row.simple);
+    for (const bool use_cycle_union : {true, false}) {
+      const EnumOptions options = options_of(row, use_cycle_union);
+      const int u = use_cycle_union ? 0 : 1;
+      SCOPED_TRACE(testing::Message() << "use_cycle_union " << use_cycle_union);
+      expect_pin("serial windowed",
+                 read_tarjan_windowed_cycles(g, kWindowedWindow, options),
+                 row.windowed[u]);
+      expect_pin("serial temporal",
+                 temporal_read_tarjan_cycles(g, kTemporalWindow, options),
+                 row.temporal[u]);
+    }
+  }
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    Scheduler sched(threads);
+    for (const Row& row : rows) {
+      SCOPED_TRACE(testing::Message()
+                   << threads << " threads, max_cycle_length "
+                   << row.max_cycle_length);
+      if (threads == 2) {
+        expect_pin("coarse static",
+                   coarse_read_tarjan_simple_cycles(simple, sched,
+                                                    options_of(row, true)),
+                   row.simple);
+      }
+      for (const bool use_cycle_union : {true, false}) {
+        const EnumOptions options = options_of(row, use_cycle_union);
+        const int u = use_cycle_union ? 0 : 1;
+        SCOPED_TRACE(testing::Message()
+                     << "use_cycle_union " << use_cycle_union);
+        if (threads == 2) {
+          expect_pin("coarse windowed",
+                     coarse_read_tarjan_windowed_cycles(g, kWindowedWindow,
+                                                        sched, options),
+                     row.windowed[u]);
+          expect_pin("coarse temporal",
+                     coarse_temporal_read_tarjan_cycles(g, kTemporalWindow,
+                                                        sched, options),
+                     row.temporal[u]);
+        }
+        for (const SpawnPolicy policy :
+             {SpawnPolicy::kAlways, SpawnPolicy::kAdaptive}) {
+          ParallelOptions popts;
+          popts.spawn_policy = policy;
+          SCOPED_TRACE(testing::Message()
+                       << "policy " << static_cast<int>(policy));
+          expect_pin("fine windowed",
+                     fine_read_tarjan_windowed_cycles(g, kWindowedWindow,
+                                                      sched, options, popts),
+                     row.windowed[u]);
+          expect_pin("fine temporal",
+                     fine_temporal_read_tarjan_cycles(g, kTemporalWindow,
+                                                      sched, options, popts),
+                     row.temporal[u]);
+        }
+      }
+    }
+  }
 }
 
 TEST(FineGrained, WindowSweepAgreesWithSerial) {

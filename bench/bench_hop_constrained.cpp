@@ -7,7 +7,9 @@
 //
 // With --json <path> the measurements are persisted in the
 // BENCH_hop_constrained.json baseline schema: per dataset and hop bound, the
-// cycle count plus {seconds, edge visits} per algorithm.
+// cycle count plus {seconds, edge visits} per algorithm, and per row a
+// "fine-Johnson-1w" entry: fine Johnson on one worker, whose edge visits do
+// not depend on the schedule.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -32,7 +34,8 @@ constexpr const char* kUsage =
     "[--hops K1,K2,...] [--window-scale X] [--dataset-dir <dir>] "
     "[--json <path>]\n"
     "Hop-constrained simple-cycle enumeration (windowed): serial/fine BC-DFS "
-    "vs budget-blocked serial/fine Johnson across hop bounds.\n"
+    "vs budget-blocked serial/fine Johnson across hop bounds,\nplus fine "
+    "Johnson on one worker.\n"
     "--window-scale multiplies each dataset's tuned simple-cycle window "
     "(default 2: short-cycle queries\nover windows whose unbounded cycle "
     "population would be much larger — the regime BC-DFS targets).\n"
@@ -162,7 +165,7 @@ int main(int argc, char** argv) {
               << ", source " << provenance_name(source.provenance)
               << ") ---\n";
     TextTable table({"hops", "cycles", "serial-BC", "fine-BC", "serial-J",
-                     "fine-J", "J/BC work", "J/BC time"});
+                     "fine-J", "fine-J 1w", "J/BC work", "J/BC time"});
 
     if (json != nullptr) {
       json->begin_object();
@@ -173,58 +176,76 @@ int main(int argc, char** argv) {
       json->begin_array();
     }
 
-    Scheduler::with_pool(threads, [&](Scheduler& sched) {
-      const TemporalGraph graph =
-          source.load(&sched, nullptr, /*update_cache=*/true);
-      for (const int hops : hop_bounds) {
-        std::vector<AlgoRun> runs;
-        for (const Algo algo : algos) {
-          runs.push_back(
-              {algo, run_hop_constrained(algo, graph, window, hops, sched)});
-        }
-        const auto& bc = runs[0].outcome;   // serial BC-DFS
-        const auto& sj = runs[2].outcome;   // serial Johnson (budget)
-        for (const auto& run : runs) {
-          if (run.outcome.result.num_cycles != bc.result.num_cycles) {
-            counts_agree = false;
-            std::cerr << "COUNT MISMATCH: " << spec.name << " hops=" << hops
-                      << " " << algo_name(run.algo) << " "
-                      << run.outcome.result.num_cycles << " vs "
-                      << bc.result.num_cycles << "\n";
+    // Per hop bound: the four algorithms on `threads` workers, then fine
+    // Johnson on one worker, whose visits do not depend on the schedule.
+    std::vector<std::vector<AlgoRun>> rows(hop_bounds.size());
+    const TemporalGraph graph =
+        Scheduler::with_pool(threads, [&](Scheduler& sched) {
+          TemporalGraph loaded =
+              source.load(&sched, nullptr, /*update_cache=*/true);
+          for (std::size_t h = 0; h < hop_bounds.size(); ++h) {
+            for (const Algo algo : algos) {
+              rows[h].push_back({algo, run_hop_constrained(algo, loaded, window,
+                                                           hop_bounds[h],
+                                                           sched)});
+            }
           }
-        }
-        const double work_ratio =
-            static_cast<double>(sj.result.work.edges_visited) /
-            static_cast<double>(std::max<std::uint64_t>(
-                bc.result.work.edges_visited, 1));
-        table.add_row({std::to_string(hops),
-                       TextTable::count(bc.result.num_cycles),
-                       TextTable::with_unit(bc.seconds),
-                       TextTable::with_unit(runs[1].outcome.seconds),
-                       TextTable::with_unit(sj.seconds),
-                       TextTable::with_unit(runs[3].outcome.seconds),
-                       TextTable::fixed(work_ratio, 2),
-                       TextTable::fixed(sj.seconds /
-                                            std::max(bc.seconds, 1e-9),
-                                        2)});
-        if (json != nullptr) {
-          json->begin_object();
-          json->kv("hops", static_cast<std::int64_t>(hops));
-          json->kv("cycles", bc.result.num_cycles);
-          json->key("algos");
-          json->begin_array();
-          for (const auto& run : runs) {
-            json->begin_object();
-            json->kv("algo", algo_name(run.algo));
-            json->kv("seconds", run.outcome.seconds);
-            json->kv("edges_visited", run.outcome.result.work.edges_visited);
-            json->end_object();
-          }
-          json->end_array();
-          json->end_object();
-        }
+          return loaded;
+        });
+    Scheduler::with_pool(1, [&](Scheduler& sched) {
+      for (std::size_t h = 0; h < hop_bounds.size(); ++h) {
+        rows[h].push_back(
+            {Algo::kFineJohnson, run_hop_constrained(Algo::kFineJohnson, graph,
+                                                     window, hop_bounds[h],
+                                                     sched)});
       }
     });
+    for (std::size_t h = 0; h < hop_bounds.size(); ++h) {
+      const int hops = hop_bounds[h];
+      const std::vector<AlgoRun>& runs = rows[h];
+      const auto& bc = runs[0].outcome;  // serial BC-DFS
+      const auto& sj = runs[2].outcome;  // serial Johnson (budget)
+      for (const auto& run : runs) {
+        if (run.outcome.result.num_cycles != bc.result.num_cycles) {
+          counts_agree = false;
+          std::cerr << "COUNT MISMATCH: " << spec.name << " hops=" << hops
+                    << " " << algo_name(run.algo) << " "
+                    << run.outcome.result.num_cycles << " vs "
+                    << bc.result.num_cycles << "\n";
+        }
+      }
+      const double work_ratio =
+          static_cast<double>(sj.result.work.edges_visited) /
+          static_cast<double>(
+              std::max<std::uint64_t>(bc.result.work.edges_visited, 1));
+      table.add_row(
+          {std::to_string(hops), TextTable::count(bc.result.num_cycles),
+           TextTable::with_unit(bc.seconds),
+           TextTable::with_unit(runs[1].outcome.seconds),
+           TextTable::with_unit(sj.seconds),
+           TextTable::with_unit(runs[3].outcome.seconds),
+           TextTable::with_unit(runs[4].outcome.seconds),
+           TextTable::fixed(work_ratio, 2),
+           TextTable::fixed(sj.seconds / std::max(bc.seconds, 1e-9), 2)});
+      if (json != nullptr) {
+        json->begin_object();
+        json->kv("hops", static_cast<std::int64_t>(hops));
+        json->kv("cycles", bc.result.num_cycles);
+        json->key("algos");
+        json->begin_array();
+        for (std::size_t k = 0; k < runs.size(); ++k) {
+          json->begin_object();
+          // The one-worker row is named apart: its visits compare exactly.
+          json->kv("algo", algo_name(runs[k].algo) + (k == 4 ? "-1w" : ""));
+          json->kv("seconds", runs[k].outcome.seconds);
+          json->kv("edges_visited",
+                   runs[k].outcome.result.work.edges_visited);
+          json->end_object();
+        }
+        json->end_array();
+        json->end_object();
+      }
+    }
     table.print(std::cout);
     std::cout << "\n";
     if (json != nullptr) {

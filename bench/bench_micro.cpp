@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/driver.hpp"
 #include "core/johnson_state.hpp"
 #include "core/rt_state.hpp"
 #include "graph/generators.hpp"
@@ -268,6 +269,33 @@ void BM_TemporalBlockUnion(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * graph.num_edges());
 }
 BENCHMARK(BM_TemporalBlockUnion)->Unit(benchmark::kMillisecond);
+
+// The same unions in the drivers' two phases: the closability pass (the
+// forward scan alone over blocks of 256 consecutive starts), then the full
+// scans over blocks of 256 closable starts. Against BM_TemporalBlockUnion
+// it is the gain of packing the blocks.
+void BM_TemporalPackedUnion(benchmark::State& state) {
+  const TemporalGraph& graph = temporal_batch_graph();
+  ScratchPool<CycleUnionBlock> pool([&] {
+    return std::make_unique<CycleUnionBlock>(graph, kTemporalBatchWindow);
+  });
+  std::size_t closable = 0;
+  for (auto _ : state) {
+    const std::vector<EdgeId> starts =
+        roots::closable_starts(graph.num_edges(), pool, nullptr);
+    auto block = pool.acquire();
+    block->serve(starts);
+    closable = 0;
+    for (const EdgeId start : starts) {
+      closable += block->view(start).contains(graph.edge(start).dst) ? 1 : 0;
+    }
+    pool.release(std::move(block));
+    benchmark::DoNotOptimize(closable);
+  }
+  state.counters["closable"] = static_cast<double>(closable);
+  state.SetItemsProcessed(state.iterations() * graph.num_edges());
+}
+BENCHMARK(BM_TemporalPackedUnion)->Unit(benchmark::kMillisecond);
 
 // The serial temporal Johnson run on the same input: the block pass above
 // plus the explore DFS, so the difference of the two is the DFS alone.

@@ -7,13 +7,18 @@ Usage:
 Compares the deterministic measurements and fails (exit 1) on any mismatch:
 
 * cycle counts: exact, everywhere (any drift is a correctness regression);
-* edges_visited: exact for serial algorithms and the table4 probes (their
-  search order is deterministic);
-* edges_visited of fine-* algorithms: within --fine-edge-tolerance (default
-  2%). Fine-grained execution re-checks spawned children against a state
-  that evolved since the spawn, so the visit count legitimately drifts by a
-  fraction of a percent with thread scheduling; a real work regression moves
-  it by far more.
+* edges_visited: exact for serial algorithms, for one-worker rows (algo
+  names ending in "-1w") and for the table4 probes (their search order is
+  deterministic);
+* edges_visited of the other fine-* algorithms: within --fine-edge-tolerance
+  (default 5%). Fine-grained execution on several workers re-checks
+  spawned children against a state that evolved since the spawn, so the
+  visit count legitimately drifts with thread scheduling. Over 180 runs of
+  `bench_hop_constrained quick` on 4 workers (a shared 4-core host), fine
+  Johnson drifted up to 4.66% (BA, hops=8: 20 of the 180 runs past 2%, 3
+  past 3.5%), at most 2.19% at CO, hops=8 and at most 1.76% on every other
+  row; fine BC-DFS at most 0.28%. A real work regression moves the count by
+  far more, and the exact one-worker row catches a small one.
 * graph/roster stats (vertices, edges, windows, degrees): exact — the
   synthetic analogs are seeded and must not silently change.
 
@@ -120,7 +125,7 @@ def diff_hop_constrained(base, fresh, args):
                 algo_ctx = f"{row_ctx}/{algo}"
                 be = b_algos[algo]["edges_visited"]
                 fe = f_algos[algo]["edges_visited"]
-                if algo.startswith("serial"):
+                if algo.startswith("serial") or algo.endswith("-1w"):
                     check_exact(algo_ctx, "edges_visited", be, fe)
                 else:
                     check_tolerant(
@@ -216,8 +221,9 @@ def main():
     parser.add_argument(
         "--fine-edge-tolerance",
         type=float,
-        default=0.02,
-        help="relative tolerance for fine-* edges_visited (default 0.02)",
+        default=0.05,
+        help="relative tolerance for multi-worker fine-* edges_visited "
+        "(default 0.05)",
     )
     args = parser.parse_args()
 

@@ -15,6 +15,17 @@
 // roots::drain runs Read-Tarjan calls depth-first on one state, the
 // serial form of fine::exec_call.
 //
+// A run whose per-start scratch is a CycleUnionBlock, with cycle-unions on
+// (the temporal enumerators), runs in two phases: the closability pass
+// (roots::closable_starts, in parallel in coarse and fine runs) lists the
+// starts that can close a cycle, and the root loop then visits only those,
+// its blocks packed with 256 listed starts each. The starts it leaves out
+// would have been skipped without touching the state, so cycles and the
+// visit counters of every schedule-independent run are those of a run over
+// every start (fine Johnson's visits depend on where it spawns, as they
+// always have). Every other run (the windowed drivers, and temporal runs
+// with cycle-unions off: 2SCENT and the ablations) visits every start.
+//
 // In a fine run the search context of a root lives on the root's stack;
 // every call waits for its tasks before it returns, so tasks hold raw
 // pointers to it. Two task shapes share the run struct and the root loop:
@@ -29,6 +40,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -76,6 +88,92 @@ std::unique_ptr<Scratch> new_scratch(const TemporalGraph& graph,
     scratch->init(graph.num_vertices());
     return scratch;
   }
+}
+
+// The starts a root loop visits, in order: the first `count` ids of
+// edges_by_time(), or `ids` when it is not empty.
+struct StartList {
+  std::size_t count = 0;
+  std::vector<EdgeId> ids;
+
+  EdgeId operator[](std::size_t i) const {
+    return ids.empty() ? static_cast<EdgeId>(i) : ids[i];
+  }
+};
+
+// The closability pass: the ascending ids of the starts of edges_by_time()
+// that can close a cycle (CycleUnionBlock::closable), a block of
+// CycleUnionBlock::kStarts consecutive starts at a time on objects of
+// `pool`, as tasks of `sched` when one is given.
+template <typename Scratch>
+std::vector<EdgeId> closable_starts(std::size_t num_edges,
+                                    ScratchPool<Scratch>& pool,
+                                    Scheduler* sched) {
+  constexpr std::size_t kStarts = CycleUnionBlock::kStarts;
+  std::vector<CycleUnionLanes> closable((num_edges + kStarts - 1) / kStarts);
+  const auto pass = [&](std::size_t b) {
+    auto block = pool.acquire();
+    closable[b] = block->closable(b);
+    pool.release(std::move(block));
+  };
+  if (sched != nullptr) {
+    parallel_for_chunked(*sched, 0, closable.size(),
+                         std::size_t{32} * sched->num_workers(), pass);
+  } else {
+    for (std::size_t b = 0; b < closable.size(); ++b) {
+      pass(b);
+    }
+  }
+  // Counted first: the list lives for the whole run, so it is allocated
+  // once at its size.
+  std::size_t count = 0;
+  for (const CycleUnionLanes& lanes : closable) {
+    for (const std::uint64_t w : lanes.words) {
+      count += static_cast<std::size_t>(std::popcount(w));
+    }
+  }
+  std::vector<EdgeId> ids;
+  ids.reserve(count);
+  for (std::size_t b = 0; b < closable.size(); ++b) {
+    for (std::size_t k = 0; k < CycleUnionLanes::kWords; ++k) {
+      for (std::uint64_t w = closable[b].words[k]; w != 0; w &= w - 1) {
+        ids.push_back(static_cast<EdgeId>(
+            b * kStarts + 64 * k +
+            static_cast<std::size_t>(std::countr_zero(w))));
+      }
+    }
+  }
+  return ids;
+}
+
+// The starts a run over edges_by_time() visits: with a CycleUnionBlock
+// scratch and cycle-unions on, the closable ones, which every object of
+// `pool` then serves; otherwise all of them.
+template <typename Scratch>
+StartList run_starts(const TemporalGraph& graph, bool use_cycle_union,
+                     ScratchPool<Scratch>& pool, Scheduler* sched) {
+  if constexpr (std::is_base_of_v<CycleUnionBlock, Scratch>) {
+    if (use_cycle_union) {
+      std::vector<EdgeId> ids =
+          closable_starts(graph.num_edges(), pool, sched);
+      const std::size_t count = ids.size();
+      return {count, std::move(ids)};
+    }
+  }
+  return {graph.num_edges(), {}};
+}
+
+// Hands out a scratch of `pool` that serves `starts`.
+template <typename Scratch>
+std::unique_ptr<Scratch> serving(ScratchPool<Scratch>& pool,
+                                 const StartList& starts) {
+  auto scratch = pool.acquire();
+  if constexpr (std::is_base_of_v<CycleUnionBlock, Scratch>) {
+    if (!starts.ids.empty()) {
+      scratch->serve(starts.ids);
+    }
+  }
+  return scratch;
 }
 
 // The serial root loop: search(i, scratch, state) for every start i below
@@ -132,9 +230,9 @@ WorkCounters coarse_loop(Scheduler& sched, std::size_t starts, VertexId n,
 
 // Whole-run data of a serial or coarse run over the starting edges of
 // edges_by_time(). A hook search(run, e0, scratch, state) reads it as the
-// fine hooks read FineRun; it gets every start that is not a self-loop, on
-// a reset state, and returns false when it skipped the start without
-// touching the state.
+// fine hooks read FineRun; it gets every visited start (run_starts) that is
+// not a self-loop, on a reset state, and returns false when it skipped the
+// start without touching the state.
 template <typename StateT, typename Scratch>
 struct StartRun {
   using State = StateT;
@@ -146,31 +244,36 @@ struct StartRun {
 
   template <typename Search>
   EnumResult serial(const Search& search) const {
-    return EnumResult::of(serial_loop<State>(graph.num_edges(),
-                                             graph.num_vertices(),
-                                             scratch_maker(),
-                                             per_start(search)));
+    ScratchPool<Scratch> pool = scratch_pool();
+    const StartList starts =
+        run_starts(graph, options.use_cycle_union, pool, nullptr);
+    return EnumResult::of(serial_loop<State>(
+        starts.count, graph.num_vertices(),
+        [&] { return serving(pool, starts); }, per_start(starts, search)));
   }
 
   template <typename Search>
   EnumResult coarse(Scheduler& sched, const Search& search) const {
+    ScratchPool<Scratch> pool = scratch_pool();
+    const StartList starts =
+        run_starts(graph, options.use_cycle_union, pool, &sched);
     return EnumResult::of(coarse_loop<State>(
-        sched, graph.num_edges(), graph.num_vertices(), scratch_maker(),
-        per_start(search)));
+        sched, starts.count, graph.num_vertices(),
+        [&] { return serving(pool, starts); }, per_start(starts, search)));
   }
 
  private:
-  auto scratch_maker() const {
-    return [this] {
+  ScratchPool<Scratch> scratch_pool() const {
+    return ScratchPool<Scratch>([this] {
       return new_scratch<Scratch>(graph, window, options.use_cycle_union);
-    };
+    });
   }
 
   template <typename Search>
-  auto per_start(const Search& search) const {
-    return [this, &search, edges = graph.edges_by_time()](
+  auto per_start(const StartList& starts, const Search& search) const {
+    return [this, &starts, &search, edges = graph.edges_by_time()](
                std::size_t i, Scratch& scratch, State& state) {
-      const TemporalEdge& e0 = edges[i];
+      const TemporalEdge& e0 = edges[starts[i]];
       return take_self_loop(e0, sink, state.counters) ||
              search(*this, e0, scratch, state);
     };
@@ -261,31 +364,40 @@ struct FineRun {
     state_pool.release(std::move(state));
   }
 
-  // The root loop. Starts of edges_by_time() go out in blocks of
-  // CycleUnionBlock::kStarts, each searched on one state and one scratch.
-  // search_root(run, e0, scratch, state) gets every start that is not a
-  // self-loop, on a reset state; it returns false when it skipped the start
-  // without touching the state, and waits for every task of the root.
+  // The root loop. The visited starts of edges_by_time()
+  // (roots::run_starts, its closability pass run in parallel) go out in
+  // blocks of CycleUnionBlock::kStarts, each searched on one state and one
+  // scratch. search_root(run, e0, scratch, state) gets every visited start
+  // that is not a self-loop, on a reset state; it returns false when it
+  // skipped the start without touching the state, and waits for every task
+  // of the root.
   template <typename SearchRoot>
   void run_roots(SearchRoot&& search_root) {
     const auto edges = graph.edges_by_time();
+    const roots::StartList starts =
+        roots::run_starts(graph, options.use_cycle_union, scratch_pool, &sched);
     constexpr std::size_t kStarts = CycleUnionBlock::kStarts;
+    const std::size_t blocks = (starts.count + kStarts - 1) / kStarts;
     // Blocks go out in timestamp-ordered chunks (the paper's distribution of
-    // starting edges); load balance within a chunk comes from the tasks.
+    // starting edges); load balance within a chunk comes from the tasks. A
+    // packed block holds 256 searched roots and every worker starts on them
+    // at once after the closability pass, so those go out one per task,
+    // which keeps the run's tail to one block.
     parallel_for_chunked(
-        sched, 0, (edges.size() + kStarts - 1) / kStarts,
-        std::size_t{32} * sched.num_workers(), [&](std::size_t b) {
+        sched, 0, blocks,
+        starts.ids.empty() ? std::size_t{32} * sched.num_workers() : blocks,
+        [&](std::size_t b) {
           // Every task of a root has finished before the next root starts,
           // so one state and one scratch serve the whole block.
-          auto scratch = scratch_pool.acquire();
+          auto scratch = roots::serving(scratch_pool, starts);
           auto state = acquire_state();
           WorkCounters self_loops;
           TraceRecorder* const tracer = sched.tracer();
           const auto worker =
               static_cast<unsigned>(Scheduler::current_worker_id());
-          const std::size_t last = std::min(edges.size(), (b + 1) * kStarts);
+          const std::size_t last = std::min(starts.count, (b + 1) * kStarts);
           for (std::size_t i = b * kStarts; i < last; ++i) {
-            const TemporalEdge& e0 = edges[i];
+            const TemporalEdge& e0 = edges[starts[i]];
             TraceSpan trace(tracer, worker, TraceName::kSearchRoot, e0.id);
             if (!roots::take_self_loop(e0, sink, self_loops) &&
                 search_root(*this, e0, *scratch, *state)) {

@@ -103,6 +103,19 @@ class TemporalGraph {
   // In-edges of v with ts in [lo, hi], both bounds inclusive.
   std::span<const InEdge> in_edges_in_window(VertexId v, Timestamp lo,
                                              Timestamp hi) const noexcept;
+  // Out- and in-edges of v with ts in (after, hi]: strictly after `after`,
+  // which may be the Timestamp maximum (an empty range, where after + 1
+  // would overflow).
+  std::span<const OutEdge> out_edges_after(VertexId v, Timestamp after,
+                                           Timestamp hi) const noexcept {
+    return after < hi ? out_edges_in_window(v, after + 1, hi)
+                      : std::span<const OutEdge>{};
+  }
+  std::span<const InEdge> in_edges_after(VertexId v, Timestamp after,
+                                         Timestamp hi) const noexcept {
+    return after < hi ? in_edges_in_window(v, after + 1, hi)
+                      : std::span<const InEdge>{};
+  }
 
   Timestamp min_timestamp() const noexcept { return min_ts_; }
   Timestamp max_timestamp() const noexcept { return max_ts_; }

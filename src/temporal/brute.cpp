@@ -53,7 +53,7 @@ class BruteTemporal {
     on_path_.set(v);
     result_.work.vertices_visited += 1;
     // Strictly increasing timestamps within the window.
-    for (const auto& e : graph_.out_edges_in_window(v, arrival + 1, hi_)) {
+    for (const auto& e : graph_.out_edges_after(v, arrival, hi_)) {
       result_.work.edges_visited += 1;
       if (e.dst == tail_) {
         if (rem >= 1) {

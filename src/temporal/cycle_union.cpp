@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <limits>
 
 namespace parcycle {
@@ -42,14 +43,36 @@ std::size_t highest_below(const CycleUnionLanes& lanes, std::size_t limit) {
 
 }  // namespace
 
+void CycleUnionBlock::serve(std::span<const EdgeId> starts) {
+  listed_ = true;
+  list_ = starts;
+  block_ = static_cast<std::size_t>(-1);
+}
+
 CycleUnionView CycleUnionBlock::view(EdgeId start) {
   if (!enabled_) {
     return {};
   }
-  if (block_ != start / kStarts) {
-    compute(start / kStarts);
+  std::size_t p = start;
+  if (listed_) {
+    // The held block first: the drivers view its starts in list order.
+    auto first = list_.begin();
+    auto last = list_.end();
+    const std::size_t held = block_ * kStarts;
+    if (held < list_.size() && list_[held] <= start &&
+        start <= list_[std::min(list_.size(), held + kStarts) - 1]) {
+      first += static_cast<std::ptrdiff_t>(held);
+      last = first + static_cast<std::ptrdiff_t>(
+                         std::min(kStarts, list_.size() - held));
+    }
+    p = static_cast<std::size_t>(std::lower_bound(first, last, start) -
+                                 list_.begin());
+    assert(p < list_.size() && list_[p] == start);
   }
-  const std::size_t j = start % kStarts;
+  if (block_ != p / kStarts) {
+    compute(p / kStarts);
+  }
+  const std::size_t j = p % kStarts;
   return {union_.data(), j / 64, std::uint64_t{1} << (j % 64)};
 }
 
@@ -67,9 +90,7 @@ inline void CycleUnionBlock::reserve_log(std::size_t size) {
   }
 }
 
-void CycleUnionBlock::compute(std::size_t block) {
-  using Lanes = CycleUnionLanes;
-  const auto edges = graph_->edges_by_time();
+void CycleUnionBlock::allocate() {
   if (union_.empty()) {
     const VertexId n = graph_->num_vertices();
     reached_.assign(n, Lanes{});
@@ -77,15 +98,52 @@ void CycleUnionBlock::compute(std::size_t block) {
     union_.assign(n, Lanes{});
     touched_.resize(std::size_t{n} + kStarts + 1);
   }
+}
+
+CycleUnionLanes CycleUnionBlock::closable(std::size_t block) {
+  assert(enabled_);
+  allocate();
+  const auto edges = graph_->edges_by_time();
+  const std::size_t first = block * kStarts;
+  const std::size_t count = std::min(kStarts, edges.size() - first);
+  const TemporalEdge* starts = edges.data() + first;
+  Lanes open;  // non-self-loop starts
+  Lanes loops;
+  for (std::size_t j = 0; j < count; ++j) {
+    if (starts[j].src == starts[j].dst) {
+      loops.set(j);
+    } else {
+      open.set(j);
+    }
+  }
+  const Scan scan = forward(starts, count, open);
+  loops |= tails_reached(starts, count, open);
+  for (std::size_t k = 0; k < scan.logged; ++k) {
+    reached_[log_[k].v] = Lanes{};
+  }
+  return loops;
+}
+
+void CycleUnionBlock::compute(std::size_t block) {
+  allocate();
   for (std::size_t k = 0; k < num_touched_; ++k) {
     coreach_[touched_[k]] = Lanes{};
     union_[touched_[k]] = Lanes{};
   }
   num_touched_ = 0;
   block_ = block;
+  const auto edges = graph_->edges_by_time();
   const std::size_t first = block * kStarts;
-  const std::size_t count = std::min(kStarts, edges.size() - first);
   const TemporalEdge* starts = edges.data() + first;
+  std::size_t count = std::min(kStarts, edges.size() - first);
+  if (listed_) {
+    count = std::min(kStarts, list_.size() - first);
+    starts_.resize(count);
+    for (std::size_t j = 0; j < count; ++j) {
+      starts_[j] = edges[list_[first + j]];
+    }
+    starts = starts_.data();
+  }
   Lanes open;  // non-self-loop starts
   for (std::size_t j = 0; j < count; ++j) {
     Lanes bit;
@@ -98,12 +156,30 @@ void CycleUnionBlock::compute(std::size_t block) {
       coreach_[starts[j].src].set(j);  // the tail needs no further hop
     }
   }
+  const Scan scan = forward(starts, count, open);
+  // Only starts whose tail was reached have a cycle.
+  const Lanes closable = tails_reached(starts, count, open);
+  backward(starts, count, closable, scan);
+  // A reached tail closes its own cycle.
+  for (std::size_t j = 0; j < count; ++j) {
+    if (closable.test(j)) {
+      union_[starts[j].src].set(j);
+    }
+  }
+  for (std::size_t k = 0; k < scan.logged; ++k) {
+    reached_[log_[k].v] = Lanes{};
+  }
+}
 
-  // Forward: start j is seeded at its head once the scan passes t0_j and
-  // dies once it passes t0_j + window; an edge (u -> v, t) carries the live
-  // bits of u to v. Arrivals are logged in ascending time.
+// Forward: start j is seeded at its head once the scan passes t0_j and
+// dies once it passes t0_j + window; an edge (u -> v, t) carries the live
+// bits of u to v. Arrivals are logged in ascending time.
+CycleUnionBlock::Scan CycleUnionBlock::forward(const TemporalEdge* starts,
+                                               std::size_t count,
+                                               const Lanes& open) {
+  const auto edges = graph_->edges_by_time();
   const Timestamp end_ts = saturating_add(starts[count - 1].ts, window_);
-  const std::size_t begin = first_after(edges, first, starts[0].ts);
+  const std::size_t begin = first_after(edges, starts[0].id, starts[0].ts);
   std::size_t num_log = 0;
   Lanes live;
   std::size_t seeded = 0;
@@ -158,25 +234,35 @@ void CycleUnionBlock::compute(std::size_t block) {
       num_log += static_cast<std::size_t>(fresh.any());
     }
   }
-  const std::size_t end = i;
-  const std::size_t logged = num_log;
+  return {begin, i, num_log};
+}
 
-  // Only starts whose tail was reached have a cycle.
-  Lanes closable;
+// The open starts whose tail the forward scan reached.
+CycleUnionLanes CycleUnionBlock::tails_reached(
+    const TemporalEdge* starts, std::size_t count,
+    const Lanes& open) const noexcept {
+  Lanes reached;
   for (std::size_t j = 0; j < count; ++j) {
     if (open.test(j) && reached_[starts[j].src].test(j)) {
-      closable.set(j);
+      reached.set(j);
     }
   }
+  return reached;
+}
 
-  // Backward: bit j is live while t0_j < t <= t0_j + window. Log entries at
-  // or after t are undone first, so reached_ holds the arrivals before t.
-  // Below t0_j no arrival of j is left, so ending j there only lets the scan
-  // skip ahead sooner.
+// Backward: bit j is live while t0_j < t <= t0_j + window. Log entries at
+// or after t are undone first, so reached_ holds the arrivals before t.
+// Below t0_j no arrival of j is left, so ending j there only lets the scan
+// skip ahead sooner.
+void CycleUnionBlock::backward(const TemporalEdge* starts, std::size_t count,
+                               const Lanes& closable, const Scan& scan) {
+  const auto edges = graph_->edges_by_time();
+  const std::size_t begin = scan.begin;
+  std::size_t num_log = scan.logged;
   std::size_t born = count;   // starts [born, count) have t <= t0 + window
   std::size_t dying = count;  // starts [dying, count) have t <= t0
-  live = Lanes{};
-  i = end;
+  Lanes live;
+  std::size_t i = scan.end;
   while (i > begin) {
     const Timestamp t = edges[i - 1].ts;
     for (; born > 0 && t <= saturating_add(starts[born - 1].ts, window_);
@@ -223,16 +309,6 @@ void CycleUnionBlock::compute(std::size_t block) {
       coreach_[v] |= bits;
     }
   }
-
-  // A reached tail closes its own cycle.
-  for (std::size_t j = 0; j < count; ++j) {
-    if (closable.test(j)) {
-      union_[starts[j].src].set(j);
-    }
-  }
-  for (std::size_t k = 0; k < logged; ++k) {
-    reached_[log_[k].v] = Lanes{};
-  }
 }
 
 void TemporalReachScratch::init(VertexId n) {
@@ -262,8 +338,8 @@ bool TemporalReachScratch::compute(const TemporalGraph& graph,
   // leave a vertex no later than any arrival from the head; edges after it
   // can only arrive no earlier than any departure that still reaches the
   // tail; so neither changes contains() for any vertex.
-  const auto departures = graph.out_edges_in_window(head, e0.ts + 1, hi);
-  const auto arrivals = graph.in_edges_in_window(tail, e0.ts + 1, hi);
+  const auto departures = graph.out_edges_after(head, e0.ts, hi);
+  const auto arrivals = graph.in_edges_after(tail, e0.ts, hi);
   if (departures.empty() || arrivals.empty() ||
       departures.front().id > arrivals.back().id) {
     return false;

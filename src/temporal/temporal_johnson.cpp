@@ -20,38 +20,38 @@ namespace detail {
 
 namespace {
 
-// First edge of a time-ordered adjacency with ts >= lo.
+// First edge of a time-ordered adjacency with ts > after.
 template <class Edge>
-const Edge* first_from(std::span<const Edge> adjacency, Timestamp lo) {
-  return std::lower_bound(
-      adjacency.data(), adjacency.data() + adjacency.size(), lo,
-      [](const Edge& e, Timestamp t) { return e.ts < t; });
+const Edge* first_after(std::span<const Edge> adjacency, Timestamp after) {
+  return std::upper_bound(
+      adjacency.data(), adjacency.data() + adjacency.size(), after,
+      [](Timestamp t, const Edge& e) { return t < e.ts; });
 }
 
-// Does a time-ordered adjacency hold an edge with ts in [lo, hi]?
+// Does a time-ordered adjacency hold an edge with ts in (after, hi]?
 template <class Edge>
-bool any_in_window(std::span<const Edge> adjacency, Timestamp lo,
-                   Timestamp hi) {
-  const Edge* first = first_from(adjacency, lo);
+bool any_after(std::span<const Edge> adjacency, Timestamp after,
+               Timestamp hi) {
+  const Edge* first = first_after(adjacency, after);
   return first != adjacency.data() + adjacency.size() && first->ts <= hi;
 }
 
-// Fills `out` with v's out-edges with ts in [lo, hi] that can lie on a cycle
-// of the start: those into `tail` or into a vertex of `cycle_union` (the
-// others need no unblock registration either). Returns how many edges the
-// window holds, kept or not: the edges the search counts as visited.
-// One lower bound and a forward scan; with `by_dst` the kept edges are
+// Fills `out` with v's out-edges with ts in (after, hi] that can lie on a
+// cycle of the start: those into `tail` or into a vertex of `cycle_union`
+// (the others need no unblock registration either). Returns how many edges
+// the window holds, kept or not: the edges the search counts as visited.
+// One upper bound and a forward scan; with `by_dst` the kept edges are
 // grouped by destination, each group ascending by (ts, id): the order a
 // stable sort by dst of the time-ordered adjacency gives, without the sort's
 // temporary buffer.
 std::size_t collect_out_edges(const TemporalGraph& graph, VertexId v,
-                              Timestamp lo, Timestamp hi, VertexId tail,
+                              Timestamp after, Timestamp hi, VertexId tail,
                               CycleUnionView cycle_union, bool by_dst,
                               std::vector<TemporalGraph::OutEdge>& out) {
   out.clear();
   const auto all = graph.out_edges(v);
   const TemporalGraph::OutEdge* const end = all.data() + all.size();
-  const TemporalGraph::OutEdge* const first = first_from(all, lo);
+  const TemporalGraph::OutEdge* const first = first_after(all, after);
   const TemporalGraph::OutEdge* e = first;
   for (; e != end && e->ts <= hi; ++e) {
     if (e->dst == tail || cycle_union.contains(e->dst)) {
@@ -84,8 +84,8 @@ bool TemporalJohnsonSearch::prepare_root(const TemporalGraph& graph,
     return false;
   }
   if (cycle_union.lanes == nullptr &&
-      (!any_in_window(graph.out_edges(e0.dst), e0.ts + 1, hi) ||
-       !any_in_window(graph.in_edges(e0.src), e0.ts + 1, hi))) {
+      (!any_after(graph.out_edges(e0.dst), e0.ts, hi) ||
+       !any_after(graph.in_edges(e0.src), e0.ts, hi))) {
     return false;
   }
   state.push(e0.src);  // tail; empty bundle, only pins the vertex
@@ -182,7 +182,7 @@ bool TemporalJohnsonSearch::explore(ClosingTimeState& st, std::int32_t rem) {
   // one edge per group (ablation).
   std::vector<TemporalGraph::OutEdge>& scratch = st.frame(hop_index).edges;
   st.counters.edges_visited +=
-      collect_out_edges(graph_, v, min_arrival + 1, hi_, tail_, union_,
+      collect_out_edges(graph_, v, min_arrival, hi_, tail_, union_,
                         options_.path_bundling, scratch);
 
   bool found = false;
@@ -331,7 +331,7 @@ bool fine_explore(TemporalSearchContext& search, ClosingTimeState& st,
   ClosingTimeState::Frame& frame = st.frame(hop_index);
   const std::vector<TemporalGraph::OutEdge>& scratch = frame.edges;
   st.counters.edges_visited += detail::collect_out_edges(
-      run.graph, v, min_arrival + 1, search.hi, search.tail,
+      run.graph, v, min_arrival, search.hi, search.tail,
       search.cycle_union, run.options.path_bundling, frame.edges);
 
   fine::SpawnedChildren<TemporalSearchContext> children(search);

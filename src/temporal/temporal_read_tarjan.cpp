@@ -24,7 +24,7 @@ struct TemporalPolicy {
   CycleUnionView cycle_union;
 
   auto out_edges(VertexId u, Timestamp arrival) const {
-    return graph.out_edges_in_window(u, arrival + 1, hi);
+    return graph.out_edges_after(u, arrival, hi);
   }
   static bool skipped(const RTHop&) { return false; }
   VertexId closing() const { return tail; }
@@ -45,8 +45,8 @@ constexpr auto search_start = [](auto& run, const TemporalEdge& e0,
     return false;
   }
   if (cycle_union.lanes == nullptr &&
-      (run.graph.out_edges_in_window(e0.dst, e0.ts + 1, hi).empty() ||
-       run.graph.in_edges_in_window(e0.src, e0.ts + 1, hi).empty())) {
+      (run.graph.out_edges_after(e0.dst, e0.ts, hi).empty() ||
+       run.graph.in_edges_after(e0.src, e0.ts, hi).empty())) {
     return false;
   }
   if (run.options.max_cycle_length == 1) {

@@ -340,11 +340,14 @@ TEST(TemporalParallel, SerialCountersPinned) {
   }
 }
 
-// The fine drivers run every root of a CycleUnionBlock on one search state,
-// reset and merged per root. This input spans six blocks of tie-heavy edges
-// under a short window, so inside a block searched roots follow skipped
-// ones: a state that kept a previous root's path, closing times, fail marks
-// or counters changes the cycles or Read-Tarjan's edge visits.
+// The fine drivers run every root of a packed block (256 starts the
+// closability pass found closable) on one search state, reset and merged
+// per root. This input spans six blocks of tie-heavy edges under a short
+// window, and in edges_by_time() searched starts follow skipped ones more
+// than 200 times: the closability pass drops the skipped ones, so in a
+// packed block each searched root follows another searched root on the
+// same state. A state that kept a previous root's path, closing times, fail
+// marks or counters changes the cycles or Read-Tarjan's edge visits.
 TEST(TemporalParallel, BlockStateServesEveryRoot) {
   ScaleFreeTemporalParams params;
   params.num_vertices = 24;
@@ -449,6 +452,40 @@ TEST(TemporalParallel, WindowNearTimestampMaximumClosesTheTriangle) {
   };
   for (const auto& [name, result] : runs) {
     EXPECT_EQ(result.num_cycles, 1u) << name;
+  }
+}
+
+// The same triangle with its closing edge at the Timestamp maximum: an
+// arrival there leaves no later timestamp, so the search from it is empty
+// instead of overflowing on arrival + 1. Every temporal enumerator, with the
+// cycle-union on and off, and brute force close the one cycle.
+TEST(TemporalParallel, EdgeAtTimestampMaximumClosesTheTriangle) {
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  const TemporalGraph g(3, {{0, 1, kMax - 2}, {1, 2, kMax - 1}, {2, 0, kMax}});
+  constexpr Timestamp kWindow = 100;
+  Scheduler sched(2);
+  for (const bool use_cycle_union : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "use_cycle_union " << use_cycle_union);
+    EnumOptions options;
+    options.use_cycle_union = use_cycle_union;
+    const std::vector<std::pair<const char*, EnumResult>> runs = {
+        {"temporal johnson", temporal_johnson_cycles(g, kWindow, options)},
+        {"coarse temporal johnson",
+         coarse_temporal_johnson_cycles(g, kWindow, sched, options)},
+        {"fine temporal johnson",
+         fine_temporal_johnson_cycles(g, kWindow, sched, options)},
+        {"temporal read-tarjan",
+         temporal_read_tarjan_cycles(g, kWindow, options)},
+        {"coarse temporal read-tarjan",
+         coarse_temporal_read_tarjan_cycles(g, kWindow, sched, options)},
+        {"fine temporal read-tarjan",
+         fine_temporal_read_tarjan_cycles(g, kWindow, sched, options)},
+        {"2scent", two_scent_cycles(g, kWindow, options)},
+        {"brute force", brute_temporal_cycles(g, kWindow, options)},
+    };
+    for (const auto& [name, result] : runs) {
+      EXPECT_EQ(result.num_cycles, 1u) << name;
+    }
   }
 }
 

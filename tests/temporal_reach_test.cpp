@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/driver.hpp"
 #include "core/johnson_state.hpp"  // ScratchPool
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
@@ -155,38 +156,52 @@ struct Tally {
   std::size_t comparisons = 0;  // union bits checked
 };
 
-// Union bits of every start as the drivers read them, unions[start][v]:
-// serially from one block object walked in start order, or from pooled
-// block objects filled by two workers over chunks of blocks (so a pooled
-// object is reused for a block that does not follow its last one).
-std::vector<std::vector<bool>> block_unions(const TemporalGraph& g,
-                                            Timestamp window, bool pooled) {
-  const std::size_t m = g.num_edges();
-  std::vector<std::vector<bool>> unions(m);
-  const auto fill = [&](CycleUnionBlock& block, std::size_t start) {
-    const CycleUnionView view = block.view(static_cast<EdgeId>(start));
+// Union bits of the listed starts as the drivers read them,
+// unions[start][v] (empty for starts not listed): serially from one block
+// object walked in list order, or from pooled block objects filled by two
+// workers over chunks of blocks (so a pooled object is reused for a block
+// that does not follow its last one). A null `list` leaves the objects on
+// their default list, every start of edges_by_time().
+std::vector<std::vector<bool>> block_unions(
+    const TemporalGraph& g, Timestamp window, bool pooled,
+    const std::vector<EdgeId>* list = nullptr,
+    CycleUnionBlock* serial_block = nullptr) {
+  const std::size_t count = list != nullptr ? list->size() : g.num_edges();
+  const auto start_at = [&](std::size_t p) {
+    return list != nullptr ? (*list)[p] : static_cast<EdgeId>(p);
+  };
+  std::vector<std::vector<bool>> unions(g.num_edges());
+  const auto fill = [&](CycleUnionBlock& block, std::size_t p) {
+    const EdgeId start = start_at(p);
+    const CycleUnionView view = block.view(start);
     unions[start].resize(g.num_vertices());
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       unions[start][v] = view.contains(v);
     }
   };
   if (!pooled) {
-    CycleUnionBlock block(g, window);
-    for (std::size_t start = 0; start < m; ++start) {
-      fill(block, start);
+    CycleUnionBlock own(g, window);
+    CycleUnionBlock& block = serial_block != nullptr ? *serial_block : own;
+    if (list != nullptr) {
+      block.serve(*list);
+    }
+    for (std::size_t p = 0; p < count; ++p) {
+      fill(block, p);
     }
     return unions;
   }
   Scheduler::with_pool(2, [&](Scheduler& sched) {
     ScratchPool<CycleUnionBlock> pool(
         [&] { return std::make_unique<CycleUnionBlock>(g, window); });
-    parallel_for_chunked(sched, 0, (m + kStarts - 1) / kStarts, 3,
+    parallel_for_chunked(sched, 0, (count + kStarts - 1) / kStarts, 3,
                          [&](std::size_t b) {
                            auto block = pool.acquire();
-                           for (std::size_t start = b * kStarts;
-                                start < std::min(m, (b + 1) * kStarts);
-                                ++start) {
-                             fill(*block, start);
+                           if (list != nullptr) {
+                             block->serve(*list);
+                           }
+                           for (std::size_t p = b * kStarts;
+                                p < std::min(count, (b + 1) * kStarts); ++p) {
+                             fill(*block, p);
                            }
                            pool.release(std::move(block));
                          });
@@ -261,6 +276,108 @@ TEST(TemporalReach, BlockMatchesOracleOnRandomGraphs) {
   EXPECT_GT(tally.closable, tally.starts / 5);
   EXPECT_LT(tally.closable, tally.starts * 4 / 5);
   EXPECT_GT(tally.comparisons, 200000u);
+}
+
+// Checks the listed starts of `g`: each one's union bit, read from blocks
+// packed with the list's starts (on `serial_block` and on pooled objects),
+// equals contains(v) for every vertex.
+void check_listed_against_oracle(const TemporalGraph& g, Timestamp window,
+                                 const std::vector<EdgeId>& list,
+                                 CycleUnionBlock& serial_block, Tally& tally) {
+  const auto serial = block_unions(g, window, false, &list, &serial_block);
+  const auto pooled = block_unions(g, window, true, &list);
+  TemporalReachScratch reach;
+  reach.init(g.num_vertices());
+  for (const EdgeId start : list) {
+    const TemporalEdge& e0 = g.edge(start);
+    tally.closable += reach.compute(g, e0, e0.ts + window) ? 1 : 0;
+    tally.starts += 1;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(serial[start][v], reach.contains(v))
+          << "start " << start << " vertex " << v;
+      ASSERT_EQ(pooled[start][v], reach.contains(v))
+          << "start " << start << " vertex " << v;
+      tally.comparisons += 1;
+    }
+  }
+}
+
+// Random ascending start lists of `g`: every start with probability
+// 1 / `every`, or runs of up to 40 consecutive starts with gaps of 100 to
+// 900 starts between them.
+std::vector<EdgeId> random_list(const TemporalGraph& g, std::uint64_t every,
+                                bool runs, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<EdgeId> list;
+  for (std::size_t id = 0; id < g.num_edges();) {
+    if (!runs) {
+      if (rng.next() % every == 0) {
+        list.push_back(static_cast<EdgeId>(id));
+      }
+      id += 1;
+      continue;
+    }
+    const std::size_t run = 1 + rng.next() % 40;
+    for (std::size_t k = 0; k < run && id < g.num_edges(); ++k, ++id) {
+      list.push_back(static_cast<EdgeId>(id));
+    }
+    id += 100 + rng.next() % 800;
+  }
+  return list;
+}
+
+// The two phases of a temporal run. The closability pass, serial and on
+// pooled objects in parallel, lists exactly the starts for which compute()
+// finds a cycle; blocks packed with those starts, or with random ascending
+// subsets whose 256 starts span many windows and the gaps between them,
+// give every listed start the union compute() gives it.
+TEST(TemporalReach, ClosablePassAndPackedBlocksMatchOracle) {
+  Tally tally;
+  std::size_t wide_blocks = 0;  // a block's starts span over ten windows
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const TemporalGraph g = random_block_graph(seed);
+    const Timestamp window = random_block_window(seed);
+    std::vector<EdgeId> expected;
+    TemporalReachScratch reach;
+    reach.init(g.num_vertices());
+    for (const TemporalEdge& e0 : g.edges_by_time()) {
+      if (reach.compute(g, e0, e0.ts + window)) {
+        expected.push_back(e0.id);
+      }
+    }
+    ScratchPool<CycleUnionBlock> pool(
+        [&] { return std::make_unique<CycleUnionBlock>(g, window); });
+    ASSERT_EQ(roots::closable_starts(g.num_edges(), pool, nullptr), expected);
+    Scheduler::with_pool(2, [&](Scheduler& sched) {
+      ASSERT_EQ(roots::closable_starts(g.num_edges(), pool, &sched),
+                expected);
+    });
+
+    // One serial object serves every list in turn.
+    CycleUnionBlock serial_block(g, window);
+    const std::vector<std::vector<EdgeId>> lists = {
+        expected,
+        random_list(g, 2, false, seed),
+        random_list(g, 9, false, seed + 100),
+        random_list(g, 40, false, seed + 200),
+        random_list(g, 0, true, seed + 300),
+    };
+    for (std::size_t k = 0; k < lists.size(); ++k) {
+      SCOPED_TRACE(testing::Message() << "list " << k);
+      const std::vector<EdgeId>& list = lists[k];
+      for (std::size_t p = 0; p < list.size(); p += kStarts) {
+        const EdgeId last = list[std::min(list.size(), p + kStarts) - 1];
+        const Timestamp span = g.edge(last).ts - g.edge(list[p]).ts;
+        wide_blocks += span > 10 * window ? 1 : 0;
+      }
+      check_listed_against_oracle(g, window, list, serial_block, tally);
+    }
+  }
+  EXPECT_GT(wide_blocks, 40u);
+  EXPECT_GT(tally.closable, tally.starts / 5);
+  EXPECT_LT(tally.closable, tally.starts * 4 / 5);
+  EXPECT_GT(tally.comparisons, 500000u);
 }
 
 // The enumerators' root setup skips its two neighbour lookups when a block

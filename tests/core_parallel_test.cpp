@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/coarse_grained.hpp"
+#include "core/fine_hc_dfs.hpp"
 #include "core/fine_johnson.hpp"
 #include "core/fine_read_tarjan.hpp"
 #include "core/hc_dfs.hpp"
@@ -509,6 +510,172 @@ TEST(FineGrained, ReadTarjanCountersPinned) {
                      fine_temporal_read_tarjan_cycles(g, kTemporalWindow,
                                                       sched, options, popts),
                      row.temporal[u]);
+        }
+      }
+    }
+  }
+}
+
+// Johnson, BC-DFS and temporal Johnson on ReadTarjanCountersPinned's
+// inputs, at three length bounds (BC-DFS at three hop bounds), with the
+// cycle-union on and off. Serial and coarse runs do the same work. A fine
+// run on one worker is deterministic but spawns where the serial loop
+// recurses, so it has its own pins, one per spawn policy. On 2 and 4
+// workers fine visits depend on the schedule, so only cycles are pinned.
+TEST(FineGrained, JohnsonCountersPinned) {
+  struct Pin {
+    std::uint64_t cycles;
+    std::uint64_t edges_visited;
+    std::uint64_t vertices_visited;
+  };
+  struct Flavour {
+    Pin serial;
+    Pin fine[2];  // one worker: kAlways, kAdaptive
+  };
+  struct Row {
+    int max_cycle_length;
+    int max_hops;
+    Pin simple;
+    Pin simple_hc;
+    Flavour hc;
+    Flavour windowed[2];  // cycle-union on, off
+    Flavour temporal[2];
+  };
+  const Row rows[] = {
+      {0,
+       3,
+       {246, 2741, 1094},
+       {8, 41, 20},
+       {{150, 706, 188}, {{150, 706, 188}, {150, 706, 188}}},
+       {{{676, 6242, 2017}, {{676, 6242, 2017}, {676, 6242, 2017}}},
+        {{676, 7725, 3773}, {{676, 7725, 3773}, {676, 7725, 3773}}}},
+       {{{1260, 7891, 1629}, {{1260, 8058, 1699}, {1260, 8058, 1697}}},
+        {{1260, 17029, 8813}, {{1260, 17493, 9126}, {1260, 17328, 9046}}}}},
+      {3,
+       4,
+       {8, 100, 57},
+       {19, 103, 44},
+       {{231, 1297, 352}, {{231, 1297, 352}, {231, 1297, 352}}},
+       {{{150, 1283, 382}, {{150, 1283, 382}, {150, 1283, 382}}},
+        {{150, 2047, 1053}, {{150, 2047, 1053}, {150, 2047, 1053}}}},
+       {{{504, 4542, 814}, {{504, 4542, 814}, {504, 4542, 814}}},
+        {{504, 8800, 3046}, {{504, 8800, 3046}, {504, 8800, 3046}}}}},
+      {4,
+       6,
+       {19, 196, 98},
+       {50, 318, 130},
+       {{470, 3557, 1046}, {{470, 3560, 1050}, {470, 3560, 1050}}},
+       {{{231, 2226, 662}, {{231, 2244, 673}, {231, 2216, 669}}},
+        {{231, 3435, 1856}, {{231, 3410, 1865}, {231, 3410, 1865}}}},
+       {{{868, 6640, 1332}, {{868, 6640, 1332}, {868, 6640, 1332}}},
+        {{868, 14807, 7326}, {{868, 14807, 7326}, {868, 14807, 7326}}}}},
+  };
+  const Digraph simple = erdos_renyi(16, 40, 7);
+  ScaleFreeTemporalParams ties;  // about ten edges per timestamp
+  ties.num_vertices = 24;
+  ties.num_edges = 700;
+  ties.time_span = 70;
+  ties.attachment = 0.6;
+  ties.seed = 2;
+  const TemporalGraph g = scale_free_temporal(ties);
+  constexpr Timestamp kWindowedWindow = 3;
+  constexpr Timestamp kTemporalWindow = 12;
+
+  const auto expect_pin = [](const char* run, const EnumResult& result,
+                             const Pin& pin) {
+    EXPECT_EQ(result.num_cycles, pin.cycles) << run;
+    EXPECT_EQ(result.work.edges_visited, pin.edges_visited) << run;
+    EXPECT_EQ(result.work.vertices_visited, pin.vertices_visited) << run;
+  };
+  const auto options_of = [](const Row& row, bool use_cycle_union) {
+    EnumOptions options;
+    options.max_cycle_length = row.max_cycle_length;
+    options.use_cycle_union = use_cycle_union;
+    return options;
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(testing::Message()
+                 << "max_cycle_length " << row.max_cycle_length
+                 << ", max_hops " << row.max_hops);
+    expect_pin("serial static",
+               johnson_simple_cycles(simple, options_of(row, true)),
+               row.simple);
+    expect_pin("serial static BC-DFS", hc_simple_cycles(simple, row.max_hops),
+               row.simple_hc);
+    expect_pin("serial BC-DFS",
+               hc_windowed_cycles(g, kWindowedWindow, row.max_hops),
+               row.hc.serial);
+    for (const bool use_cycle_union : {true, false}) {
+      const EnumOptions options = options_of(row, use_cycle_union);
+      const int u = use_cycle_union ? 0 : 1;
+      SCOPED_TRACE(testing::Message() << "use_cycle_union " << use_cycle_union);
+      expect_pin("serial windowed",
+                 johnson_windowed_cycles(g, kWindowedWindow, options),
+                 row.windowed[u].serial);
+      expect_pin("serial temporal",
+                 temporal_johnson_cycles(g, kTemporalWindow, options),
+                 row.temporal[u].serial);
+    }
+  }
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    Scheduler sched(threads);
+    // One worker pins every counter, more workers the cycles alone.
+    const auto expect_fine = [&](const char* run, const EnumResult& result,
+                                 const Pin& pin) {
+      if (threads == 1) {
+        expect_pin(run, result, pin);
+      } else {
+        EXPECT_EQ(result.num_cycles, pin.cycles) << run;
+      }
+    };
+    for (const Row& row : rows) {
+      SCOPED_TRACE(testing::Message()
+                   << threads << " threads, max_cycle_length "
+                   << row.max_cycle_length << ", max_hops " << row.max_hops);
+      if (threads == 2) {
+        expect_pin("coarse static",
+                   coarse_johnson_simple_cycles(simple, sched,
+                                                options_of(row, true)),
+                   row.simple);
+      }
+      for (const int p : {0, 1}) {
+        ParallelOptions popts;
+        popts.spawn_policy = p == 0 ? SpawnPolicy::kAlways
+                                    : SpawnPolicy::kAdaptive;
+        SCOPED_TRACE(testing::Message() << "policy " << p);
+        expect_fine("fine BC-DFS",
+                    fine_hc_windowed_cycles(g, kWindowedWindow, row.max_hops,
+                                            sched, {}, popts),
+                    row.hc.fine[p]);
+      }
+      for (const bool use_cycle_union : {true, false}) {
+        const EnumOptions options = options_of(row, use_cycle_union);
+        const int u = use_cycle_union ? 0 : 1;
+        SCOPED_TRACE(testing::Message()
+                     << "use_cycle_union " << use_cycle_union);
+        if (threads == 2) {
+          expect_pin("coarse windowed",
+                     coarse_johnson_windowed_cycles(g, kWindowedWindow, sched,
+                                                    options),
+                     row.windowed[u].serial);
+          expect_pin("coarse temporal",
+                     coarse_temporal_johnson_cycles(g, kTemporalWindow, sched,
+                                                    options),
+                     row.temporal[u].serial);
+        }
+        for (const int p : {0, 1}) {
+          ParallelOptions popts;
+          popts.spawn_policy = p == 0 ? SpawnPolicy::kAlways
+                                      : SpawnPolicy::kAdaptive;
+          SCOPED_TRACE(testing::Message() << "policy " << p);
+          expect_fine("fine windowed",
+                      fine_johnson_windowed_cycles(g, kWindowedWindow, sched,
+                                                   options, popts),
+                      row.windowed[u].fine[p]);
+          expect_fine("fine temporal",
+                      fine_temporal_johnson_cycles(g, kTemporalWindow, sched,
+                                                   options, popts),
+                      row.temporal[u].fine[p]);
         }
       }
     }

@@ -11,7 +11,6 @@
 #include "core/fine_read_tarjan.hpp"
 #include "core/hc_dfs.hpp"
 #include "core/johnson.hpp"
-#include "core/johnson_impl.hpp"
 #include "core/read_tarjan.hpp"
 #include "core/tiernan.hpp"
 #include "support/stats.hpp"
@@ -268,7 +267,7 @@ StartCosts collect_temporal_start_costs(const TemporalGraph& graph,
                                         Timestamp window,
                                         const EnumOptions& options) {
   StartCosts costs;
-  detail::TemporalJohnsonSearch search(graph, window, options, nullptr);
+  const detail::TemporalJohnsonRun run{graph, window, options, nullptr};
   ClosingTimeState state(graph.num_vertices());
   CycleUnionBlock block(graph, window, options.use_cycle_union);
   costs.jobs.reserve(graph.num_edges());
@@ -276,36 +275,12 @@ StartCosts collect_temporal_start_costs(const TemporalGraph& graph,
     double cost = 0.0;
     if (e0.src != e0.dst) {
       state.reset();
-      search.search_from(e0, state, block.view(e0.id));
+      detail::search_start(run, e0, block, state);
       cost = static_cast<double>(state.counters.edges_visited +
                                  state.counters.vertices_visited + 1);
     }
     // Critical-path proxy: one DFS chain of the search (O(n + e) per the
     // paper's Lemma 1); approximated by sqrt of the cost, floored at 1.
-    costs.jobs.push_back(SimJob{cost, cost > 0.0 ? std::sqrt(cost) : 0.0});
-    costs.total_cost += cost;
-    costs.max_cost = std::max(costs.max_cost, cost);
-  }
-  return costs;
-}
-
-StartCosts collect_windowed_simple_start_costs(const TemporalGraph& graph,
-                                               Timestamp window,
-                                               const EnumOptions& options) {
-  StartCosts costs;
-  detail::WindowedJohnsonSearch search(graph, window, options, nullptr);
-  JohnsonState state(graph.num_vertices());
-  CycleUnionScratch cycle_union;
-  cycle_union.init(graph.num_vertices());
-  costs.jobs.reserve(graph.num_edges());
-  for (const auto& e0 : graph.edges_by_time()) {
-    double cost = 0.0;
-    if (e0.src != e0.dst) {
-      state.reset();
-      search.search_from(e0, state, &cycle_union);
-      cost = static_cast<double>(state.counters.edges_visited +
-                                 state.counters.vertices_visited + 1);
-    }
     costs.jobs.push_back(SimJob{cost, cost > 0.0 ? std::sqrt(cost) : 0.0});
     costs.total_cost += cost;
     costs.max_cost = std::max(costs.max_cost, cost);

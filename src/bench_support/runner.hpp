@@ -94,9 +94,6 @@ struct StartCosts {
 StartCosts collect_temporal_start_costs(const TemporalGraph& graph,
                                         Timestamp window,
                                         const EnumOptions& options = {});
-StartCosts collect_windowed_simple_start_costs(const TemporalGraph& graph,
-                                               Timestamp window,
-                                               const EnumOptions& options = {});
 
 // Geometric mean helper for the summary columns of Figures 7/8.
 double geometric_mean(const std::vector<double>& values);

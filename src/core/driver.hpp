@@ -7,7 +7,7 @@
 //  * fine::FineRun::run_roots is the copy-on-steal driver of the five
 //    fine-grained enumerators (Section 5): fine Johnson, Read-Tarjan and
 //    BC-DFS on windowed simple cycles, and fine temporal Johnson and
-//    Read-Tarjan.
+//    Read-Tarjan, each in the file of its serial driver.
 //
 // roots::StartRun puts the serial and coarse loops over edges_by_time(),
 // with the self-loop rule, the way FineRun does for the fine one; the
@@ -31,7 +31,9 @@
 // pointers to it. Two task shapes share the run struct and the root loop:
 //  * prefix repair (Johnson, BC-DFS, temporal Johnson): a stolen task copies
 //    its creator's state under the creator's lock and repairs it back to the
-//    state's spawn-time Mark;
+//    state's spawn-time Mark. These searches write each visit once, over a
+//    spawner that is either the FineRun or a roots::SerialSpawner, so their
+//    serial, coarse and fine runs share it;
 //  * prefix replay (both Read-Tarjans): a stolen task replays its creator's
 //    path and undo log up to the spawn-time prefix, without a lock.
 // Hooks are template parameters: nothing on the per-visit path goes through
@@ -280,6 +282,35 @@ struct StartRun {
   }
 };
 
+// The spawner of serial and coarse runs. A visit written over a spawner
+// (core/johnson_impl.hpp, temporal/temporal_johnson.cpp) reads it as its
+// search context's `run`, where a fine run puts its fine::FineRun: this one
+// never spawns, and its lock guard and task list are empty, so the visit
+// compiles to a plain recursive loop.
+template <typename StateT>
+struct SerialSpawner {
+  using State = StateT;
+
+  struct Guard {
+    explicit Guard(Spinlock&) {}
+  };
+
+  template <typename Search>
+  struct Children {
+    explicit Children(Search&) {}
+    template <typename Child>
+    void spawn(State&, Child&&) {}
+    static constexpr bool wait() { return false; }
+  };
+
+  static constexpr bool should_spawn() { return false; }
+};
+
+template <typename State, typename Scratch>
+SerialSpawner<State> spawner(const StartRun<State, Scratch>&) {
+  return {};
+}
+
 // A serial Read-Tarjan scratch: the search's per-start scratch plus the
 // stack drain() keeps deferred calls on, reused from start to start.
 template <typename Scratch, typename Call>
@@ -324,11 +355,20 @@ inline bool should_spawn(const Scheduler& sched, const ParallelOptions& popts) {
   return true;
 }
 
+template <typename Search>
+class SpawnedChildren;
+
 // Whole-run state. `Scratch` is the per-block search scratch (see
-// roots::new_scratch).
+// roots::new_scratch). A fine run is the spawner of its visits (see
+// roots::SerialSpawner): it spawns by the run's policy, a visit's state
+// mutations run under the state's lock, and each call waits for the
+// children it spawned.
 template <typename StateT, typename Scratch>
 struct FineRun {
   using State = StateT;
+  using Guard = LockGuard<Spinlock>;
+  template <typename Search>
+  using Children = SpawnedChildren<Search>;
 
   const TemporalGraph& graph;
   Timestamp window;
@@ -414,6 +454,11 @@ struct FineRun {
   // Single-threaded; call after run_roots returned.
   EnumResult result() const { return EnumResult::of(work.total()); }
 };
+
+template <typename State, typename Scratch>
+FineRun<State, Scratch>& spawner(FineRun<State, Scratch>& run) {
+  return run;
+}
 
 // The state type a search context's run works on.
 template <typename Search>

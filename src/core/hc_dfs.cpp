@@ -2,8 +2,12 @@
 
 #include <cassert>
 #include <memory>
+#include <span>
 
 #include "core/driver.hpp"
+#include "core/fine_hc_dfs.hpp"
+#include "core/hc_state.hpp"
+#include "core/johnson_impl.hpp"
 
 namespace parcycle {
 
@@ -57,82 +61,30 @@ void HcDistScratch::compute_windowed(const TemporalGraph& graph, VertexId tail,
   }
 }
 
-namespace detail {
-
-// ---- static search ---------------------------------------------------------
-
 namespace {
 
-// BC-DFS over the subgraph induced by {v >= start}; cycles are rooted at
-// their smallest vertex, exactly like StaticJohnsonSearch.
-class HcStaticSearch {
- public:
-  HcStaticSearch(const Digraph& graph, CycleSink* sink)
-      : graph_(graph), sink_(sink) {}
+// BC-DFS over the subgraph induced by {v >= start}, with no SCC filter (the
+// hop distances prune harder); cycles are rooted at their smallest vertex.
+struct HcStaticPolicy {
+  static constexpr bool kEdgeIds = false;
 
-  void search_from(VertexId start, int max_hops, HcState& state,
-                   const HcDistScratch& dist) {
-    state_ = &state;
-    dist_ = &dist;
-    start_ = start;
-    circuit(start, max_hops);
+  const Digraph& graph;
+  VertexId start;
+
+  std::span<const VertexId> out_edges(VertexId u, Timestamp) const {
+    return graph.out_neighbors(u);
   }
-
- private:
-  void report() {
-    state_->counters.cycles_found += 1;
-    if (sink_ != nullptr) {
-      sink_->on_cycle({state_->path_data(), state_->path_length()}, {});
-    }
-  }
-
-  bool circuit(VertexId v, std::int32_t rem) {
-    HcState& st = *state_;
-    st.push(v, kInvalidEdge);
-    st.counters.vertices_visited += 1;
-    bool found = false;
-    for (const VertexId w : graph_.out_neighbors(v)) {
-      if (w < start_) {
-        continue;
-      }
-      st.counters.edges_visited += 1;
-      if (w == start_) {
-        if (rem >= 1) {
-          report();
-          found = true;
-        }
-      } else {
-        const std::int32_t next = rem - 1;
-        if (next >= 1 && next >= dist_->dist_to_target(w) &&
-            st.can_visit(w, next)) {
-          found |= circuit(w, next);
-        }
-      }
-    }
-    if (found) {
-      st.exit_success(v);
-    } else {
-      st.exit_failure(v, rem);
-    }
-    st.pop();
-    return found;
-  }
-
-  const Digraph& graph_;
-  CycleSink* sink_;
-  HcState* state_ = nullptr;
-  const HcDistScratch* dist_ = nullptr;
-  VertexId start_ = 0;
+  bool skipped(const RTHop& hop) const { return hop.v < start; }
+  VertexId closing() const { return start; }
+  static bool allowed(VertexId) { return true; }
 };
 
-}  // namespace
-
-// ---- windowed search --------------------------------------------------------
-
-bool HcWindowedSearch::prepare_start(const TemporalGraph& graph,
-                                     const TemporalEdge& e0, Timestamp window,
-                                     int max_hops, HcDistScratch& dist,
-                                     StartContext& ctx) {
+// Fills `ctx` and the distance scratch for starting edge e0. Returns false
+// when no hop-bounded cycle can pass through e0 (head cannot reach tail
+// back within max_hops - 1 admissible hops).
+bool prepare_start(const TemporalGraph& graph, const TemporalEdge& e0,
+                   Timestamp window, int max_hops, HcDistScratch& dist,
+                   StartContext& ctx) {
   assert(e0.src != e0.dst && "self-loops are handled by the driver");
   if (max_hops < 2) {
     return false;  // a non-self-loop cycle needs at least two edges
@@ -155,70 +107,20 @@ bool HcWindowedSearch::prepare_start(const TemporalGraph& graph,
   return dist.dist_to_target(ctx.head) != HcDistScratch::kUnreachable;
 }
 
-void HcWindowedSearch::report_cycle(const HcState& state, EdgeId closing_edge,
-                                    CycleSink* sink,
-                                    std::vector<EdgeId>& edge_scratch) {
-  if (sink == nullptr) {
-    return;
-  }
-  const std::size_t len = state.path_length();
-  edge_scratch.clear();
-  // path_edge(i) is the edge into path_vertex(i); index 0 is the start
-  // vertex, entered by the closing edge.
-  for (std::size_t i = 1; i < len; ++i) {
-    edge_scratch.push_back(state.path_edge(i));
-  }
-  edge_scratch.push_back(closing_edge);
-  sink->on_cycle({state.path_data(), len},
-                 {edge_scratch.data(), edge_scratch.size()});
-}
-
-bool HcWindowedSearch::search_from(const TemporalEdge& e0, HcState& state,
-                                   HcDistScratch& dist) {
-  if (!prepare_start(graph_, e0, window_, max_hops_, dist, ctx_)) {
-    return false;
-  }
-  state_ = &state;
-  dist_ = &dist;
-  state.push(ctx_.tail, kInvalidEdge);
-  circuit(ctx_.head, e0.id, max_hops_ - 1);
-  return true;
-}
-
-bool HcWindowedSearch::circuit(VertexId v, EdgeId via_edge, std::int32_t rem) {
-  HcState& st = *state_;
-  st.push(v, via_edge);
-  st.counters.vertices_visited += 1;
-  bool found = false;
-  for (const auto& e : graph_.out_edges_in_window(v, ctx_.t0, ctx_.hi)) {
-    if (e.id <= ctx_.e0) {
-      continue;
+// The per-start hook of the serial and fine windowed drivers.
+auto windowed_start(int max_hops) {
+  return [max_hops](auto& run, const TemporalEdge& e0, HcDistScratch& dist,
+                    HcState& state) {
+    StartContext ctx;
+    if (!prepare_start(run.graph, e0, run.window, max_hops, dist, ctx)) {
+      return false;
     }
-    st.counters.edges_visited += 1;
-    if (e.dst == ctx_.tail) {
-      if (rem >= 1) {
-        st.counters.cycles_found += 1;
-        report_cycle(st, e.id, sink_, edge_scratch_);
-        found = true;
-      }
-    } else {
-      const std::int32_t next = rem - 1;
-      if (next >= 1 && next >= dist_->dist_to_target(e.dst) &&
-          st.can_visit(e.dst, next)) {
-        found |= circuit(e.dst, e.id, next);
-      }
-    }
-  }
-  if (found) {
-    st.exit_success(v);
-  } else {
-    st.exit_failure(v, rem);
-  }
-  st.pop();
-  return found;
+    detail::windowed_circuit(run, ctx, state, true, max_hops - 1, &dist);
+    return true;
+  };
 }
 
-}  // namespace detail
+}  // namespace
 
 // ---- public drivers ---------------------------------------------------------
 
@@ -243,8 +145,9 @@ EnumResult hc_simple_cycles(const Digraph& graph, int max_hops,
             !dist.compute_static(graph, root, max_hops - 1)) {
           return false;
         }
-        detail::HcStaticSearch(graph, sink).search_from(root, max_hops,
-                                                        state, dist);
+        detail::CircuitSearch<roots::SerialSpawner<HcState>, HcStaticPolicy>
+            search{{}, {graph, root}, sink, true, &dist};
+        detail::circuit(search, state, root, kInvalidEdge, max_hops);
         return true;
       }));
 }
@@ -255,14 +158,23 @@ EnumResult hc_windowed_cycles(const TemporalGraph& graph, Timestamp window,
   if (max_hops < 1) {
     return {};
   }
-  using Run = roots::StartRun<HcState, HcDistScratch>;
-  return Run{graph, window, options, sink}.serial(
-      [max_hops](const Run& run, const TemporalEdge& e0, HcDistScratch& dist,
-                 HcState& state) {
-        return detail::HcWindowedSearch(run.graph, run.window, max_hops,
-                                        run.sink)
-            .search_from(e0, state, dist);
-      });
+  return roots::StartRun<HcState, HcDistScratch>{graph, window, options, sink}
+      .serial(windowed_start(max_hops));
+}
+
+EnumResult fine_hc_windowed_cycles(const TemporalGraph& graph,
+                                   Timestamp window, int max_hops,
+                                   Scheduler& sched,
+                                   const EnumOptions& options,
+                                   const ParallelOptions& popts,
+                                   CycleSink* sink) {
+  if (max_hops < 1) {
+    return {};
+  }
+  fine::FineRun<HcState, HcDistScratch> run{graph, window, sched,
+                                            options, popts, sink};
+  run.run_roots(windowed_start(max_hops));
+  return run.result();
 }
 
 }  // namespace parcycle

@@ -18,13 +18,8 @@
 // enumerator.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
 #include "core/cycle_types.hpp"
-#include "core/hc_state.hpp"
 #include "core/options.hpp"
-#include "core/window_context.hpp"
 #include "graph/digraph.hpp"
 #include "graph/temporal_graph.hpp"
 
@@ -43,47 +38,5 @@ EnumResult hc_simple_cycles(const Digraph& graph, int max_hops,
 EnumResult hc_windowed_cycles(const TemporalGraph& graph, Timestamp window,
                               int max_hops, const EnumOptions& options = {},
                               CycleSink* sink = nullptr);
-
-namespace detail {
-
-// Search core for one starting edge of the windowed enumeration; shared by
-// the serial driver (hc_dfs.cpp) and the fine-grained one (fine_hc_dfs.cpp).
-class HcWindowedSearch {
- public:
-  HcWindowedSearch(const TemporalGraph& graph, Timestamp window, int max_hops,
-                   CycleSink* sink)
-      : graph_(graph), window_(window), max_hops_(max_hops), sink_(sink) {}
-
-  // Fills `ctx` and the distance scratch for starting edge e0. Returns false
-  // when no hop-bounded cycle can pass through e0 (head cannot reach tail
-  // back within max_hops - 1 admissible hops).
-  static bool prepare_start(const TemporalGraph& graph, const TemporalEdge& e0,
-                            Timestamp window, int max_hops,
-                            HcDistScratch& dist, StartContext& ctx);
-
-  // Reports the cycle currently on `state`'s path, closed by `closing_edge`.
-  static void report_cycle(const HcState& state, EdgeId closing_edge,
-                           CycleSink* sink, std::vector<EdgeId>& edge_scratch);
-
-  // Runs the search for starting edge e0 on a reset state; returns false
-  // when it skipped e0 without touching the state. Counters accumulate into
-  // state.counters.
-  bool search_from(const TemporalEdge& e0, HcState& state,
-                   HcDistScratch& dist);
-
- private:
-  bool circuit(VertexId v, EdgeId via_edge, std::int32_t rem);
-
-  const TemporalGraph& graph_;
-  Timestamp window_;
-  int max_hops_;
-  CycleSink* sink_;
-  HcState* state_ = nullptr;
-  const HcDistScratch* dist_ = nullptr;
-  StartContext ctx_;
-  std::vector<EdgeId> edge_scratch_;
-};
-
-}  // namespace detail
 
 }  // namespace parcycle

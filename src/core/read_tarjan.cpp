@@ -1,7 +1,6 @@
 #include "core/read_tarjan.hpp"
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/coarse_grained.hpp"
@@ -15,49 +14,9 @@ namespace parcycle {
 namespace {
 
 using detail::RTCall;
+using detail::StaticPolicy;
+using detail::WindowedPolicy;
 using State = ReadTarjanState<BudgetMarks>;
-
-// Static graphs: cycles rooted at their smallest vertex; the search from
-// root s is confined to the SCC of s within the subgraph {v >= s}.
-struct StaticPolicy {
-  using Marks = BudgetMarks;
-  static constexpr bool kBoundedMarksSurvive = true;
-  static constexpr bool kEdgeIds = false;
-
-  const Digraph& graph;
-  const SccResult& scc;
-  VertexId root;
-  VertexId root_component;
-
-  std::span<const VertexId> out_edges(VertexId u, Timestamp) const {
-    return graph.out_neighbors(u);
-  }
-  bool skipped(const RTHop& hop) const {
-    return hop.v < root || scc.component[hop.v] != root_component;
-  }
-  VertexId closing() const { return root; }
-  static bool allowed(VertexId) { return true; }
-  static std::int32_t mark(const RTHop&, std::int32_t next) { return next; }
-};
-
-// Windowed simple cycles: minimum-edge rooting over the edges of e0's
-// window with id > e0.
-struct WindowedPolicy {
-  using Marks = BudgetMarks;
-  static constexpr bool kBoundedMarksSurvive = true;
-  static constexpr bool kEdgeIds = true;
-
-  const TemporalGraph& graph;
-  StartContext ctx;
-
-  auto out_edges(VertexId u, Timestamp) const {
-    return graph.out_edges_in_window(u, ctx.t0, ctx.hi);
-  }
-  bool skipped(const RTHop& hop) const { return hop.edge <= ctx.e0; }
-  VertexId closing() const { return ctx.tail; }
-  bool allowed(VertexId v) const { return ctx.vertex_allowed(v); }
-  static std::int32_t mark(const RTHop&, std::int32_t next) { return next; }
-};
 
 // Static Read-Tarjan, serial without a scheduler and coarse with one: both
 // loops run the same per-start step.
@@ -89,10 +48,8 @@ EnumResult static_read_tarjan(const Digraph& graph, Scheduler* sched,
 constexpr auto windowed_start = [](auto& run, const TemporalEdge& e0,
                                    auto& cycle_union, State& state) {
   StartContext ctx;
-  if (run.options.max_cycle_length == 1 ||  // only self-loops have length 1
-      !detail::WindowedJohnsonSearch::prepare_start(
-          run.graph, e0, run.window, run.options.use_cycle_union,
-          &cycle_union, ctx)) {
+  if (!detail::windowed_root(run.graph, e0, run.window, run.options,
+                             cycle_union, ctx)) {
     return false;
   }
   state.push(ctx.tail, kInvalidEdge, e0.ts);

@@ -11,7 +11,8 @@
 // the fine-grained version work-efficient.
 //
 // A flavour is a policy: the per-root adjacency of one search, a small
-// struct the root setup builds and the calls of that root share.
+// struct the root setup builds and the calls of that root share (the static
+// and windowed ones, in core/adjacency.hpp, serve Johnson's visit too).
 //   using Marks                     BudgetMarks or ArrivalMarks (rt_state.hpp)
 //   out_edges(u, arrival)           the out-edges scanned at u when reached
 //                                   at `arrival`: Digraph neighbours or
@@ -35,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/adjacency.hpp"
 #include "core/cycle_types.hpp"
 #include "core/driver.hpp"
 #include "core/johnson_impl.hpp"  // kUnboundedRem, child_rem
@@ -43,11 +45,6 @@
 #include "graph/temporal_graph.hpp"
 
 namespace parcycle::detail {
-
-inline RTHop as_hop(VertexId w) { return RTHop{0, w, kInvalidEdge}; }
-inline RTHop as_hop(const TemporalGraph::OutEdge& e) {
-  return RTHop{e.ts, e.dst, e.id};
-}
 
 using ExtPath = std::vector<RTHop>;
 

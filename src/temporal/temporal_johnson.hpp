@@ -7,9 +7,9 @@
 //  * fine_temporal_johnson_cycles     — every recursive call a task, with
 //                                       copy-on-steal (Section 5 + 7)
 //
-// The serial and coarse variants run one per-start hook through the serial
-// and coarse root loops of core/driver.hpp; the fine one runs its own
-// recursion through the copy-on-steal driver there.
+// All three run one visit, written over a spawner: the serial and coarse
+// variants through the serial and coarse root loops of core/driver.hpp,
+// the fine one through the copy-on-steal driver there.
 //
 // All variants use the scalable cycle-union preprocessing
 // (temporal/cycle_union.hpp) unless options.use_cycle_union is cleared.

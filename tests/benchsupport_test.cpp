@@ -336,6 +336,13 @@ TEST(Runner, StartCostsCoverEveryEdge) {
   EXPECT_EQ(costs.jobs.size(), graph.num_edges());
   EXPECT_GT(costs.total_cost, 0.0);
   EXPECT_GE(costs.max_cost, 1.0);
+  // A window wide enough that the searches do real work: each start costs
+  // its serial temporal Johnson's edge and vertex visits, plus one.
+  const StartCosts wide =
+      collect_temporal_start_costs(graph, graph.time_span() / 2);
+  EXPECT_EQ(wide.jobs.size(), graph.num_edges());
+  EXPECT_EQ(wide.total_cost, 6614.0);
+  EXPECT_EQ(wide.max_cost, 67.0);
 }
 
 TEST(Runner, GeometricMean) {

@@ -154,7 +154,7 @@ TEST(BundleMath, InstancesBeforeIsPrefixSum) {
   ClosingTimeState st(4);
   ClosingTimeState::Hop& hop = st.push(0);
   hop.edges = {{10, 0, 2}, {20, 1, 3}, {30, 2, 5}};
-  // Defined in temporal_johnson_impl.hpp but exercised via the public
+  // Defined in temporal_johnson.cpp but exercised via the public
   // algorithms; here we check the hop layout it depends on: ascending ts.
   EXPECT_LT(hop.edges[0].ts, hop.edges[1].ts);
   st.pop();

@@ -63,8 +63,9 @@ void HcDistScratch::compute_windowed(const TemporalGraph& graph, VertexId tail,
 
 namespace {
 
-// BC-DFS over the subgraph induced by {v >= start}, with no SCC filter (the
-// hop distances prune harder); cycles are rooted at their smallest vertex.
+// BC-DFS over the subgraph induced by {v >= start}; cycles are rooted at
+// their smallest vertex. No SCC filter: the hop distances already admit only
+// vertices that reach the start back.
 struct HcStaticPolicy {
   static constexpr bool kEdgeIds = false;
 

@@ -8,8 +8,9 @@
 // With --json <path> the measurements are persisted in the
 // BENCH_hop_constrained.json baseline schema: per dataset and hop bound, the
 // cycle count plus {seconds, edge visits} per algorithm, and per row a
-// "fine-Johnson-1w" entry: fine Johnson on one worker, whose edge visits do
-// not depend on the schedule.
+// "fine-Johnson-1w" entry: fine Johnson on one worker, which under the
+// adaptive spawn policy never spawns, so its edge visits equal the row's
+// serial-Johnson ones.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -177,7 +178,7 @@ int main(int argc, char** argv) {
     }
 
     // Per hop bound: the four algorithms on `threads` workers, then fine
-    // Johnson on one worker, whose visits do not depend on the schedule.
+    // Johnson on one worker, which does serial Johnson's work.
     std::vector<std::vector<AlgoRun>> rows(hop_bounds.size());
     const TemporalGraph graph =
         Scheduler::with_pool(threads, [&](Scheduler& sched) {

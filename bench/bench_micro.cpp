@@ -314,16 +314,22 @@ void BM_TemporalSerialJohnson(benchmark::State& state) {
 BENCHMARK(BM_TemporalSerialJohnson)->Unit(benchmark::kMillisecond);
 
 // The whole fine-grained temporal Johnson run on the same input: block
-// pass plus the explore DFS. Arg 0 is the worker count.
+// pass plus the explore DFS. Arg 0 is the worker count. The counters are
+// the last iteration's; on one worker the run spawns no task and visits the
+// serial run's edges.
 void BM_TemporalFineJohnson(benchmark::State& state) {
   const TemporalGraph& graph = temporal_batch_graph();
   Scheduler sched(static_cast<unsigned>(state.range(0)));
+  EnumResult result;
   for (auto _ : state) {
-    const EnumResult result =
-        fine_temporal_johnson_cycles(graph, kTemporalBatchWindow, sched);
+    result = fine_temporal_johnson_cycles(graph, kTemporalBatchWindow, sched);
     benchmark::DoNotOptimize(result.num_cycles);
   }
   state.SetItemsProcessed(state.iterations() * graph.num_edges());
+  state.counters["tasks_spawned"] =
+      static_cast<double>(result.work.tasks_spawned);
+  state.counters["edges_visited"] =
+      static_cast<double>(result.work.edges_visited);
 }
 BENCHMARK(BM_TemporalFineJohnson)
     ->Arg(1)

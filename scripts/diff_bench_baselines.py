@@ -9,7 +9,9 @@ Compares the deterministic measurements and fails (exit 1) on any mismatch:
 * cycle counts: exact, everywhere (any drift is a correctness regression);
 * edges_visited: exact for serial algorithms, for one-worker rows (algo
   names ending in "-1w") and for the table4 probes (their search order is
-  deterministic);
+  deterministic); in the fresh hop_constrained run, fine-Johnson-1w must
+  also equal its row's serial-Johnson, since an adaptive fine run on one
+  worker never spawns;
 * edges_visited of the other fine-* algorithms: within --fine-edge-tolerance
   (default 5%). Fine-grained execution on several workers re-checks
   spawned children against a state that evolved since the spawn, so the
@@ -121,6 +123,14 @@ def diff_hop_constrained(base, fresh, args):
             check_exact(row_ctx, "cycles", br["cycles"], fr["cycles"])
             b_algos = index_by(br["algos"], "algo", row_ctx)
             f_algos = index_by(fr["algos"], "algo", row_ctx)
+            if "fine-Johnson-1w" in f_algos and "serial-Johnson" in f_algos:
+                one = f_algos["fine-Johnson-1w"]["edges_visited"]
+                serial = f_algos["serial-Johnson"]["edges_visited"]
+                check(
+                    one == serial,
+                    f"{row_ctx}/fine-Johnson-1w",
+                    f"fresh edges_visited {one} differs from fresh serial-Johnson {serial}",
+                )
             for algo in match_keys(b_algos, f_algos, "algo", row_ctx):
                 algo_ctx = f"{row_ctx}/{algo}"
                 be = b_algos[algo]["edges_visited"]

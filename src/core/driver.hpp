@@ -13,7 +13,8 @@
 // with the self-loop rule, the way FineRun does for the fine one; the
 // static-graph drivers call the two loops over their start vertices.
 // roots::drain runs Read-Tarjan calls depth-first on one state, the
-// serial form of fine::exec_call.
+// serial form of fine::exec_call; it hands child calls to the walk through
+// a lambda, a template parameter like every other hook.
 //
 // A run whose per-start scratch is a CycleUnionBlock, with cycle-unions on
 // (the temporal enumerators), runs in two phases: the closability pass
@@ -38,6 +39,13 @@
 //    path and undo log up to the spawn-time prefix, without a lock.
 // Hooks are template parameters: nothing on the per-visit path goes through
 // std::function.
+//
+// When a fine run spawns: SpawnPolicy::kAlways spawns every recursive call.
+// Under kAdaptive a run on one worker never spawns, so it does the serial
+// run's work; on several workers a search splits only once every root task
+// of run_roots has started, and then only while the spawning worker's deque
+// is shallow. Until then an idle worker takes a root task: a split pays only
+// when no root is left to take.
 #pragma once
 
 #include <algorithm>
@@ -45,7 +53,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -327,7 +334,7 @@ struct DrainScratch : Scratch {
 template <typename State, typename Call, typename Walk>
 void drain(State& state, std::vector<Call>& pending, Call&& root,
            const Walk& walk) {
-  const std::function<void(Call&&)> collect = [&pending](Call&& call) {
+  const auto collect = [&pending](Call&& call) {
     pending.push_back(std::move(call));
   };
   pending.push_back(std::move(root));
@@ -389,8 +396,20 @@ struct FineRun {
   }};
   // Per-worker sinks, summed once after the run's final wait.
   PerWorkerCounters work{sched};
+  // The root tasks of run_roots no worker has started yet. Read on every
+  // spawn decision and written once per root task, so it keeps a cache line
+  // of its own, away from the pools' locks.
+  alignas(64) std::atomic<std::size_t> roots_waiting{0};
 
-  bool should_spawn() const { return fine::should_spawn(sched, popts); }
+  // The spawn rule of the header: kAdaptive waits for every root task.
+  bool should_spawn() const {
+    if (popts.spawn_policy == SpawnPolicy::kAdaptive &&
+        (sched.num_workers() == 1 ||
+         roots_waiting.load(std::memory_order_relaxed) > 0)) {
+      return false;
+    }
+    return fine::should_spawn(sched, popts);
+  }
 
   std::unique_ptr<State> acquire_state() {
     auto state = state_pool.acquire();
@@ -418,37 +437,49 @@ struct FineRun {
         roots::run_starts(graph, options.use_cycle_union, scratch_pool, &sched);
     constexpr std::size_t kStarts = CycleUnionBlock::kStarts;
     const std::size_t blocks = (starts.count + kStarts - 1) / kStarts;
-    // Blocks go out in timestamp-ordered chunks (the paper's distribution of
-    // starting edges); load balance within a chunk comes from the tasks. A
-    // packed block holds 256 searched roots and every worker starts on them
-    // at once after the closability pass, so those go out one per task,
-    // which keeps the run's tail to one block.
-    parallel_for_chunked(
-        sched, 0, blocks,
-        starts.ids.empty() ? std::size_t{32} * sched.num_workers() : blocks,
-        [&](std::size_t b) {
-          // Every task of a root has finished before the next root starts,
-          // so one state and one scratch serve the whole block.
-          auto scratch = roots::serving(scratch_pool, starts);
-          auto state = acquire_state();
-          WorkCounters self_loops;
-          TraceRecorder* const tracer = sched.tracer();
-          const auto worker =
-              static_cast<unsigned>(Scheduler::current_worker_id());
-          const std::size_t last = std::min(starts.count, (b + 1) * kStarts);
-          for (std::size_t i = b * kStarts; i < last; ++i) {
-            const TemporalEdge& e0 = edges[starts[i]];
-            TraceSpan trace(tracer, worker, TraceName::kSearchRoot, e0.id);
-            if (!roots::take_self_loop(e0, sink, self_loops) &&
-                search_root(*this, e0, *scratch, *state)) {
-              work.merge(state->counters);
-              state->reset();
-            }
-          }
-          work.merge(self_loops);
-          state_pool.release(std::move(state));
-          scratch_pool.release(std::move(scratch));
-        });
+    if (blocks == 0) {
+      return;
+    }
+    const auto search_block = [&](std::size_t b) {
+      // Every task of a root has finished before the next root starts, so
+      // one state and one scratch serve the whole block.
+      auto scratch = roots::serving(scratch_pool, starts);
+      auto state = acquire_state();
+      WorkCounters self_loops;
+      TraceRecorder* const tracer = sched.tracer();
+      const auto worker = static_cast<unsigned>(Scheduler::current_worker_id());
+      const std::size_t last = std::min(starts.count, (b + 1) * kStarts);
+      for (std::size_t i = b * kStarts; i < last; ++i) {
+        const TemporalEdge& e0 = edges[starts[i]];
+        TraceSpan trace(tracer, worker, TraceName::kSearchRoot, e0.id);
+        if (!roots::take_self_loop(e0, sink, self_loops) &&
+            search_root(*this, e0, *scratch, *state)) {
+          work.merge(state->counters);
+          state->reset();
+        }
+      }
+      work.merge(self_loops);
+      state_pool.release(std::move(state));
+      scratch_pool.release(std::move(scratch));
+    };
+    // Blocks go out in timestamp-ordered chunks, one root task each (the
+    // paper's distribution of starting edges); load balance within a chunk
+    // comes from the spawned tasks. A packed block holds 256 searched roots
+    // and every worker starts on them at once after the closability pass,
+    // so those go out one per task, which keeps the run's tail to one block.
+    const std::size_t chunks = std::min(
+        blocks, starts.ids.empty() ? std::size_t{32} * sched.num_workers()
+                                   : blocks);
+    const std::size_t chunk = (blocks + chunks - 1) / chunks;
+    const std::size_t tasks = (blocks + chunk - 1) / chunk;
+    roots_waiting.store(tasks, std::memory_order_relaxed);
+    parallel_for_each_index(sched, 0, tasks, [&](std::size_t t) {
+      roots_waiting.fetch_sub(1, std::memory_order_relaxed);
+      for (std::size_t b = t * chunk; b < std::min(blocks, (t + 1) * chunk);
+           ++b) {
+        search_block(b);
+      }
+    });
   }
 
   // Single-threaded; call after run_roots returned.
@@ -469,6 +500,14 @@ using StateOf = typename std::remove_reference_t<decltype(Search::run)>::State;
 // `bool(Search&, State&)`: it re-checks the call against the state it runs
 // on (which evolved since the spawn, as in the serial neighbour loop), makes
 // it, and returns whether the subtree found a cycle.
+//
+// A child that ran on a private copy reports a cycle to its creator even
+// when it found none. Its subtree's blocking (B-lists, barriers, closing
+// times) lives on the copy and is dropped with it, so the creator's state
+// could never lift a block it based on that failure: a vertex blocked there
+// would stay blocked past the unblocking that should free it, and a later
+// cycle through it would be lost. A success exit blocks nothing, so it is
+// always sound; it only costs revisits.
 // ---------------------------------------------------------------------------
 
 template <typename Search, typename Child>
@@ -507,7 +546,7 @@ struct RepairTask {
       st = owned.get();
     }
     assert(st->path_length() == mark.path_len);
-    if (child(*search, *st)) {
+    if (child(*search, *st) || owned != nullptr) {
       found->store(true, std::memory_order_release);
     }
     if (owned != nullptr) {

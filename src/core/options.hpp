@@ -32,9 +32,11 @@ enum class SpawnPolicy {
   // Every recursive call is a task (the paper's model; maximal parallelism,
   // maximal scheduling overhead).
   kAlways,
-  // Spawn only while the worker's local deque is shallower than
-  // `spawn_queue_threshold` tasks. Keeps enough stealable work available
-  // without drowning in task bookkeeping.
+  // Spawn only where a split can pay: never on one worker (the run then
+  // does the serial run's work), in a fine root loop only once every root
+  // task has started, and only while the worker's local deque is shallower
+  // than `spawn_queue_threshold` tasks. Keeps enough stealable work
+  // available without drowning in task bookkeeping.
   kAdaptive,
 };
 

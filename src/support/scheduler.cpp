@@ -7,7 +7,7 @@
 #include "support/tsan.hpp"
 
 #if defined(__linux__)
-#include <pthread.h>
+#include <sched.h>
 #endif
 
 namespace parcycle {
@@ -31,6 +31,38 @@ std::uint64_t now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+// Moves the calling worker thread to its own CPU (detail::worker_start_cpu),
+// then gives it back the process's whole CPU set, so that the pool runs in
+// parallel from its first task and the kernel still balances it later.
+// Best effort: a failed call leaves the thread where it is.
+void start_on_own_cpu(unsigned worker_id) {
+#if defined(__linux__)
+  cpu_set_t all;
+  CPU_ZERO(&all);
+  if (sched_getaffinity(0, sizeof(all), &all) != 0) {
+    return;
+  }
+  std::vector<int> allowed;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &all)) {
+      allowed.push_back(cpu);
+    }
+  }
+  const int cpu = detail::worker_start_cpu(allowed, worker_id);
+  if (cpu < 0) {
+    return;
+  }
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+    (void)sched_setaffinity(0, sizeof(all), &all);
+  }
+#else
+  (void)worker_id;
+#endif
 }
 
 }  // namespace
@@ -86,6 +118,7 @@ Scheduler::~Scheduler() {
 }
 
 void Scheduler::worker_main(unsigned worker_id) {
+  start_on_own_cpu(worker_id);
   tl_scheduler = this;
   tl_worker_id = static_cast<int>(worker_id);
   if (options_.thread_observer != nullptr) {

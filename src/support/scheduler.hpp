@@ -69,6 +69,14 @@ struct ClosureTask final : TaskBase {
   F fn;
 };
 
+// The CPU worker `worker` starts on: the worker-th of the process's allowed
+// CPUs (`allowed`, ascending), counted modulo their number; -1 when none is
+// listed. A new thread otherwise starts on its creator's CPU, and the
+// kernel can take a second or more to spread a fresh pool.
+inline int worker_start_cpu(const std::vector<int>& allowed, unsigned worker) {
+  return allowed.empty() ? -1 : allowed[worker % allowed.size()];
+}
+
 template <typename T>
 inline constexpr bool task_fits_slab_v =
     sizeof(T) <= kTaskSlabBlockSize && alignof(T) <= kTaskSlabBlockAlign;

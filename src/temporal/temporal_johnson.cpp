@@ -235,6 +235,12 @@ bool explore(Search& search, ClosingTimeState& st, std::int32_t rem) {
     if (next < 1) {
       continue;
     }
+    // Before the spawn test: a spawned task runs on its creator's path at
+    // the spawn, so an on-path group fails the same way in either branch.
+    if (st.on_path(w)) {
+      register_failed(i, j);
+      continue;
+    }
     if (search.run.should_spawn()) {
       std::vector<BundleEdge> bundle;
       for (std::size_t k = i; k < j; ++k) {
@@ -245,9 +251,7 @@ bool explore(Search& search, ClosingTimeState& st, std::int32_t rem) {
       spawned.emplace_back(i, j);
       children.spawn(st, [w, bundle = std::move(bundle), next](
                              Search& s, ClosingTimeState& at) {
-        if (at.on_path(w)) {
-          return false;
-        }
+        assert(!at.on_path(w));
         {
           // Re-filter the bundle against the (possibly evolved) closing
           // times, straight into the pushed hop's edge buffer.
@@ -268,10 +272,6 @@ bool explore(Search& search, ClosingTimeState& st, std::int32_t rem) {
         at.pop();
         return child_found;
       });
-      continue;
-    }
-    if (st.on_path(w)) {
-      register_failed(i, j);
       continue;
     }
     // The usable edges go straight into the pushed hop's edge buffer.

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <tuple>
@@ -13,11 +15,13 @@
 #include <vector>
 
 #include "core/coarse_grained.hpp"
+#include "core/driver.hpp"
 #include "core/fine_hc_dfs.hpp"
 #include "core/fine_johnson.hpp"
 #include "core/fine_read_tarjan.hpp"
 #include "core/hc_dfs.hpp"
 #include "core/johnson.hpp"
+#include "core/johnson_state.hpp"
 #include "core/read_tarjan.hpp"
 #include "graph/generators.hpp"
 #include "support/prng.hpp"
@@ -37,6 +41,20 @@ TemporalGraph test_graph(std::uint64_t seed) {
   params.seed = seed;
   return scale_free_temporal(params);
 }
+
+// The temporal graph of the pinned-counter tests, about ten edges per
+// timestamp, and the windows they search it with.
+TemporalGraph pinned_counters_graph() {
+  ScaleFreeTemporalParams ties;
+  ties.num_vertices = 24;
+  ties.num_edges = 700;
+  ties.time_span = 70;
+  ties.attachment = 0.6;
+  ties.seed = 2;
+  return scale_free_temporal(ties);
+}
+constexpr Timestamp kWindowedWindow = 3;
+constexpr Timestamp kTemporalWindow = 12;
 
 // --- coarse-grained -----------------------------------------------------------
 
@@ -381,6 +399,52 @@ TEST(FineGrained, StealStress) {
   }
 }
 
+// A spawned child that runs on a private copy of its creator's state
+// reports a cycle even when its subtree found none: the blocking it
+// recorded is dropped with the copy, so the creator must not block on its
+// failure. In place, on the creator's own state, the child's own answer
+// stands.
+TEST(FineGrained, ChildOnACopyCountsAsSuccess) {
+  struct Run {
+    using State = JohnsonState;
+    ParallelOptions popts;
+    std::unique_ptr<JohnsonState> acquire_state() {
+      return std::make_unique<JohnsonState>(4);
+    }
+    void release_state(std::unique_ptr<JohnsonState>) {}
+  };
+  struct Search {
+    Run run;
+  };
+  Search search;
+  JohnsonState creator(4);
+  creator.push(0, kInvalidEdge);
+  creator.push(1, 7);
+  const JohnsonState::Mark mark = creator.mark();
+  creator.push(2, 8);  // the creator went on past the spawn
+  const JohnsonState* ran_on = nullptr;
+  const auto child = [&ran_on](Search&, JohnsonState& at) {
+    ran_on = &at;
+    EXPECT_EQ(at.path_length(), 2u);
+    return false;
+  };
+  using Task = fine::RepairTask<Search, decltype(child)>;
+
+  // Off any worker thread: never the creator's worker, so it copies.
+  std::atomic<bool> found{false};
+  Task{&search, &creator, mark, 0, &found, child}();
+  EXPECT_NE(ran_on, &creator);
+  EXPECT_TRUE(found.load());
+
+  // On the creator's worker, at the spawn-time path: in place.
+  creator.pop();
+  Scheduler sched(1);
+  found = false;
+  Task{&search, &creator, mark, 0, &found, child}();
+  EXPECT_EQ(ran_on, &creator);
+  EXPECT_FALSE(found.load());
+}
+
 // Fine-grained Read-Tarjan is work efficient (Theorem 6.1): its edge visits
 // must match the serial Read-Tarjan's. Fine-grained Johnson may exceed the
 // serial Johnson's (Theorem 5.1) but never the Tiernan blow-up.
@@ -429,15 +493,7 @@ TEST(FineGrained, ReadTarjanCountersPinned) {
        {{868, 12746, 1928}, {868, 27593, 13289}}},
   };
   const Digraph simple = erdos_renyi(16, 40, 7);
-  ScaleFreeTemporalParams ties;  // about ten edges per timestamp
-  ties.num_vertices = 24;
-  ties.num_edges = 700;
-  ties.time_span = 70;
-  ties.attachment = 0.6;
-  ties.seed = 2;
-  const TemporalGraph g = scale_free_temporal(ties);
-  constexpr Timestamp kWindowedWindow = 3;
-  constexpr Timestamp kTemporalWindow = 12;
+  const TemporalGraph g = pinned_counters_graph();
 
   const auto expect_pin = [](const char* run, const EnumResult& result,
                              const Pin& pin) {
@@ -518,10 +574,11 @@ TEST(FineGrained, ReadTarjanCountersPinned) {
 
 // Johnson, BC-DFS and temporal Johnson on ReadTarjanCountersPinned's
 // inputs, at three length bounds (BC-DFS at three hop bounds), with the
-// cycle-union on and off. Serial and coarse runs do the same work. A fine
-// run on one worker is deterministic but spawns where the serial loop
-// recurses, so it has its own pins, one per spawn policy. On 2 and 4
-// workers fine visits depend on the schedule, so only cycles are pinned.
+// cycle-union on and off. Serial and coarse runs do the same work, and so
+// does a fine run on one worker under kAdaptive, which never spawns. Under
+// kAlways a fine run on one worker is deterministic but spawns where the
+// serial loop recurses, so it has its own pins. On 2 and 4 workers fine
+// visits depend on the schedule, so only cycles are pinned.
 TEST(FineGrained, JohnsonCountersPinned) {
   struct Pin {
     std::uint64_t cycles;
@@ -530,7 +587,7 @@ TEST(FineGrained, JohnsonCountersPinned) {
   };
   struct Flavour {
     Pin serial;
-    Pin fine[2];  // one worker: kAlways, kAdaptive
+    Pin always;  // fine on one worker under kAlways
   };
   struct Row {
     int max_cycle_length;
@@ -546,40 +603,32 @@ TEST(FineGrained, JohnsonCountersPinned) {
        3,
        {246, 2741, 1094},
        {8, 41, 20},
-       {{150, 706, 188}, {{150, 706, 188}, {150, 706, 188}}},
-       {{{676, 6242, 2017}, {{676, 6242, 2017}, {676, 6242, 2017}}},
-        {{676, 7725, 3773}, {{676, 7725, 3773}, {676, 7725, 3773}}}},
-       {{{1260, 7891, 1629}, {{1260, 8058, 1699}, {1260, 8058, 1697}}},
-        {{1260, 17029, 8813}, {{1260, 17493, 9126}, {1260, 17328, 9046}}}}},
+       {{150, 706, 188}, {150, 706, 188}},
+       {{{676, 6242, 2017}, {676, 6242, 2017}},
+        {{676, 7725, 3773}, {676, 7725, 3773}}},
+       {{{1260, 7891, 1629}, {1260, 8036, 1690}},
+        {{1260, 17029, 8813}, {1260, 17490, 9123}}}},
       {3,
        4,
        {8, 100, 57},
        {19, 103, 44},
-       {{231, 1297, 352}, {{231, 1297, 352}, {231, 1297, 352}}},
-       {{{150, 1283, 382}, {{150, 1283, 382}, {150, 1283, 382}}},
-        {{150, 2047, 1053}, {{150, 2047, 1053}, {150, 2047, 1053}}}},
-       {{{504, 4542, 814}, {{504, 4542, 814}, {504, 4542, 814}}},
-        {{504, 8800, 3046}, {{504, 8800, 3046}, {504, 8800, 3046}}}}},
+       {{231, 1297, 352}, {231, 1297, 352}},
+       {{{150, 1283, 382}, {150, 1283, 382}},
+        {{150, 2047, 1053}, {150, 2047, 1053}}},
+       {{{504, 4542, 814}, {504, 4542, 814}},
+        {{504, 8800, 3046}, {504, 8800, 3046}}}},
       {4,
        6,
        {19, 196, 98},
        {50, 318, 130},
-       {{470, 3557, 1046}, {{470, 3560, 1050}, {470, 3560, 1050}}},
-       {{{231, 2226, 662}, {{231, 2244, 673}, {231, 2216, 669}}},
-        {{231, 3435, 1856}, {{231, 3410, 1865}, {231, 3410, 1865}}}},
-       {{{868, 6640, 1332}, {{868, 6640, 1332}, {868, 6640, 1332}}},
-        {{868, 14807, 7326}, {{868, 14807, 7326}, {868, 14807, 7326}}}}},
+       {{470, 3557, 1046}, {470, 3560, 1050}},
+       {{{231, 2226, 662}, {231, 2244, 673}},
+        {{231, 3435, 1856}, {231, 3410, 1865}}},
+       {{{868, 6640, 1332}, {868, 6640, 1332}},
+        {{868, 14807, 7326}, {868, 14807, 7326}}}},
   };
   const Digraph simple = erdos_renyi(16, 40, 7);
-  ScaleFreeTemporalParams ties;  // about ten edges per timestamp
-  ties.num_vertices = 24;
-  ties.num_edges = 700;
-  ties.time_span = 70;
-  ties.attachment = 0.6;
-  ties.seed = 2;
-  const TemporalGraph g = scale_free_temporal(ties);
-  constexpr Timestamp kWindowedWindow = 3;
-  constexpr Timestamp kTemporalWindow = 12;
+  const TemporalGraph g = pinned_counters_graph();
 
   const auto expect_pin = [](const char* run, const EnumResult& result,
                              const Pin& pin) {
@@ -621,11 +670,11 @@ TEST(FineGrained, JohnsonCountersPinned) {
     Scheduler sched(threads);
     // One worker pins every counter, more workers the cycles alone.
     const auto expect_fine = [&](const char* run, const EnumResult& result,
-                                 const Pin& pin) {
+                                 const Flavour& flavour, int p) {
       if (threads == 1) {
-        expect_pin(run, result, pin);
+        expect_pin(run, result, p == 0 ? flavour.always : flavour.serial);
       } else {
-        EXPECT_EQ(result.num_cycles, pin.cycles) << run;
+        EXPECT_EQ(result.num_cycles, flavour.serial.cycles) << run;
       }
     };
     for (const Row& row : rows) {
@@ -646,7 +695,7 @@ TEST(FineGrained, JohnsonCountersPinned) {
         expect_fine("fine BC-DFS",
                     fine_hc_windowed_cycles(g, kWindowedWindow, row.max_hops,
                                             sched, {}, popts),
-                    row.hc.fine[p]);
+                    row.hc, p);
       }
       for (const bool use_cycle_union : {true, false}) {
         const EnumOptions options = options_of(row, use_cycle_union);
@@ -671,13 +720,62 @@ TEST(FineGrained, JohnsonCountersPinned) {
           expect_fine("fine windowed",
                       fine_johnson_windowed_cycles(g, kWindowedWindow, sched,
                                                    options, popts),
-                      row.windowed[u].fine[p]);
+                      row.windowed[u], p);
           expect_fine("fine temporal",
                       fine_temporal_johnson_cycles(g, kTemporalWindow, sched,
                                                    options, popts),
-                      row.temporal[u].fine[p]);
+                      row.temporal[u], p);
         }
       }
+    }
+  }
+}
+
+// On one worker an adaptive fine run never spawns, so each of the five
+// fine enumerators does exactly its serial run's work, on
+// JohnsonCountersPinned's inputs and bounds.
+TEST(FineGrained, OneWorkerAdaptiveIsSerial) {
+  const TemporalGraph g = pinned_counters_graph();
+  Scheduler sched(1);
+  const ParallelOptions popts;
+  ASSERT_EQ(popts.spawn_policy, SpawnPolicy::kAdaptive);
+  const auto expect_serial = [](const char* run, const EnumResult& fine,
+                                const EnumResult& serial) {
+    EXPECT_EQ(fine.work.tasks_spawned, 0u) << run;
+    EXPECT_EQ(fine.num_cycles, serial.num_cycles) << run;
+    EXPECT_EQ(fine.work.edges_visited, serial.work.edges_visited) << run;
+    EXPECT_EQ(fine.work.vertices_visited, serial.work.vertices_visited)
+        << run;
+  };
+  for (const auto& [max_cycle_length, max_hops] :
+       {std::pair{0, 3}, std::pair{3, 4}, std::pair{4, 6}}) {
+    SCOPED_TRACE(testing::Message() << "max_cycle_length " << max_cycle_length
+                                    << ", max_hops " << max_hops);
+    expect_serial("BC-DFS",
+                  fine_hc_windowed_cycles(g, kWindowedWindow, max_hops, sched,
+                                          {}, popts),
+                  hc_windowed_cycles(g, kWindowedWindow, max_hops));
+    for (const bool use_cycle_union : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "use_cycle_union " << use_cycle_union);
+      EnumOptions options;
+      options.max_cycle_length = max_cycle_length;
+      options.use_cycle_union = use_cycle_union;
+      expect_serial("windowed Johnson",
+                    fine_johnson_windowed_cycles(g, kWindowedWindow, sched,
+                                                 options, popts),
+                    johnson_windowed_cycles(g, kWindowedWindow, options));
+      expect_serial("windowed Read-Tarjan",
+                    fine_read_tarjan_windowed_cycles(g, kWindowedWindow, sched,
+                                                     options, popts),
+                    read_tarjan_windowed_cycles(g, kWindowedWindow, options));
+      expect_serial("temporal Johnson",
+                    fine_temporal_johnson_cycles(g, kTemporalWindow, sched,
+                                                 options, popts),
+                    temporal_johnson_cycles(g, kTemporalWindow, options));
+      expect_serial("temporal Read-Tarjan",
+                    fine_temporal_read_tarjan_cycles(g, kTemporalWindow, sched,
+                                                     options, popts),
+                    temporal_read_tarjan_cycles(g, kTemporalWindow, options));
     }
   }
 }

@@ -98,6 +98,19 @@ TEST(Scheduler, ParallelForChunkedCoversRange) {
   }
 }
 
+// Worker i starts on the i-th allowed CPU, wrapping around a set smaller
+// than the pool, in the set's own ids.
+TEST(Scheduler, WorkerStartCpuWrapsAroundTheAllowedSet) {
+  const std::vector<int> allowed = {2, 3, 5};
+  EXPECT_EQ(detail::worker_start_cpu(allowed, 0), 2);
+  EXPECT_EQ(detail::worker_start_cpu(allowed, 1), 3);
+  EXPECT_EQ(detail::worker_start_cpu(allowed, 2), 5);
+  EXPECT_EQ(detail::worker_start_cpu(allowed, 3), 2);
+  EXPECT_EQ(detail::worker_start_cpu(allowed, 7), 3);
+  EXPECT_EQ(detail::worker_start_cpu({0}, 5), 0);
+  EXPECT_EQ(detail::worker_start_cpu({}, 1), -1);
+}
+
 TEST(Scheduler, ParallelForChunkedEmptyRange) {
   Scheduler sched(2);
   int calls = 0;

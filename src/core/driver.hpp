@@ -351,13 +351,15 @@ void drain(State& state, std::vector<Call>& pending, Call&& root,
 
 namespace parcycle::fine {
 
-// Should the calling worker spawn its next recursive call as a task?
+// Should the calling worker spawn its next recursive call as a task? Under
+// kAdaptive never on one worker, and otherwise while its deque is shallow.
 inline bool should_spawn(const Scheduler& sched, const ParallelOptions& popts) {
   switch (popts.spawn_policy) {
     case SpawnPolicy::kAlways:
       return true;
     case SpawnPolicy::kAdaptive:
-      return sched.local_queue_size() < popts.spawn_queue_threshold;
+      return sched.num_workers() > 1 &&
+             sched.local_queue_size() < popts.spawn_queue_threshold;
   }
   return true;
 }
@@ -404,8 +406,7 @@ struct FineRun {
   // The spawn rule of the header: kAdaptive waits for every root task.
   bool should_spawn() const {
     if (popts.spawn_policy == SpawnPolicy::kAdaptive &&
-        (sched.num_workers() == 1 ||
-         roots_waiting.load(std::memory_order_relaxed) > 0)) {
+        roots_waiting.load(std::memory_order_relaxed) > 0) {
       return false;
     }
     return fine::should_spawn(sched, popts);

@@ -7,6 +7,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "core/driver.hpp"  // roots::take_self_loop
 #include "obs/trace.hpp"
 
 namespace parcycle {
@@ -417,8 +418,10 @@ void StreamEngine::search_edges(std::size_t begin, std::size_t end) {
         }
         if (root.settled) {
           // No search ran: the lane's search latency is 0.
-          counters.cycles +=
-              settled_lane_cycles(edge, counters.work, effective_sinks_[lane]);
+          if (roots::take_self_loop(edge, effective_sinks_[lane],
+                                    counters.work)) {
+            counters.cycles += 1;
+          }
           counters.latency.record(0);
           continue;
         }
@@ -436,7 +439,7 @@ void StreamEngine::search_edges(std::size_t begin, std::size_t end) {
         counters.cycles +=
             hot ? fine_cycles_closed_by_edge(graph_, edge, delta, root, sched_,
                                              eopts, popts, *scratch,
-                                             counters.work,
+                                             scratch_pool_, counters.work,
                                              effective_sinks_[lane], budget)
                 : cycles_closed_by_edge(graph_, edge, delta, root, eopts,
                                         *scratch, counters.work,

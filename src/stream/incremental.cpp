@@ -1,14 +1,15 @@
 #include "stream/incremental.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
-#include "core/driver.hpp"  // fine::should_spawn
+#include "core/driver.hpp"  // spawners, RepairTask, take_self_loop
 #include "core/johnson_impl.hpp"  // detail::kUnboundedRem / child_rem
+#include "core/johnson_state.hpp"  // ScratchPool
 #include "obs/trace.hpp"
 
 namespace parcycle {
@@ -20,6 +21,17 @@ void StreamSearchScratch::ensure(VertexId n) {
   stamp_.resize(n, 0);
   dist_.resize(n, 0);
   on_path.resize(n);
+}
+
+void StreamSearchScratch::copy_from(const StreamSearchScratch& victim) {
+  assert(path_length() == 0);
+  ensure(static_cast<VertexId>(victim.stamp_.size()));
+  path_vertices = victim.path_vertices;
+  path_edges = victim.path_edges;
+  for (const VertexId v : path_vertices) {
+    on_path.set(v);
+  }
+  counters.state_copies += 1;
 }
 
 namespace {
@@ -90,203 +102,152 @@ struct StreamSearchParams {
   }
 };
 
+// Reports the path closed by `via_target` and the closing edge. The two
+// closing hops sit on the path only for the sink call; a copy taken
+// meanwhile drops them when it truncates to its branch's mark.
+template <typename Guard>
 void report_cycle(const StreamSearchParams& params, CycleSink* sink,
-                  std::vector<VertexId>& vertices, std::vector<EdgeId>& edges,
-                  EdgeId via_target) {
+                  StreamSearchScratch& st, EdgeId via_target) {
   if (sink == nullptr) {
     return;
   }
-  vertices.push_back(params.target);
-  edges.push_back(via_target);
-  edges.push_back(params.closing_id);
+  auto& vertices = st.path_vertices;
+  auto& edges = st.path_edges;
+  {
+    Guard guard(st.lock());
+    vertices.push_back(params.target);
+    edges.push_back(via_target);
+    edges.push_back(params.closing_id);
+  }
   sink->on_cycle({vertices.data(), vertices.size()},
                  {edges.data(), edges.size()});
+  Guard guard(st.lock());
   vertices.pop_back();
   edges.pop_back();
   edges.pop_back();
 }
 
-// ---------------------------------------------------------------------------
-// Serial DFS
-// ---------------------------------------------------------------------------
-
-struct SerialStreamSearch {
+// The search context of one per-edge search; `run` is its spawner: a
+// roots::SerialSpawner, or the StreamRun of a fine search.
+template <typename Spawner>
+struct StreamSearch {
+  Spawner run;
   const StreamSearchParams& params;
-  StreamSearchScratch& scratch;
-  WorkCounters& work;
-  CycleSink* sink;
-  SearchBudgetState* budget;
-  std::uint64_t found = 0;
-  bool truncated = false;
-
-  // Path frontier is scratch.path_vertices.back(); `out` holds its
-  // out-edges that leave after its arrival and inside the window.
-  void extend(StreamOutEdges out, std::int32_t rem) {
-    work.vertices_visited += 1;
-    for (const auto& e : out) {
-      work.edges_visited += 1;
-      if (budget != nullptr && !budget->charge()) {
-        truncated = true;
-        return;  // unwind: the path stack pops on the way out
-      }
-      if (e.dst == params.target) {
-        if (!params.bounded || rem >= 1) {
-          found += 1;
-          work.cycles_found += 1;
-          report_cycle(params, sink, scratch.path_vertices,
-                       scratch.path_edges, e.id);
-        }
-        continue;
-      }
-      if (params.bounded && rem <= 1) {
-        continue;
-      }
-      if (scratch.on_path.test(e.dst)) {
-        continue;
-      }
-      const std::int32_t next = detail::child_rem(rem, params.bounded);
-      if (!params.admissible(e.dst, next)) {
-        continue;
-      }
-      scratch.path_vertices.push_back(e.dst);
-      scratch.path_edges.push_back(e.id);
-      scratch.on_path.set(e.dst);
-      extend(params.graph.out_edges_in_window(e.dst, e.ts + 1, params.hi),
-             next);
-      scratch.on_path.reset(e.dst);
-      scratch.path_vertices.pop_back();
-      scratch.path_edges.pop_back();
-      if (truncated) {
-        return;
-      }
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Fine-grained DFS: branches spawn as tasks carrying their own path copy.
-// With no shared blocking state every instance is found exactly once on
-// every schedule, so cycle and edge-visit totals are deterministic.
-// ---------------------------------------------------------------------------
-
-struct FineStreamRun {
-  const StreamSearchParams& params;
-  Scheduler& sched;
-  ParallelOptions popts;
   CycleSink* sink;
   SearchBudgetState* budget;
 
-  std::atomic<std::uint64_t> cycles{0};
-  std::atomic<std::uint64_t> edges_visited{0};
-  std::atomic<std::uint64_t> vertices_visited{0};
-  std::atomic<std::uint64_t> tasks_spawned{0};
-  std::atomic<bool> truncated{false};
-
-  void merge(const WorkCounters& local) {
-    cycles.fetch_add(local.cycles_found, std::memory_order_relaxed);
-    edges_visited.fetch_add(local.edges_visited, std::memory_order_relaxed);
-    vertices_visited.fetch_add(local.vertices_visited,
-                               std::memory_order_relaxed);
-    tasks_spawned.fetch_add(local.tasks_spawned, std::memory_order_relaxed);
-  }
-
-  bool should_spawn() const {
-    if (budget != nullptr && budget->expired()) {
-      return false;  // expired searches unwind inline, no new tasks
-    }
-    return fine::should_spawn(sched, popts);
-  }
+  bool expired() const { return budget != nullptr && budget->expired(); }
 };
 
-// Explores from vertices.back(); `out` holds its out-edges that leave after
-// its arrival and inside the window.
-void fine_explore(FineStreamRun& run, std::vector<VertexId>& vertices,
-                  std::vector<EdgeId>& edges, StreamOutEdges out,
-                  std::int32_t rem, WorkCounters& local);
+template <typename Search>
+void visit(Search& search, StreamSearchScratch& st, StreamOutEdges out,
+           std::int32_t rem);
 
-// One spawned branch: enter `v` via edge (`via`, `arrival`) on top of the
-// prefix path the task owns.
-struct StreamBranchTask {
-  FineStreamRun* run;
-  VertexId v;
-  Timestamp arrival;
-  EdgeId via;
-  std::int32_t rem;
-  std::vector<VertexId> prefix_vertices;
-  std::vector<EdgeId> prefix_edges;
-
-  void operator()() {
-    prefix_vertices.push_back(v);
-    prefix_edges.push_back(via);
-    WorkCounters local;
-    fine_explore(*run, prefix_vertices, prefix_edges,
-                 run->params.graph.out_edges_in_window(v, arrival + 1,
-                                                       run->params.hi),
-                 rem, local);
-    run->merge(local);
+// Extends the path by `via` into `w`, visits w, and takes the step back.
+template <typename Search>
+void step(Search& search, StreamSearchScratch& st, VertexId w, EdgeId via,
+          Timestamp arrival, std::int32_t rem) {
+  using Guard = typename std::remove_reference_t<decltype(search.run)>::Guard;
+  {
+    Guard guard(st.lock());
+    st.push(w, via);
   }
-};
+  visit(search, st,
+        search.params.graph.out_edges_in_window(w, arrival + 1,
+                                                search.params.hi),
+        rem);
+  Guard guard(st.lock());
+  st.pop();
+}
 
-// Branch tasks must ride the zero-allocation slab spawn path.
-static_assert(spawn_uses_slab_v<StreamBranchTask>,
-              "StreamBranchTask outgrew the scheduler's task-slab block");
-
-void fine_explore(FineStreamRun& run, std::vector<VertexId>& vertices,
-                  std::vector<EdgeId>& edges, StreamOutEdges out,
-                  std::int32_t rem, WorkCounters& local) {
-  const StreamSearchParams& params = run.params;
-  local.vertices_visited += 1;
-  TaskGroup group(run.sched);
-  bool spawned = false;
+// The one DFS visit, from the path's last vertex with `rem` path edges of
+// budget left; `out` holds its out-edges that leave after its arrival and
+// inside the window. Each branch is stepped into in place or, when the run
+// spawns, handed to a task that steps into it on its creator's spawn-time
+// path. A charge that finds the budget expired unwinds the search, so a
+// serial search stops at the same edge on every run.
+template <typename Search>
+void visit(Search& search, StreamSearchScratch& st, StreamOutEdges out,
+           std::int32_t rem) {
+  using Run = std::remove_reference_t<decltype(search.run)>;
+  const StreamSearchParams& params = search.params;
+  assert(rem >= 1);
+  st.counters.vertices_visited += 1;
+  typename Run::template Children<Search> children(search);
   for (const auto& e : out) {
-    local.edges_visited += 1;
-    if (run.budget != nullptr && !run.budget->charge()) {
-      run.truncated.store(true, std::memory_order_relaxed);
-      break;  // fall through to the group wait: children unwind the same way
+    st.counters.edges_visited += 1;
+    if (search.budget != nullptr && !search.budget->charge()) {
+      break;
     }
     if (e.dst == params.target) {
-      if (!params.bounded || rem >= 1) {
-        local.cycles_found += 1;
-        report_cycle(params, run.sink, vertices, edges, e.id);
-      }
+      st.counters.cycles_found += 1;
+      report_cycle<typename Run::Guard>(params, search.sink, st, e.id);
       continue;
     }
     if (params.bounded && rem <= 1) {
       continue;
     }
-    // Paths are shallow relative to the window, so membership is a linear
-    // scan over the owned path instead of a per-task bitset.
-    if (std::find(vertices.begin(), vertices.end(), e.dst) !=
-        vertices.end()) {
+    if (st.on_path.test(e.dst)) {
       continue;
     }
     const std::int32_t next = detail::child_rem(rem, params.bounded);
     if (!params.admissible(e.dst, next)) {
       continue;
     }
-    if (run.should_spawn()) {
-      local.tasks_spawned += 1;
-      spawned = true;
-      group.spawn(
-          StreamBranchTask{&run, e.dst, e.ts, e.id, next, vertices, edges});
+    if (search.run.should_spawn()) {
+      children.spawn(st, [w = e.dst, via = e.id, arrival = e.ts, next](
+                             Search& s, StreamSearchScratch& at) {
+        assert(!at.on_path.test(w));
+        step(s, at, w, via, arrival, next);
+        return false;  // no blocking state waits on the answer
+      });
       continue;
     }
-    vertices.push_back(e.dst);
-    edges.push_back(e.id);
-    fine_explore(run, vertices, edges,
-                 params.graph.out_edges_in_window(e.dst, e.ts + 1, params.hi),
-                 next, local);
-    vertices.pop_back();
-    edges.pop_back();
+    step(search, st, e.dst, e.id, e.ts, next);
+    if (search.expired()) {
+      break;
+    }
   }
-  if (spawned) {
-    group.wait();
-  }
+  children.wait();
 }
 
-// ---------------------------------------------------------------------------
-// Shared entry logic
-// ---------------------------------------------------------------------------
+// The spawner of a fine search: the RepairTask/SpawnedChildren interface of
+// core/driver.hpp over the engine's scratches. A stolen branch's scratch
+// comes from `pool` and goes back to it reset, its counters merged here.
+struct StreamRun {
+  using State = StreamSearchScratch;
+  using Guard = LockGuard<Spinlock>;
+  template <typename Search>
+  using Children = fine::SpawnedChildren<Search>;
+
+  Scheduler& sched;
+  ParallelOptions popts;
+  ScratchPool<StreamSearchScratch>& pool;
+  SearchBudgetState* budget;
+  Spinlock lock;
+  WorkCounters stolen;
+
+  // The spawn rule of fine::should_spawn; an expired search spawns nothing.
+  bool should_spawn() const {
+    return (budget == nullptr || !budget->expired()) &&
+           fine::should_spawn(sched, popts);
+  }
+
+  std::unique_ptr<StreamSearchScratch> acquire_state() {
+    auto state = pool.acquire();
+    state->reset();
+    return state;
+  }
+
+  void release_state(std::unique_ptr<StreamSearchScratch> state) {
+    {
+      LockGuard<Spinlock> guard(lock);
+      stolen += state->counters;
+    }
+    state->reset();
+    pool.release(std::move(state));
+  }
+};
 
 // Shared prologue of both variants for a lane that did not settle: budget
 // derivation, window bounds, scratch growth and the (optional) reverse-BFS
@@ -332,6 +293,47 @@ std::optional<PreparedSearch> prepare_search(
       rem0};
 }
 
+// The one entry of both variants: the prologue, then the visit from the
+// closing edge's head over `run`. Returns the cycles the root scratch
+// counted; a fine search's stolen branches count theirs into the run.
+template <typename Run>
+std::uint64_t search_lane(Run& run, const SlidingWindowGraph& graph,
+                          const TemporalEdge& closing, Timestamp window,
+                          const EdgeLane& lane, const EnumOptions& options,
+                          StreamSearchScratch& scratch, WorkCounters& work,
+                          CycleSink* sink, SearchBudgetState* budget) {
+  if (lane.settled) {
+    return roots::take_self_loop(closing, sink, work) ? 1 : 0;
+  }
+  const auto prepared = prepare_search(graph, closing, window, options,
+                                       scratch, work, budget);
+  if (!prepared) {
+    return 0;
+  }
+  // An escalated search gets its own root span nested inside the engine's
+  // edge_search span: the gap between the two is the prepare/prune cost.
+  TraceRecorder* tracer = nullptr;
+  if constexpr (std::is_same_v<Run, StreamRun>) {
+    tracer = run.sched.tracer();
+  }
+  TraceSpan trace(tracer,
+                  static_cast<unsigned>(Scheduler::current_worker_id()),
+                  TraceName::kSearchRoot, closing.id);
+  StreamSearch<Run&> search{run, prepared->params, sink, budget};
+  assert(scratch.path_length() == 0);
+  scratch.counters = WorkCounters{};
+  scratch.push(closing.dst);
+  // Every visit waits for the branches it spawned, so the search has
+  // quiesced here and the scratch's prune marks are no longer read.
+  visit(search, scratch, lane.head_out, prepared->rem0);
+  scratch.pop();
+  if (search.expired()) {
+    work.searches_truncated += 1;
+  }
+  work += scratch.counters;
+  return scratch.counters.cycles_found;
+}
+
 }  // namespace
 
 EdgeLane settle_edge_lane(const SlidingWindowGraph& graph,
@@ -350,18 +352,6 @@ EdgeLane settle_edge_lane(const SlidingWindowGraph& graph,
   return EdgeLane{head_out,
                   head_out.empty() ||
                       graph.in_edges_in_window(closing.src, lo, hi).empty()};
-}
-
-std::uint64_t settled_lane_cycles(const TemporalEdge& closing,
-                                  WorkCounters& work, CycleSink* sink) {
-  if (closing.src != closing.dst) {
-    return 0;
-  }
-  work.cycles_found += 1;
-  if (sink != nullptr) {
-    sink->on_cycle({&closing.src, 1}, {&closing.id, 1});
-  }
-  return 1;
 }
 
 std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
@@ -383,29 +373,9 @@ std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                     StreamSearchScratch& scratch,
                                     WorkCounters& work, CycleSink* sink,
                                     SearchBudgetState* budget) {
-  if (lane.settled) {
-    return settled_lane_cycles(closing, work, sink);
-  }
-  const auto prepared = prepare_search(graph, closing, window, options,
-                                       scratch, work, budget);
-  if (!prepared) {
-    return 0;
-  }
-  const StreamSearchParams& params = prepared->params;
-  const std::int32_t rem0 = prepared->rem0;
-  SerialStreamSearch search{params, scratch, work, sink, budget};
-  assert(scratch.path_vertices.empty() && scratch.path_edges.empty());
-  scratch.path_vertices.push_back(closing.dst);
-  scratch.on_path.set(closing.dst);
-  scratch.on_path.set(closing.src);  // the target never re-enters the path
-  search.extend(lane.head_out, rem0);
-  scratch.on_path.reset(closing.src);
-  scratch.on_path.reset(closing.dst);
-  scratch.path_vertices.pop_back();
-  if (search.truncated) {
-    work.searches_truncated += 1;
-  }
-  return search.found;
+  roots::SerialSpawner<StreamSearchScratch> run;
+  return search_lane(run, graph, closing, window, lane, options, scratch,
+                     work, sink, budget);
 }
 
 std::uint64_t fine_cycles_closed_by_edge(const SlidingWindowGraph& graph,
@@ -416,50 +386,25 @@ std::uint64_t fine_cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                          StreamSearchScratch& scratch,
                                          WorkCounters& work, CycleSink* sink,
                                          SearchBudgetState* budget) {
+  ScratchPool<StreamSearchScratch> pool(
+      [] { return std::make_unique<StreamSearchScratch>(); });
   return fine_cycles_closed_by_edge(graph, closing, window,
                                     settle_edge_lane(graph, closing, window),
-                                    sched, options, popts, scratch, work, sink,
-                                    budget);
+                                    sched, options, popts, scratch, pool, work,
+                                    sink, budget);
 }
 
 std::uint64_t fine_cycles_closed_by_edge(
     const SlidingWindowGraph& graph, const TemporalEdge& closing,
     Timestamp window, const EdgeLane& lane, Scheduler& sched,
     const EnumOptions& options, const ParallelOptions& popts,
-    StreamSearchScratch& scratch, WorkCounters& work, CycleSink* sink,
-    SearchBudgetState* budget) {
-  if (lane.settled) {
-    return settled_lane_cycles(closing, work, sink);
-  }
-  const auto prepared = prepare_search(graph, closing, window, options,
-                                       scratch, work, budget);
-  if (!prepared) {
-    return 0;
-  }
-  const StreamSearchParams& params = prepared->params;
-  // The escalated search gets its own root span nested inside the engine's
-  // edge_search span: the gap between the two is the prepare/prune cost.
-  TraceSpan trace(sched.tracer(),
-                  static_cast<unsigned>(Scheduler::current_worker_id()),
-                  TraceName::kSearchRoot, closing.id);
-  FineStreamRun run{params, sched, popts, sink, budget};
-  std::vector<VertexId> vertices{closing.dst};
-  std::vector<EdgeId> edges;
-  WorkCounters local;
-  // Every nested fine_explore waits for its own task group, so the search
-  // has fully quiesced when this call returns (and the scratch's prune marks
-  // are no longer read).
-  fine_explore(run, vertices, edges, lane.head_out, prepared->rem0, local);
-  run.merge(local);
-  if (run.truncated.load(std::memory_order_relaxed)) {
-    work.searches_truncated += 1;
-  }
-  work.cycles_found += run.cycles.load(std::memory_order_relaxed);
-  work.edges_visited += run.edges_visited.load(std::memory_order_relaxed);
-  work.vertices_visited +=
-      run.vertices_visited.load(std::memory_order_relaxed);
-  work.tasks_spawned += run.tasks_spawned.load(std::memory_order_relaxed);
-  return run.cycles.load(std::memory_order_relaxed);
+    StreamSearchScratch& scratch, ScratchPool<StreamSearchScratch>& pool,
+    WorkCounters& work, CycleSink* sink, SearchBudgetState* budget) {
+  StreamRun run{sched, popts, pool, budget, {}, {}};
+  const std::uint64_t found = search_lane(run, graph, closing, window, lane,
+                                          options, scratch, work, sink, budget);
+  work += run.stolen;
+  return found + run.stolen.cycles_found;
 }
 
 }  // namespace parcycle

@@ -11,16 +11,20 @@
 // search itself is the library's time-respecting DFS seeded at v with target
 // u, run against the live SlidingWindowGraph instead of a frozen CSR.
 //
-// Two variants share the pruning (a hop-aware reverse BFS from the target
-// over the window, gated by EnumOptions::use_cycle_union):
-//  * cycles_closed_by_edge       — serial DFS on caller-owned scratch;
-//  * fine_cycles_closed_by_edge  — fine-grained: every branch of the DFS may
-//    become a scheduler task carrying its own path copy (no shared blocking
-//    state, so cycle and edge-visit counts are schedule-independent).
+// Both entry points run one DFS visit, written once over a spawner the way
+// the batch drivers' searches are (core/driver.hpp), after one shared
+// prologue: the lane settle test and the optional pruning (a hop-aware
+// reverse BFS from the target over the window, gated by
+// EnumOptions::use_cycle_union).
+//  * cycles_closed_by_edge       — the visit on roots::SerialSpawner: a
+//    plain recursive loop on caller-owned scratch;
+//  * fine_cycles_closed_by_edge  — the visit on a fine run: any branch may
+//    become a scheduler task. A task that its creator's worker runs in place
+//    extends the creator's path; a stolen one copies the creator's path
+//    under its lock into a scratch drawn from a pool and truncates it back
+//    to the branch's prefix (copy-on-steal). The search keeps no blocking
+//    state, so cycle and edge-visit counts are schedule-independent.
 //
-// EnumOptions::max_cycle_length bounds the cycle length as in the batch
-// algorithms; path_bundling is ignored (per-edge searches walk individual
-// edges). A self-loop arrival closes a 1-cycle immediately.
 #pragma once
 
 #include <algorithm>
@@ -35,11 +39,17 @@
 #include "stream/sliding_window_graph.hpp"
 #include "support/dynamic_bitset.hpp"
 #include "support/scheduler.hpp"
+#include "support/spinlock.hpp"
+#include "support/stats.hpp"
 
 namespace parcycle {
 
+template <typename T>
+class ScratchPool;
+
 // Reusable per-searcher scratch: epoch-stamped reverse-BFS distances plus the
-// serial DFS path buffers. Not thread-safe; the engine keeps one per worker.
+// DFS path state. Not thread-safe, apart from the copy-on-steal contract
+// below; the engine pools them.
 class StreamSearchScratch {
  public:
   // Grows the scratch to cover vertex ids < n; cheap when already large
@@ -67,16 +77,63 @@ class StreamSearchScratch {
   // only when reached(v).
   std::int32_t distance(VertexId v) const noexcept { return dist_[v]; }
 
-  // -- DFS state (serial variant) -------------------------------------------
+  // -- DFS path state ---------------------------------------------------------
+  // The path from the closing edge's head: path_edges[i] enters
+  // path_vertices[i + 1], and on_path holds the path's vertices. A fine
+  // search changes the path only under lock(), and a branch stolen by
+  // another worker copies it from there (copy_from) and truncates it back to
+  // the branch's spawn-time Mark. The search keeps no blocking state, so that
+  // truncation is the whole repair.
   DynamicBitset on_path;
   std::vector<VertexId> path_vertices;
   std::vector<EdgeId> path_edges;
   std::vector<VertexId> bfs_queue;
+  // The visit counters of the searches run on this scratch.
+  WorkCounters counters;
+
+  std::size_t path_length() const noexcept { return path_vertices.size(); }
+  // Pushes the head (no entering edge), or a vertex entered by `via`.
+  void push(VertexId v) {
+    path_vertices.push_back(v);
+    on_path.set(v);
+  }
+  void push(VertexId v, EdgeId via) {
+    path_edges.push_back(via);
+    push(v);
+  }
+  void pop() { truncate(path_length() - 1); }
+  // Keeps the first `len` path vertices and the edges between them.
+  void truncate(std::size_t len) {
+    while (path_vertices.size() > len) {
+      on_path.reset(path_vertices.back());
+      path_vertices.pop_back();
+    }
+    path_edges.resize(len == 0 ? 0 : len - 1);
+  }
+  // An empty path and zeroed counters.
+  void reset() {
+    truncate(0);
+    counters = WorkCounters{};
+  }
+
+  Spinlock& lock() noexcept { return lock_; }
+  // Copies `victim`'s path into this reset scratch. Caller holds
+  // victim.lock().
+  void copy_from(const StreamSearchScratch& victim);
+  // A branch's position at its spawn: what a stolen copy is truncated to.
+  struct Mark {
+    std::size_t path_len;
+  };
+  Mark mark() const noexcept { return {path_length()}; }
+  void repair_to_prefix(const Mark& mark) { truncate(mark.path_len); }
+  // With no blocking state to drop, the ablation restore is the same.
+  void naive_restore_to_prefix(std::size_t len) { truncate(len); }
 
  private:
   std::vector<std::uint32_t> stamp_;
   std::vector<std::int32_t> dist_;
   std::uint32_t epoch_ = 0;
+  Spinlock lock_;
 };
 
 // Out-edges of one vertex inside a search window.
@@ -105,11 +162,12 @@ std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                     SearchBudgetState* budget = nullptr);
 
 // Fine-grained variant: branches spawn as tasks on `sched` per `popts`
-// (kAdaptive keeps the local deque shallow; kAlways mirrors the paper's
-// every-call-a-task model). Must be called from a worker thread of `sched`
-// (the engine calls it from batch tasks). Counter totals are merged into
-// `work` before returning; they are schedule-independent because the search
-// carries no shared blocking state.
+// (fine::should_spawn: kAdaptive keeps the local deque shallow and never
+// spawns on one worker; kAlways mirrors the paper's every-call-a-task model),
+// and none once the budget expired. Must be called from a worker thread of
+// `sched` (the engine calls it from batch tasks). Counter totals are merged
+// into `work` before returning; cycles and visits are schedule-independent
+// because the search carries no shared blocking state.
 std::uint64_t fine_cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                          const TemporalEdge& closing,
                                          Timestamp window, Scheduler& sched,
@@ -137,15 +195,12 @@ struct EdgeLane {
 EdgeLane settle_edge_lane(const SlidingWindowGraph& graph,
                           const TemporalEdge& closing, Timestamp window);
 
-// The cycles a settled lane closes: a self-loop's 1-cycle, counted into
-// `work` and reported to `sink` (nullable); 0 for any other settled lane.
-std::uint64_t settled_lane_cycles(const TemporalEdge& closing,
-                                  WorkCounters& work, CycleSink* sink);
-
 // The same two searches for a caller that already settled the lane:
 // `lane` must equal settle_edge_lane(graph, closing, window). The engine
 // reads the frontier off it and times only the lanes that did not settle;
-// a settled lane passed here closes settled_lane_cycles and searches nothing.
+// a settled lane passed here closes only a self-loop's 1-cycle
+// (roots::take_self_loop) and searches nothing. The fine search copies
+// stolen branches into scratches of `pool`, which get them back reset.
 std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                     const TemporalEdge& closing,
                                     Timestamp window, const EdgeLane& lane,
@@ -157,7 +212,7 @@ std::uint64_t fine_cycles_closed_by_edge(
     const SlidingWindowGraph& graph, const TemporalEdge& closing,
     Timestamp window, const EdgeLane& lane, Scheduler& sched,
     const EnumOptions& options, const ParallelOptions& popts,
-    StreamSearchScratch& scratch, WorkCounters& work, CycleSink* sink,
-    SearchBudgetState* budget);
+    StreamSearchScratch& scratch, ScratchPool<StreamSearchScratch>& pool,
+    WorkCounters& work, CycleSink* sink, SearchBudgetState* budget);
 
 }  // namespace parcycle

@@ -303,6 +303,34 @@ TEST(StreamFault, ThrowingSearchLosesOnlyItsOwnEdge) {
   }
 }
 
+// Eight workers spawning every branch over the dense graph: thieves copy
+// their creators' paths (state_copies > 0), and every edge still closes
+// exactly the serial search's cycles.
+TEST(StreamFault, StolenBranchesCopyPathsAndCountExactly) {
+  const TemporalGraph graph = dense_graph();
+  Scheduler::with_pool(8, [&](Scheduler& sched) {
+    ParallelOptions popts;
+    popts.spawn_policy = SpawnPolicy::kAlways;
+    SlidingWindowGraph live(graph.num_vertices());
+    StreamSearchScratch serial_scratch;
+    StreamSearchScratch fine_scratch;
+    WorkCounters serial_work;
+    WorkCounters fine_work;
+    for (TemporalEdge e : graph.edges_by_time()) {
+      e.id = live.ingest(e.src, e.dst, e.ts);
+      const std::uint64_t serial = cycles_closed_by_edge(
+          live, e, kWindow, {}, serial_scratch, serial_work);
+      const std::uint64_t fine = fine_cycles_closed_by_edge(
+          live, e, kWindow, sched, {}, popts, fine_scratch, fine_work);
+      ASSERT_EQ(serial, fine) << "edge " << e.id;
+    }
+    EXPECT_GT(serial_work.cycles_found, 0u);
+    EXPECT_EQ(fine_work.cycles_found, serial_work.cycles_found);
+    EXPECT_EQ(fine_work.edges_visited, serial_work.edges_visited);
+    EXPECT_GT(fine_work.state_copies, 0u);
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Sink isolation
 // ---------------------------------------------------------------------------

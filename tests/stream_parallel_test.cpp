@@ -6,12 +6,16 @@
 // TSan CI job reruns this suite).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <mutex>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "core/cycle_types.hpp"
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
 #include "stream/engine.hpp"
@@ -85,25 +89,91 @@ TEST(StreamParallel, EscalationThresholdOnlyMovesWork) {
   EXPECT_EQ(serial_only.work.edges_visited, mixed.work.edges_visited);
 }
 
+// Records every reported cycle as reported: vertices from the closing
+// edge's head, edges in lockstep with the closing edge last.
+class RawCycleSink final : public CycleSink {
+ public:
+  void on_cycle(std::span<const VertexId> vertices,
+                std::span<const EdgeId> edges) override {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    cycles_.push_back({{vertices.begin(), vertices.end()},
+                       {edges.begin(), edges.end()}});
+  }
+
+  // The cycles reported since the last call, sorted.
+  std::vector<CycleRecord> take_sorted() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<CycleRecord> out = std::move(cycles_);
+    cycles_.clear();
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<CycleRecord> cycles_;
+};
+
+// The escalated search is the serial one on every schedule: per edge, the
+// same cycles in the same vertex and edge order, and the same visits, on
+// 1 to 8 workers under both spawn policies, with and without a length bound
+// and the reverse-BFS prune. A one-worker adaptive search spawns nothing.
 TEST(StreamParallel, FineSearchMatchesSerialPerEdge) {
   const TemporalGraph graph = test_graph();
-  Scheduler::with_pool(4, [&](Scheduler& sched) {
-    SlidingWindowGraph live(graph.num_vertices());
-    StreamSearchScratch serial_scratch;
-    StreamSearchScratch fine_scratch;
-    for (const auto& e : graph.edges_by_time()) {
-      live.ingest(e.src, e.dst, e.ts);
-      WorkCounters serial_work;
-      WorkCounters fine_work;
-      const std::uint64_t serial = cycles_closed_by_edge(
-          live, e, kWindow, {}, serial_scratch, serial_work);
-      const std::uint64_t fine = fine_cycles_closed_by_edge(
-          live, e, kWindow, sched, {}, {}, fine_scratch, fine_work);
-      ASSERT_EQ(serial, fine) << "edge " << e.id;
-      ASSERT_EQ(serial_work.cycles_found, fine_work.cycles_found);
-      ASSERT_EQ(serial_work.edges_visited, fine_work.edges_visited);
-    }
-  });
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    Scheduler::with_pool(threads, [&](Scheduler& sched) {
+      for (const SpawnPolicy policy :
+           {SpawnPolicy::kAdaptive, SpawnPolicy::kAlways}) {
+        for (const std::int32_t max_length : {0, 4}) {
+          for (const bool prune : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "threads " << threads << " policy "
+                         << static_cast<int>(policy) << " max_length "
+                         << max_length << " prune " << prune);
+            EnumOptions eopts;
+            eopts.max_cycle_length = max_length;
+            eopts.use_cycle_union = prune;
+            ParallelOptions popts;
+            popts.spawn_policy = policy;
+            SlidingWindowGraph live(graph.num_vertices());
+            StreamSearchScratch serial_scratch;
+            StreamSearchScratch fine_scratch;
+            RawCycleSink serial_sink;
+            RawCycleSink fine_sink;
+            std::uint64_t cycles = 0;
+            std::uint64_t spawned = 0;
+            for (TemporalEdge e : graph.edges_by_time()) {
+              e.id = live.ingest(e.src, e.dst, e.ts);
+              WorkCounters serial_work;
+              WorkCounters fine_work;
+              const std::uint64_t serial =
+                  cycles_closed_by_edge(live, e, kWindow, eopts,
+                                        serial_scratch, serial_work,
+                                        &serial_sink);
+              const std::uint64_t fine = fine_cycles_closed_by_edge(
+                  live, e, kWindow, sched, eopts, popts, fine_scratch,
+                  fine_work, &fine_sink);
+              ASSERT_EQ(serial, fine) << "edge " << e.id;
+              ASSERT_EQ(serial_work.cycles_found, fine_work.cycles_found);
+              ASSERT_EQ(serial_work.edges_visited, fine_work.edges_visited);
+              ASSERT_EQ(serial_work.vertices_visited,
+                        fine_work.vertices_visited);
+              ASSERT_EQ(serial_sink.take_sorted(), fine_sink.take_sorted())
+                  << "edge " << e.id;
+              cycles += serial;
+              spawned += fine_work.tasks_spawned;
+            }
+            EXPECT_GT(cycles, 0u);
+            if (threads == 1 && policy == SpawnPolicy::kAdaptive) {
+              EXPECT_EQ(spawned, 0u);
+            } else if (policy == SpawnPolicy::kAlways) {
+              EXPECT_GT(spawned, 0u);
+            }
+          }
+        }
+      }
+    });
+  }
 }
 
 StreamStats replay_with(const TemporalGraph& graph, unsigned threads,

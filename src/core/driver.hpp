@@ -30,22 +30,23 @@
 // In a fine run the search context of a root lives on the root's stack;
 // every call waits for its tasks before it returns, so tasks hold raw
 // pointers to it. Two task shapes share the run struct and the root loop:
-//  * prefix repair (Johnson, BC-DFS, temporal Johnson): a stolen task copies
-//    its creator's state under the creator's lock and repairs it back to the
-//    state's spawn-time Mark. These searches write each visit once, over a
-//    spawner that is either the FineRun or a roots::SerialSpawner, so their
-//    serial, coarse and fine runs share it;
+//  * prefix repair (Johnson, BC-DFS, temporal Johnson and the per-edge
+//    stream search): a stolen task copies its creator's state under the
+//    creator's lock and repairs it back to the state's spawn-time Mark.
+//    These searches write each visit once, over a spawner that is a fine
+//    run or a roots::SerialSpawner, so their serial, coarse and fine runs
+//    share it;
 //  * prefix replay (both Read-Tarjans): a stolen task replays its creator's
 //    path and undo log up to the spawn-time prefix, without a lock.
 // Hooks are template parameters: nothing on the per-visit path goes through
 // std::function.
 //
 // When a fine run spawns: SpawnPolicy::kAlways spawns every recursive call.
-// Under kAdaptive a run on one worker never spawns, so it does the serial
-// run's work; on several workers a search splits only once every root task
-// of run_roots has started, and then only while the spawning worker's deque
-// is shallow. Until then an idle worker takes a root task: a split pays only
-// when no root is left to take.
+// Under kAdaptive (fine::should_spawn) a run on one worker never spawns, so
+// it does the serial run's work; on several workers a search splits only
+// while the spawning worker's deque is shallow, and in a FineRun only once
+// every root task of run_roots has started: until then an idle worker takes
+// a root task, and a split pays only when no root is left to take.
 #pragma once
 
 #include <algorithm>
@@ -290,10 +291,10 @@ struct StartRun {
 };
 
 // The spawner of serial and coarse runs. A visit written over a spawner
-// (core/johnson_impl.hpp, temporal/temporal_johnson.cpp) reads it as its
-// search context's `run`, where a fine run puts its fine::FineRun: this one
-// never spawns, and its lock guard and task list are empty, so the visit
-// compiles to a plain recursive loop.
+// (core/johnson_impl.hpp, temporal/temporal_johnson.cpp,
+// stream/incremental.cpp) reads it as its search context's `run`, where a
+// fine run puts itself: this one never spawns, and its lock guard and task
+// list are empty, so the visit compiles to a plain recursive loop.
 template <typename StateT>
 struct SerialSpawner {
   using State = StateT;

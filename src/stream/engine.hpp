@@ -32,8 +32,11 @@
 //     closes — once per configured window length. Hot edges — those whose
 //     search frontier in the live window reaches
 //     StreamOptions::hot_frontier_threshold — escalate to the fine-grained
-//     variant, which recursively spawns branch tasks so a single burst
-//     vertex cannot serialise the batch. Failures stay per edge: a search
+//     variant: the same DFS visit, whose branches become tasks so a single
+//     burst vertex cannot serialise the batch (none under the adaptive
+//     policy on one worker). A branch another worker steals copies its
+//     creator's path into a scratch of the engine's pool, and gives it back
+//     when done (copy-on-steal). Failures stay per edge: a search
 //     that throws loses only its own edge (its scratch is discarded, the
 //     rest of the chunk runs on a fresh one) and the batch counts one
 //     search error. The order of sink callbacks within a batch is
@@ -372,7 +375,8 @@ class StreamEngine {
   // Per-lane mutable state of one worker: counters and the latency
   // histogram. The search scratches live in a pool instead — a worker
   // blocked in a search's TaskGroup::wait can execute another chunk task,
-  // so worker-keyed scratch would be re-entered.
+  // so worker-keyed scratch would be re-entered. Stolen branches of
+  // escalated searches draw their path copies from the same pool.
   struct LaneCounters {
     WorkCounters work;
     std::uint64_t cycles = 0;

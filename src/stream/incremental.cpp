@@ -3,7 +3,6 @@
 #include <cassert>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -78,64 +77,26 @@ bool compute_reverse_prune(const SlidingWindowGraph& graph, VertexId target,
   return true;
 }
 
-// Shared immutable parameters of one per-edge search.
-struct StreamSearchParams {
-  const SlidingWindowGraph& graph;
-  VertexId target;
-  Timestamp lo;
-  Timestamp hi;  // closing.ts - 1
-  EdgeId closing_id;
-  bool bounded;
-  bool pruned;
-  const StreamSearchScratch* prune;  // reverse-BFS marks (read-only)
-
-  // May the search step into w with `rem_after` path edges still available
-  // after the step?
-  bool admissible(VertexId w, std::int32_t rem_after) const {
-    if (!pruned) {
-      return true;
-    }
-    if (!prune->reached(w)) {
-      return false;
-    }
-    return !bounded || prune->distance(w) <= rem_after;
-  }
-};
-
-// Reports the path closed by `via_target` and the closing edge. The two
-// closing hops sit on the path only for the sink call; a copy taken
-// meanwhile drops them when it truncates to its branch's mark.
-template <typename Guard>
-void report_cycle(const StreamSearchParams& params, CycleSink* sink,
-                  StreamSearchScratch& st, EdgeId via_target) {
-  if (sink == nullptr) {
-    return;
-  }
-  auto& vertices = st.path_vertices;
-  auto& edges = st.path_edges;
-  {
-    Guard guard(st.lock());
-    vertices.push_back(params.target);
-    edges.push_back(via_target);
-    edges.push_back(params.closing_id);
-  }
-  sink->on_cycle({vertices.data(), vertices.size()},
-                 {edges.data(), edges.size()});
-  Guard guard(st.lock());
-  vertices.pop_back();
-  edges.pop_back();
-  edges.pop_back();
-}
-
-// The search context of one per-edge search; `run` is its spawner: a
+// The search context of one per-edge search. `run` is its spawner: a
 // roots::SerialSpawner, or the StreamRun of a fine search.
 template <typename Spawner>
 struct StreamSearch {
   Spawner run;
-  const StreamSearchParams& params;
+  const SlidingWindowGraph& graph;
+  VertexId target;
+  Timestamp hi;  // closing.ts - 1
+  EdgeId closing_id;
+  bool bounded;
+  const StreamSearchScratch* prune;  // reverse-BFS marks, or null
   CycleSink* sink;
   SearchBudgetState* budget;
 
+  // May the search step into w with `rem_after` path edges still available
+  // after the step?
+  bool admissible(VertexId w, std::int32_t rem_after) const {
+    return prune == nullptr || (prune->reached(w) &&
+                                (!bounded || prune->distance(w) <= rem_after));
+  }
   bool expired() const { return budget != nullptr && budget->expired(); }
 };
 
@@ -143,19 +104,17 @@ template <typename Search>
 void visit(Search& search, StreamSearchScratch& st, StreamOutEdges out,
            std::int32_t rem);
 
-// Extends the path by `via` into `w`, visits w, and takes the step back.
+// Steps along `e` to its head, visits it, and steps back.
 template <typename Search>
-void step(Search& search, StreamSearchScratch& st, VertexId w, EdgeId via,
-          Timestamp arrival, std::int32_t rem) {
+void step(Search& search, StreamSearchScratch& st,
+          const SlidingWindowGraph::OutEdge& e, std::int32_t rem) {
   using Guard = typename std::remove_reference_t<decltype(search.run)>::Guard;
   {
     Guard guard(st.lock());
-    st.push(w, via);
+    st.push(e.dst, e.id);
   }
   visit(search, st,
-        search.params.graph.out_edges_in_window(w, arrival + 1,
-                                                search.params.hi),
-        rem);
+        search.graph.out_edges_in_window(e.dst, e.ts + 1, search.hi), rem);
   Guard guard(st.lock());
   st.pop();
 }
@@ -163,14 +122,14 @@ void step(Search& search, StreamSearchScratch& st, VertexId w, EdgeId via,
 // The one DFS visit, from the path's last vertex with `rem` path edges of
 // budget left; `out` holds its out-edges that leave after its arrival and
 // inside the window. Each branch is stepped into in place or, when the run
-// spawns, handed to a task that steps into it on its creator's spawn-time
-// path. A charge that finds the budget expired unwinds the search, so a
-// serial search stops at the same edge on every run.
+// spawns, by a task on its creator's spawn-time path. A charge that finds
+// the budget expired unwinds the search, so a serial search stops at the
+// same edge on every run.
 template <typename Search>
 void visit(Search& search, StreamSearchScratch& st, StreamOutEdges out,
            std::int32_t rem) {
   using Run = std::remove_reference_t<decltype(search.run)>;
-  const StreamSearchParams& params = search.params;
+  using Guard = typename Run::Guard;
   assert(rem >= 1);
   st.counters.vertices_visited += 1;
   typename Run::template Children<Search> children(search);
@@ -179,31 +138,40 @@ void visit(Search& search, StreamSearchScratch& st, StreamOutEdges out,
     if (search.budget != nullptr && !search.budget->charge()) {
       break;
     }
-    if (e.dst == params.target) {
+    if (e.dst == search.target) {
       st.counters.cycles_found += 1;
-      report_cycle<typename Run::Guard>(params, search.sink, st, e.id);
+      if (search.sink != nullptr) {
+        // The closing hops sit on the path only for the sink call; a copy
+        // taken meanwhile drops them when it truncates to its mark.
+        {
+          Guard guard(st.lock());
+          st.path_vertices.push_back(search.target);
+          st.path_edges.insert(st.path_edges.end(), {e.id, search.closing_id});
+        }
+        search.sink->on_cycle(st.path_vertices, st.path_edges);
+        Guard guard(st.lock());
+        st.pop();
+      }
       continue;
     }
-    if (params.bounded && rem <= 1) {
+    if (search.bounded && rem <= 1) {
       continue;
     }
     if (st.on_path.test(e.dst)) {
       continue;
     }
-    const std::int32_t next = detail::child_rem(rem, params.bounded);
-    if (!params.admissible(e.dst, next)) {
+    const std::int32_t next = detail::child_rem(rem, search.bounded);
+    if (!search.admissible(e.dst, next)) {
       continue;
     }
     if (search.run.should_spawn()) {
-      children.spawn(st, [w = e.dst, via = e.id, arrival = e.ts, next](
-                             Search& s, StreamSearchScratch& at) {
-        assert(!at.on_path.test(w));
-        step(s, at, w, via, arrival, next);
+      children.spawn(st, [e, next](Search& s, StreamSearchScratch& at) {
+        step(s, at, e, next);
         return false;  // no blocking state waits on the answer
       });
       continue;
     }
-    step(search, st, e.dst, e.id, e.ts, next);
+    step(search, st, e, next);
     if (search.expired()) {
       break;
     }
@@ -212,8 +180,8 @@ void visit(Search& search, StreamSearchScratch& st, StreamOutEdges out,
 }
 
 // The spawner of a fine search: the RepairTask/SpawnedChildren interface of
-// core/driver.hpp over the engine's scratches. A stolen branch's scratch
-// comes from `pool` and goes back to it reset, its counters merged here.
+// core/driver.hpp. A stolen branch's scratch comes from `pool` and goes back
+// to it reset, its counters merged into `stolen`.
 struct StreamRun {
   using State = StreamSearchScratch;
   using Guard = LockGuard<Spinlock>;
@@ -224,10 +192,10 @@ struct StreamRun {
   ParallelOptions popts;
   ScratchPool<StreamSearchScratch>& pool;
   SearchBudgetState* budget;
-  Spinlock lock;
-  WorkCounters stolen;
+  Spinlock lock{};
+  WorkCounters stolen{};
 
-  // The spawn rule of fine::should_spawn; an expired search spawns nothing.
+  // fine::should_spawn; an expired search spawns nothing.
   bool should_spawn() const {
     return (budget == nullptr || !budget->expired()) &&
            fine::should_spawn(sched, popts);
@@ -249,53 +217,11 @@ struct StreamRun {
   }
 };
 
-// Shared prologue of both variants for a lane that did not settle: budget
-// derivation, window bounds, scratch growth and the (optional) reverse-BFS
-// prune with its root-reachability early-out. Returns the search parameters,
-// or nothing when the lane closes no cycle — keeping the serial and fine
-// paths structurally unable to diverge on any of these decisions.
-struct PreparedSearch {
-  StreamSearchParams params;
-  std::int32_t rem0;
-};
-
-std::optional<PreparedSearch> prepare_search(
-    const SlidingWindowGraph& graph, const TemporalEdge& closing,
-    Timestamp window, const EnumOptions& options,
-    StreamSearchScratch& scratch, WorkCounters& work,
-    SearchBudgetState* budget) {
-  const bool bounded = options.max_cycle_length > 0;
-  const std::int32_t rem0 =
-      bounded ? options.max_cycle_length - 1 : detail::kUnboundedRem;
-  if (rem0 < 1) {
-    return std::nullopt;  // max_cycle_length == 1 admits only self-loops
-  }
-  const Timestamp lo = saturating_sub(closing.ts, window);
-  const Timestamp hi = closing.ts - 1;
-  scratch.ensure(graph.num_vertices());
-  if (options.use_cycle_union) {
-    if (!compute_reverse_prune(graph, closing.src, lo, hi,
-                               bounded ? rem0 : -1, scratch, budget)) {
-      // Budget expired inside the BFS: the marks are incomplete, so the
-      // whole search is abandoned (zero cycles, partial result).
-      work.searches_truncated += 1;
-      return std::nullopt;
-    }
-    if (!scratch.reached(closing.dst) ||
-        (bounded && scratch.distance(closing.dst) > rem0)) {
-      return std::nullopt;
-    }
-  }
-  return PreparedSearch{
-      StreamSearchParams{graph,      closing.src, lo,
-                         hi,         closing.id,  bounded,
-                         options.use_cycle_union, &scratch},
-      rem0};
-}
-
-// The one entry of both variants: the prologue, then the visit from the
-// closing edge's head over `run`. Returns the cycles the root scratch
-// counted; a fine search's stolen branches count theirs into the run.
+// Both entry points: the lane's self-loop, the length bound, scratch growth
+// and the optional reverse-BFS prune with its root-reachability early-out,
+// then the visit from the closing edge's head over `run`. Returns the
+// cycles the root scratch counted; a fine search's stolen branches count
+// theirs into the run.
 template <typename Run>
 std::uint64_t search_lane(Run& run, const SlidingWindowGraph& graph,
                           const TemporalEdge& closing, Timestamp window,
@@ -305,13 +231,30 @@ std::uint64_t search_lane(Run& run, const SlidingWindowGraph& graph,
   if (lane.settled) {
     return roots::take_self_loop(closing, sink, work) ? 1 : 0;
   }
-  const auto prepared = prepare_search(graph, closing, window, options,
-                                       scratch, work, budget);
-  if (!prepared) {
-    return 0;
+  const bool bounded = options.max_cycle_length > 0;
+  const std::int32_t rem0 =
+      bounded ? options.max_cycle_length - 1 : detail::kUnboundedRem;
+  if (rem0 < 1) {
+    return 0;  // max_cycle_length == 1 admits only self-loops
+  }
+  const Timestamp hi = closing.ts - 1;
+  scratch.ensure(graph.num_vertices());
+  if (options.use_cycle_union) {
+    if (!compute_reverse_prune(graph, closing.src,
+                               saturating_sub(closing.ts, window), hi,
+                               bounded ? rem0 : -1, scratch, budget)) {
+      // Budget expired inside the BFS: the marks are incomplete, so the
+      // whole search is abandoned (zero cycles, partial result).
+      work.searches_truncated += 1;
+      return 0;
+    }
+    if (!scratch.reached(closing.dst) ||
+        (bounded && scratch.distance(closing.dst) > rem0)) {
+      return 0;
+    }
   }
   // An escalated search gets its own root span nested inside the engine's
-  // edge_search span: the gap between the two is the prepare/prune cost.
+  // edge_search span: the gap between the two is the prologue's cost.
   TraceRecorder* tracer = nullptr;
   if constexpr (std::is_same_v<Run, StreamRun>) {
     tracer = run.sched.tracer();
@@ -319,13 +262,16 @@ std::uint64_t search_lane(Run& run, const SlidingWindowGraph& graph,
   TraceSpan trace(tracer,
                   static_cast<unsigned>(Scheduler::current_worker_id()),
                   TraceName::kSearchRoot, closing.id);
-  StreamSearch<Run&> search{run, prepared->params, sink, budget};
+  StreamSearch<Run&> search{
+      run,     graph, closing.src, hi, closing.id,
+      bounded, options.use_cycle_union ? &scratch : nullptr,
+      sink,    budget};
   assert(scratch.path_length() == 0);
   scratch.counters = WorkCounters{};
   scratch.push(closing.dst);
   // Every visit waits for the branches it spawned, so the search has
   // quiesced here and the scratch's prune marks are no longer read.
-  visit(search, scratch, lane.head_out, prepared->rem0);
+  visit(search, scratch, lane.head_out, rem0);
   scratch.pop();
   if (search.expired()) {
     work.searches_truncated += 1;
@@ -378,29 +324,13 @@ std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
                      work, sink, budget);
 }
 
-std::uint64_t fine_cycles_closed_by_edge(const SlidingWindowGraph& graph,
-                                         const TemporalEdge& closing,
-                                         Timestamp window, Scheduler& sched,
-                                         const EnumOptions& options,
-                                         const ParallelOptions& popts,
-                                         StreamSearchScratch& scratch,
-                                         WorkCounters& work, CycleSink* sink,
-                                         SearchBudgetState* budget) {
-  ScratchPool<StreamSearchScratch> pool(
-      [] { return std::make_unique<StreamSearchScratch>(); });
-  return fine_cycles_closed_by_edge(graph, closing, window,
-                                    settle_edge_lane(graph, closing, window),
-                                    sched, options, popts, scratch, pool, work,
-                                    sink, budget);
-}
-
 std::uint64_t fine_cycles_closed_by_edge(
     const SlidingWindowGraph& graph, const TemporalEdge& closing,
     Timestamp window, const EdgeLane& lane, Scheduler& sched,
     const EnumOptions& options, const ParallelOptions& popts,
     StreamSearchScratch& scratch, ScratchPool<StreamSearchScratch>& pool,
     WorkCounters& work, CycleSink* sink, SearchBudgetState* budget) {
-  StreamRun run{sched, popts, pool, budget, {}, {}};
+  StreamRun run{sched, popts, pool, budget};
   const std::uint64_t found = search_lane(run, graph, closing, window, lane,
                                           options, scratch, work, sink, budget);
   work += run.stolen;

@@ -25,6 +25,9 @@
 //    to the branch's prefix (copy-on-steal). The search keeps no blocking
 //    state, so cycle and edge-visit counts are schedule-independent.
 //
+// EnumOptions::max_cycle_length bounds the cycle length as in the batch
+// algorithms; path_bundling is ignored (per-edge searches walk individual
+// edges). A self-loop arrival closes a 1-cycle immediately.
 #pragma once
 
 #include <algorithm>
@@ -161,23 +164,6 @@ std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                     CycleSink* sink = nullptr,
                                     SearchBudgetState* budget = nullptr);
 
-// Fine-grained variant: branches spawn as tasks on `sched` per `popts`
-// (fine::should_spawn: kAdaptive keeps the local deque shallow and never
-// spawns on one worker; kAlways mirrors the paper's every-call-a-task model),
-// and none once the budget expired. Must be called from a worker thread of
-// `sched` (the engine calls it from batch tasks). Counter totals are merged
-// into `work` before returning; cycles and visits are schedule-independent
-// because the search carries no shared blocking state.
-std::uint64_t fine_cycles_closed_by_edge(const SlidingWindowGraph& graph,
-                                         const TemporalEdge& closing,
-                                         Timestamp window, Scheduler& sched,
-                                         const EnumOptions& options,
-                                         const ParallelOptions& popts,
-                                         StreamSearchScratch& scratch,
-                                         WorkCounters& work,
-                                         CycleSink* sink = nullptr,
-                                         SearchBudgetState* budget = nullptr);
-
 // One edge-lane: a closing edge searched under one window length. Its settle
 // decision is made once, before any search (or clock read): the lane settles
 // — no search runs — when the closing edge is a self-loop (it closes its own
@@ -195,12 +181,11 @@ struct EdgeLane {
 EdgeLane settle_edge_lane(const SlidingWindowGraph& graph,
                           const TemporalEdge& closing, Timestamp window);
 
-// The same two searches for a caller that already settled the lane:
-// `lane` must equal settle_edge_lane(graph, closing, window). The engine
-// reads the frontier off it and times only the lanes that did not settle;
-// a settled lane passed here closes only a self-loop's 1-cycle
-// (roots::take_self_loop) and searches nothing. The fine search copies
-// stolen branches into scratches of `pool`, which get them back reset.
+// The same search for a caller that already settled the lane: `lane` must
+// equal settle_edge_lane(graph, closing, window). The engine reads the
+// frontier off it and times only the lanes that did not settle; a settled
+// lane passed here closes only a self-loop's 1-cycle
+// (roots::take_self_loop) and searches nothing.
 std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                     const TemporalEdge& closing,
                                     Timestamp window, const EdgeLane& lane,
@@ -208,6 +193,16 @@ std::uint64_t cycles_closed_by_edge(const SlidingWindowGraph& graph,
                                     StreamSearchScratch& scratch,
                                     WorkCounters& work, CycleSink* sink,
                                     SearchBudgetState* budget);
+
+// Fine-grained variant: branches spawn as tasks on `sched` per `popts`
+// (fine::should_spawn: kAdaptive keeps the local deque shallow and never
+// spawns on one worker; kAlways mirrors the paper's every-call-a-task model),
+// and none once the budget expired. A stolen branch copies its creator's
+// path into a scratch of `pool`, which gets it back reset. Must be called
+// from a worker thread of `sched` (the engine calls it from batch tasks).
+// Counter totals are merged into `work` before returning; cycles and visits
+// are those of the serial search on every schedule, because the search
+// carries no shared blocking state.
 std::uint64_t fine_cycles_closed_by_edge(
     const SlidingWindowGraph& graph, const TemporalEdge& closing,
     Timestamp window, const EdgeLane& lane, Scheduler& sched,

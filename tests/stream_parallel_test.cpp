@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/cycle_types.hpp"
+#include "core/johnson_state.hpp"  // ScratchPool
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
 #include "stream/engine.hpp"
@@ -138,6 +140,8 @@ TEST(StreamParallel, FineSearchMatchesSerialPerEdge) {
             SlidingWindowGraph live(graph.num_vertices());
             StreamSearchScratch serial_scratch;
             StreamSearchScratch fine_scratch;
+            ScratchPool<StreamSearchScratch> pool(
+                [] { return std::make_unique<StreamSearchScratch>(); });
             RawCycleSink serial_sink;
             RawCycleSink fine_sink;
             std::uint64_t cycles = 0;
@@ -151,8 +155,9 @@ TEST(StreamParallel, FineSearchMatchesSerialPerEdge) {
                                         serial_scratch, serial_work,
                                         &serial_sink);
               const std::uint64_t fine = fine_cycles_closed_by_edge(
-                  live, e, kWindow, sched, eopts, popts, fine_scratch,
-                  fine_work, &fine_sink);
+                  live, e, kWindow, settle_edge_lane(live, e, kWindow), sched,
+                  eopts, popts, fine_scratch, pool, fine_work, &fine_sink,
+                  nullptr);
               ASSERT_EQ(serial, fine) << "edge " << e.id;
               ASSERT_EQ(serial_work.cycles_found, fine_work.cycles_found);
               ASSERT_EQ(serial_work.edges_visited, fine_work.edges_visited);

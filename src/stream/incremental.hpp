@@ -91,7 +91,7 @@ class StreamSearchScratch {
   std::vector<VertexId> path_vertices;
   std::vector<EdgeId> path_edges;
   std::vector<VertexId> bfs_queue;
-  // The visit counters of the searches run on this scratch.
+  // The counters of the search on this scratch, or of a stolen branch's.
   WorkCounters counters;
 
   std::size_t path_length() const noexcept { return path_vertices.size(); }

@@ -262,10 +262,10 @@ std::uint64_t search_lane(Run& run, const SlidingWindowGraph& graph,
   TraceSpan trace(tracer,
                   static_cast<unsigned>(Scheduler::current_worker_id()),
                   TraceName::kSearchRoot, closing.id);
-  StreamSearch<Run&> search{
-      run,     graph, closing.src, hi, closing.id,
-      bounded, options.use_cycle_union ? &scratch : nullptr,
-      sink,    budget};
+  const StreamSearchScratch* prune =
+      options.use_cycle_union ? &scratch : nullptr;
+  StreamSearch<Run&> search{run,     graph, closing.src, hi,    closing.id,
+                            bounded, prune, sink,        budget};
   assert(scratch.path_length() == 0);
   scratch.counters = WorkCounters{};
   scratch.push(closing.dst);

@@ -177,7 +177,7 @@ void BM_JohnsonStateCopy(benchmark::State& state) {
   for (auto _ : state) {
     thief.reset();
     thief.copy_from(victim);
-    thief.repair_to_prefix(n / 8);
+    thief.repair_to_prefix({n / 8});
     benchmark::DoNotOptimize(thief.path_length());
   }
 }

@@ -33,9 +33,13 @@
 //  * prefix repair (Johnson, BC-DFS, temporal Johnson and the per-edge
 //    stream search): a stolen task copies its creator's state under the
 //    creator's lock and repairs it back to the state's spawn-time Mark.
-//    These searches write each visit once, over a spawner that is a fine
-//    run or a roots::SerialSpawner, so their serial, coarse and fine runs
-//    share it;
+//    Johnson's, BC-DFS's and the stream's states are one SearchPath
+//    (core/search_path.hpp: the path, on-path bits, lock, counters, Mark
+//    and the path copy) plus their own blocking data: B-lists, the barrier
+//    trail, or none; temporal Johnson's keeps its bundle hops. These
+//    searches write each visit once, over a spawner that is a fine run or
+//    a roots::SerialSpawner, so their serial, coarse and fine runs share
+//    it;
 //  * prefix replay (both Read-Tarjans): a stolen task replays its creator's
 //    path and undo log up to the spawn-time prefix, without a lock.
 // Hooks are template parameters: nothing on the per-visit path goes through
@@ -60,12 +64,12 @@
 #include <vector>
 
 #include "core/cycle_types.hpp"
-#include "core/johnson_state.hpp"  // ScratchPool
 #include "core/options.hpp"
 #include "graph/temporal_graph.hpp"
 #include "obs/trace.hpp"
 #include "support/counter_sink.hpp"
 #include "support/scheduler.hpp"
+#include "support/scratch_pool.hpp"
 #include "support/spinlock.hpp"
 #include "temporal/cycle_union.hpp"
 
@@ -352,15 +356,19 @@ void drain(State& state, std::vector<Call>& pending, Call&& root,
 
 namespace parcycle::fine {
 
+// The deque depth below which an adaptive run spawns.
+inline constexpr std::int64_t kSpawnQueueThreshold = 8;
+
 // Should the calling worker spawn its next recursive call as a task? Under
-// kAdaptive never on one worker, and otherwise while its deque is shallow.
+// kAdaptive never on one worker, and otherwise while its deque holds fewer
+// than kSpawnQueueThreshold tasks.
 inline bool should_spawn(const Scheduler& sched, const ParallelOptions& popts) {
   switch (popts.spawn_policy) {
     case SpawnPolicy::kAlways:
       return true;
     case SpawnPolicy::kAdaptive:
       return sched.num_workers() > 1 &&
-             sched.local_queue_size() < popts.spawn_queue_threshold;
+             sched.local_queue_size() < kSpawnQueueThreshold;
   }
   return true;
 }

@@ -1,5 +1,6 @@
 #include "core/hc_dfs.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <span>
@@ -7,59 +8,10 @@
 #include "core/driver.hpp"
 #include "core/fine_hc_dfs.hpp"
 #include "core/hc_state.hpp"
+#include "core/hop_distances.hpp"
 #include "core/johnson_impl.hpp"
 
 namespace parcycle {
-
-// ---- HcDistScratch ---------------------------------------------------------
-
-bool HcDistScratch::compute_static(const Digraph& graph, VertexId root,
-                                   std::int32_t max_depth) {
-  begin_epoch(root);
-  bool has_admissible_in_edge = false;
-  for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
-    const VertexId v = queue_[qi];
-    // The root's in-neighbors are scanned even at depth bound 0 so that a
-    // lone self-loop (a one-hop cycle) still reports an admissible edge.
-    const bool expand = dist_[v] < max_depth;
-    if (!expand && v != root) {
-      continue;
-    }
-    for (const VertexId u : graph.in_neighbors(v)) {
-      if (u < root) {
-        continue;
-      }
-      if (v == root) {
-        has_admissible_in_edge = true;
-      }
-      if (expand && stamp_[u] != epoch_) {
-        stamp_[u] = epoch_;
-        dist_[u] = dist_[v] + 1;
-        queue_.push_back(u);
-      }
-    }
-  }
-  return has_admissible_in_edge;
-}
-
-void HcDistScratch::compute_windowed(const TemporalGraph& graph, VertexId tail,
-                                     EdgeId e0, Timestamp t0, Timestamp hi,
-                                     std::int32_t max_depth) {
-  begin_epoch(tail);
-  for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
-    const VertexId v = queue_[qi];
-    if (dist_[v] >= max_depth) {
-      continue;
-    }
-    for (const auto& e : graph.in_edges_in_window(v, t0, hi)) {
-      if (e.id > e0 && stamp_[e.src] != epoch_) {
-        stamp_[e.src] = epoch_;
-        dist_[e.src] = dist_[v] + 1;
-        queue_.push_back(e.src);
-      }
-    }
-  }
-}
 
 namespace {
 
@@ -80,11 +32,12 @@ struct HcStaticPolicy {
   static bool allowed(VertexId) { return true; }
 };
 
-// Fills `ctx` and the distance scratch for starting edge e0. Returns false
-// when no hop-bounded cycle can pass through e0 (head cannot reach tail
-// back within max_hops - 1 admissible hops).
+// Fills `ctx` and the hop distances to the tail for starting edge e0, over
+// its admissible in-edges (id > e0, ts in [t0, hi]). Returns false when no
+// hop-bounded cycle can pass through e0 (head cannot reach tail back within
+// max_hops - 1 admissible hops).
 bool prepare_start(const TemporalGraph& graph, const TemporalEdge& e0,
-                   Timestamp window, int max_hops, HcDistScratch& dist,
+                   Timestamp window, int max_hops, HopDistances& dist,
                    StartContext& ctx) {
   assert(e0.src != e0.dst && "self-loops are handled by the driver");
   if (max_hops < 2) {
@@ -95,22 +48,27 @@ bool prepare_start(const TemporalGraph& graph, const TemporalEdge& e0,
   ctx.head = e0.dst;
   ctx.t0 = e0.ts;
   ctx.hi = saturating_add(e0.ts, window);
-  ctx.cycle_union = nullptr;  // HC pruning lives in HcDistScratch instead
+  ctx.cycle_union = nullptr;  // HC pruning lives in the hop distances instead
   // Cheap rejection: the head must have an admissible out-edge and the tail
   // an admissible in-edge.
   if (graph.out_edges_in_window(e0.dst, ctx.t0, ctx.hi).empty() ||
       graph.in_edges_in_window(e0.src, ctx.t0, ctx.hi).empty()) {
     return false;
   }
-  dist.compute_windowed(graph, ctx.tail, ctx.e0, ctx.t0, ctx.hi, max_hops - 1);
+  dist.compute(
+      ctx.tail, max_hops - 1,
+      [&](VertexId v) { return graph.in_edges_in_window(v, ctx.t0, ctx.hi); },
+      [e0 = ctx.e0](const TemporalGraph::InEdge& e) {
+        return e.id > e0 ? e.src : kInvalidVertex;
+      });
   // The head enters with max_hops - 1 remaining hops; the BFS bound equals
   // that, so reachability alone decides.
-  return dist.dist_to_target(ctx.head) != HcDistScratch::kUnreachable;
+  return dist.distance(ctx.head) != HopDistances::kUnreachable;
 }
 
 // The per-start hook of the serial and fine windowed drivers.
 auto windowed_start(int max_hops) {
-  return [max_hops](auto& run, const TemporalEdge& e0, HcDistScratch& dist,
+  return [max_hops](auto& run, const TemporalEdge& e0, HopDistances& dist,
                     HcState& state) {
     StartContext ctx;
     if (!prepare_start(run.graph, e0, run.window, max_hops, dist, ctx)) {
@@ -133,19 +91,25 @@ EnumResult hc_simple_cycles(const Digraph& graph, int max_hops,
   }
   const VertexId n = graph.num_vertices();
   const auto make_dist = [n] {
-    auto dist = std::make_unique<HcDistScratch>();
+    auto dist = std::make_unique<HopDistances>();
     dist->init(n);
     return dist;
   };
   return EnumResult::of(roots::serial_loop<HcState>(
       n, n, make_dist,
-      [&](std::size_t s, HcDistScratch& dist, HcState& state) {
+      [&](std::size_t s, HopDistances& dist, HcState& state) {
         const auto root = static_cast<VertexId>(s);
-        // Skipped when nothing (not even a self-loop) closes back into s.
+        // Over the subgraph induced by {v >= root}. Skipped when nothing
+        // (not even a self-loop) closes back into the root.
         if (graph.out_degree(root) == 0 ||
-            !dist.compute_static(graph, root, max_hops - 1)) {
+            std::ranges::none_of(graph.in_neighbors(root),
+                                 [root](VertexId u) { return u >= root; })) {
           return false;
         }
+        dist.compute(
+            root, max_hops - 1,
+            [&graph](VertexId v) { return graph.in_neighbors(v); },
+            [root](VertexId u) { return u >= root ? u : kInvalidVertex; });
         detail::CircuitSearch<roots::SerialSpawner<HcState>, HcStaticPolicy>
             search{{}, {graph, root}, sink, true, &dist};
         detail::circuit(search, state, root, kInvalidEdge, max_hops);
@@ -159,7 +123,7 @@ EnumResult hc_windowed_cycles(const TemporalGraph& graph, Timestamp window,
   if (max_hops < 1) {
     return {};
   }
-  return roots::StartRun<HcState, HcDistScratch>{graph, window, options, sink}
+  return roots::StartRun<HcState, HopDistances>{graph, window, options, sink}
       .serial(windowed_start(max_hops));
 }
 
@@ -172,8 +136,8 @@ EnumResult fine_hc_windowed_cycles(const TemporalGraph& graph,
   if (max_hops < 1) {
     return {};
   }
-  fine::FineRun<HcState, HcDistScratch> run{graph, window, sched,
-                                            options, popts, sink};
+  fine::FineRun<HcState, HopDistances> run{graph, window, sched,
+                                           options, popts, sink};
   run.run_roots(windowed_start(max_hops));
   return run.result();
 }

@@ -17,6 +17,7 @@
 #include "core/cycle_types.hpp"
 #include "core/driver.hpp"
 #include "core/hc_state.hpp"
+#include "core/hop_distances.hpp"
 #include "core/johnson_state.hpp"
 
 namespace parcycle::detail {
@@ -61,7 +62,7 @@ struct CircuitSearch {
   bool bounded;
   // BC-DFS's hop distances to the closing vertex: a vertex is entered only
   // with at least its distance left. Null for Johnson.
-  const HcDistScratch* dist;
+  const HopDistances* dist;
 };
 
 // The recursive call at v, entered by `via_edge` with `rem` edges of budget
@@ -106,7 +107,7 @@ bool circuit(Search& search, fine::StateOf<Search>& st, VertexId v,
       continue;
     }
     if constexpr (!kBlists) {
-      if (next < search.dist->dist_to_target(hop.v)) {
+      if (next < search.dist->distance(hop.v)) {
         continue;
       }
     }
@@ -153,7 +154,7 @@ bool circuit(Search& search, fine::StateOf<Search>& st, VertexId v,
 template <typename Run, typename State>
 void windowed_circuit(Run& run, const StartContext& ctx, State& state,
                       bool bounded, std::int32_t rem0,
-                      const HcDistScratch* dist) {
+                      const HopDistances* dist) {
   using Spawner = decltype(spawner(run));
   CircuitSearch<Spawner, WindowedPolicy> search{
       spawner(run), {run.graph, ctx}, run.sink, bounded, dist};

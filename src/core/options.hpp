@@ -35,14 +35,13 @@ enum class SpawnPolicy {
   // Spawn only where a split can pay: never on one worker (the run then
   // does the serial run's work), in a fine root loop only once every root
   // task has started, and only while the worker's local deque is shallower
-  // than `spawn_queue_threshold` tasks. Keeps enough stealable work
+  // than fine::kSpawnQueueThreshold tasks. Keeps enough stealable work
   // available without drowning in task bookkeeping.
   kAdaptive,
 };
 
 struct ParallelOptions {
   SpawnPolicy spawn_policy = SpawnPolicy::kAdaptive;
-  std::int64_t spawn_queue_threshold = 8;
   // Disable the copy-on-steal state repair and fall back to restoring the
   // spawn-time snapshot by full re-copy (the "naive state restoration"
   // strawman of Section 5). Ablated by bench_ablation_copy_on_steal.

@@ -40,6 +40,8 @@ namespace parcycle {
 
 namespace detail {
 
+constexpr std::size_t kMaxFrames = StackProfiler::kMaxFrames;
+
 // Owner-write sample ring, cache-line aligned like the scheduler's
 // WorkerSlot and TraceRecorder's rings. The SIGPROF handler (running ON the
 // owning thread) is the only writer; `taken` is the write cursor, published
@@ -47,10 +49,9 @@ namespace detail {
 // below it. The ring saturates instead of wrapping so the exported total
 // always equals `taken`.
 struct alignas(64) ProfileRing {
-  std::vector<void*> pcs;                 // capacity * max_frames, flat
+  std::vector<void*> pcs;                 // capacity * kMaxFrames, flat
   std::vector<std::uint16_t> depths;      // frames used per sample
   std::size_t capacity = 0;
-  std::size_t max_frames = 0;
   std::atomic<std::uint64_t> taken{0};
   std::atomic<std::uint64_t> dropped{0};
   // Gate read by the handler: a queued SIGPROF delivered after disarm (or
@@ -80,8 +81,8 @@ struct alignas(64) ProfileRing {
                     std::memory_order_relaxed);
       return;
     }
-    const std::size_t n = std::min(depth, max_frames);
-    void** slot = &pcs[static_cast<std::size_t>(idx) * max_frames];
+    const std::size_t n = std::min(depth, kMaxFrames);
+    void** slot = &pcs[static_cast<std::size_t>(idx) * kMaxFrames];
     for (std::size_t i = 0; i < n; ++i) {
       slot[i] = frames[i];
     }
@@ -119,7 +120,7 @@ struct alignas(64) ProfileRing {
                     std::memory_order_relaxed);
       return;
     }
-    void** slot = &pcs[static_cast<std::size_t>(idx) * max_frames];
+    void** slot = &pcs[static_cast<std::size_t>(idx) * kMaxFrames];
     std::size_t n = 0;
     slot[n++] = reinterpret_cast<void*>(pc);
     // Frame-pointer chain walk: [fp] = caller's fp, [fp+8] = return address.
@@ -127,7 +128,7 @@ struct alignas(64) ProfileRing {
     // chain must grow strictly upward, so a frame built without a frame
     // pointer ends the walk instead of faulting.
     std::uintptr_t frame = fp;
-    while (n < max_frames && frame >= stack_lo &&
+    while (n < kMaxFrames && frame >= stack_lo &&
            frame + 2 * sizeof(void*) <= stack_hi &&
            (frame & (sizeof(void*) - 1)) == 0) {
       const auto* record = reinterpret_cast<const std::uintptr_t*>(frame);
@@ -269,8 +270,6 @@ StackProfiler::StackProfiler(unsigned num_workers, ProfilerOptions options,
   options_.sample_hz = std::clamp(options_.sample_hz, 1, 10000);
   options_.capacity_per_worker =
       std::max<std::size_t>(1, options_.capacity_per_worker);
-  options_.max_frames = std::clamp<std::size_t>(options_.max_frames, 1,
-                                                kMaxFrames);
   if (!enabled_) {
     return;  // no rings, no cost — the TraceRecorder contract
   }
@@ -278,8 +277,7 @@ StackProfiler::StackProfiler(unsigned num_workers, ProfilerOptions options,
   for (unsigned w = 0; w < num_workers_; ++w) {
     auto ring = std::make_unique<detail::ProfileRing>();
     ring->capacity = options_.capacity_per_worker;
-    ring->max_frames = options_.max_frames;
-    ring->pcs.assign(ring->capacity * ring->max_frames, nullptr);
+    ring->pcs.assign(ring->capacity * kMaxFrames, nullptr);
     ring->depths.assign(ring->capacity, 0);
     rings_.push_back(std::move(ring));
   }
@@ -538,7 +536,7 @@ std::string StackProfiler::collapsed() const {
     for (std::uint64_t i = 0; i < n; ++i) {
       const std::size_t depth = ring->depths[static_cast<std::size_t>(i)];
       void* const* frames =
-          &ring->pcs[static_cast<std::size_t>(i) * ring->max_frames];
+          &ring->pcs[static_cast<std::size_t>(i) * kMaxFrames];
       std::string stack;
       // Captured leaf-first; collapsed format wants root-first.
       for (std::size_t j = depth; j > 0; --j) {

@@ -65,12 +65,11 @@ struct ProfilerOptions {
   ProfileClock clock = ProfileClock::kThreadCpu;
   // Samples retained per worker; the ring saturates (drops) beyond this.
   std::size_t capacity_per_worker = 8192;
-  // Deepest stack recorded per sample (deeper frames are cut off).
-  std::size_t max_frames = 64;
 };
 
 class StackProfiler final : public WorkerThreadObserver {
  public:
+  // Deepest stack recorded per sample (deeper frames are cut off).
   static constexpr std::size_t kMaxFrames = 64;
 
   // False when the platform cannot deliver per-thread SIGPROF samples

@@ -71,10 +71,6 @@ StreamEngine::StreamEngine(const StreamOptions& options, Scheduler& sched,
       }
     }
   }
-  if (options_.overload_high_watermark != SIZE_MAX &&
-      options_.overload_low_watermark == 0) {
-    options_.overload_low_watermark = options_.overload_high_watermark / 2;
-  }
   sinks_.reserve(sched_.num_workers());
   for (unsigned i = 0; i < sched_.num_workers(); ++i) {
     sinks_.push_back(std::make_unique<WorkerSink>());
@@ -128,19 +124,19 @@ void StreamEngine::overload_step_up() {
 }
 
 // Called at the END of a batch: hysteretic single-step recovery after
-// overload_recover_batches consecutive calm batches.
+// kOverloadRecoverBatches consecutive calm batches.
 void StreamEngine::overload_step_down() {
   const OverloadLevel level = overload_level_.load(std::memory_order_relaxed);
   if (level == OverloadLevel::kNormal) {
     return;
   }
   const std::size_t occupancy = pending_.size() + reorder_buffered();
-  if (occupancy > options_.overload_low_watermark) {
+  if (occupancy > options_.overload_high_watermark / 2) {
     calm_batches_ = 0;
     return;
   }
   calm_batches_ += 1;
-  if (calm_batches_ >= options_.overload_recover_batches) {
+  if (calm_batches_ >= kOverloadRecoverBatches) {
     calm_batches_ = 0;
     set_overload_level(
         static_cast<OverloadLevel>(static_cast<int>(level) - 1));
@@ -342,9 +338,7 @@ void StreamEngine::search_edges(std::size_t begin, std::size_t end) {
          "search_edges must run on a worker of the engine's scheduler");
   WorkerSink& sink = *sinks_[static_cast<std::size_t>(worker)];
 
-  ParallelOptions popts;
-  popts.spawn_policy = options_.spawn_policy;
-  popts.spawn_queue_threshold = options_.spawn_queue_threshold;
+  const ParallelOptions popts{.spawn_policy = options_.spawn_policy};
 
   TraceRecorder* const tr = sched_.tracer();
   const auto wid = static_cast<unsigned>(worker);
@@ -464,11 +458,8 @@ void StreamEngine::search_edges(std::size_t begin, std::size_t end) {
       continue;
     }
     if (tr != nullptr) {
-      const std::uint64_t edge_end = trace_now_ns();
-      if (edge_end - edge_start >= options_.trace_search_threshold_ns) {
-        tr->record_span(wid, TraceName::kEdgeSearch, edge_start, edge_end,
-                        edge.id);
-      }
+      tr->record_span(wid, TraceName::kEdgeSearch, edge_start,
+                      trace_now_ns(), edge.id);
     }
   }
   scratch_pool_.release(std::move(scratch));

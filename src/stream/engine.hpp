@@ -84,7 +84,6 @@
 #include <vector>
 
 #include "core/cycle_types.hpp"
-#include "core/johnson_state.hpp"  // ScratchPool
 #include "core/options.hpp"
 #include "obs/histogram.hpp"
 #include "robust/budget.hpp"
@@ -93,6 +92,7 @@
 #include "stream/reorder_buffer.hpp"
 #include "stream/sliding_window_graph.hpp"
 #include "support/scheduler.hpp"
+#include "support/scratch_pool.hpp"
 #include "support/stats.hpp"
 
 namespace parcycle {
@@ -108,6 +108,10 @@ enum class OverloadLevel : int {
 };
 
 constexpr int kOverloadLevels = static_cast<int>(OverloadLevel::kShed) + 1;
+
+// The ladder steps down one level after this many consecutive batches that
+// end at or below half the high watermark.
+constexpr std::uint64_t kOverloadRecoverBatches = 2;
 
 const char* overload_level_name(OverloadLevel level) noexcept;
 
@@ -145,14 +149,8 @@ struct StreamOptions {
   std::size_t hot_frontier_threshold = 64;
   // Spawn policy of escalated searches.
   SpawnPolicy spawn_policy = SpawnPolicy::kAdaptive;
-  std::int64_t spawn_queue_threshold = 8;
   // Initial vertex capacity hint for the sliding graph.
   VertexId num_vertices_hint = 0;
-  // With a TraceRecorder attached to the scheduler, record a per-edge
-  // search span only when the search (all lanes) took at least this long —
-  // keeps hot traces from flooding the rings with sub-microsecond searches.
-  // 0 records every search. Ignored (and cost-free) without a tracer.
-  std::uint64_t trace_search_threshold_ns = 0;
 
   // -- Robustness (src/robust/) ---------------------------------------------
   //
@@ -165,18 +163,15 @@ struct StreamOptions {
   // sits at kTightenBudgets or above.
   SearchBudget degraded_budget{/*wall_ns=*/2'000'000,
                                /*edge_visits=*/100'000};
-  // Overload ladder watermarks, measured in buffered arrivals (pending batch
+  // Overload ladder watermark, measured in buffered arrivals (pending batch
   // + reorder buffer, counting an arrival whose push released the batch) at
-  // batch boundaries. When occupancy reaches the high watermark at the start
-  // of a batch the ladder climbs one level per multiple of the watermark;
-  // after overload_recover_batches consecutive batches ending at or below
-  // the low watermark it steps back down one level (hysteresis). SIZE_MAX
-  // never triggers — the decision points stay compiled in and exercised, so
+  // batch boundaries. When occupancy reaches it at the start of a batch the
+  // ladder climbs one level per multiple of the watermark; after
+  // kOverloadRecoverBatches consecutive batches ending at or below half of
+  // it the ladder steps back down one level (hysteresis). SIZE_MAX never
+  // triggers — the decision points stay compiled in and exercised, so
   // enabling protection cannot change the idle-path behaviour.
   std::size_t overload_high_watermark = SIZE_MAX;
-  // 0 = derive as overload_high_watermark / 2 when the ladder is armed.
-  std::size_t overload_low_watermark = 0;
-  std::uint64_t overload_recover_batches = 2;
   // Wrap each non-null lane sink in a GuardedSink (bounded hand-off buffer +
   // consumer thread; see robust/sink_guard.hpp): a throwing, slow or stuck
   // downstream consumer degrades into sink_errors / sink_dropped counters

@@ -7,75 +7,12 @@
 #include <utility>
 
 #include "core/driver.hpp"  // spawners, RepairTask, take_self_loop
-#include "core/johnson_impl.hpp"  // detail::kUnboundedRem / child_rem
-#include "core/johnson_state.hpp"  // ScratchPool
+#include "core/johnson_impl.hpp"  // kUnboundedRem, child_rem, report_cycle
 #include "obs/trace.hpp"
 
 namespace parcycle {
 
-void StreamSearchScratch::ensure(VertexId n) {
-  if (n <= stamp_.size()) {
-    return;
-  }
-  stamp_.resize(n, 0);
-  dist_.resize(n, 0);
-  on_path.resize(n);
-}
-
-void StreamSearchScratch::copy_from(const StreamSearchScratch& victim) {
-  assert(path_length() == 0);
-  ensure(static_cast<VertexId>(victim.stamp_.size()));
-  path_vertices = victim.path_vertices;
-  path_edges = victim.path_edges;
-  for (const VertexId v : path_vertices) {
-    on_path.set(v);
-  }
-  counters.state_copies += 1;
-}
-
 namespace {
-
-// Reverse BFS from `target` over the in-adjacency restricted to ts in
-// [lo, hi]: marks every vertex with a (time-agnostic) reverse path to the
-// target, with its minimum hop count. A superset of the vertices that can
-// temporally reach the target, so pruning on it never loses a cycle. When
-// `max_path_edges` >= 0 the BFS stops at that depth — vertices further away
-// cannot appear on a path short enough for the length bound.
-//
-// The BFS charges `budget` per scanned edge too: a window dense enough to
-// blow the search budget usually blows it right here, before the DFS ever
-// starts. Returns false when the budget expired mid-BFS — the marks are then
-// incomplete (no longer a superset) and the caller must NOT search on them.
-bool compute_reverse_prune(const SlidingWindowGraph& graph, VertexId target,
-                           Timestamp lo, Timestamp hi,
-                           std::int32_t max_path_edges,
-                           StreamSearchScratch& scratch,
-                           SearchBudgetState* budget) {
-  scratch.begin_epoch();
-  scratch.mark(target, 0);
-  auto& queue = scratch.bfs_queue;
-  queue.clear();
-  queue.push_back(target);
-  std::size_t head = 0;
-  while (head < queue.size()) {
-    const VertexId x = queue[head++];
-    const std::int32_t d = scratch.distance(x);
-    if (max_path_edges >= 0 && d >= max_path_edges) {
-      continue;  // deeper vertices cannot fit the length bound
-    }
-    const auto in_edges = graph.in_edges_in_window(x, lo, hi);
-    if (budget != nullptr && !budget->charge(in_edges.size())) {
-      return false;
-    }
-    for (const auto& e : in_edges) {
-      if (!scratch.reached(e.src)) {
-        scratch.mark(e.src, d + 1);
-        queue.push_back(e.src);
-      }
-    }
-  }
-  return true;
-}
 
 // The search context of one per-edge search. `run` is its spawner: a
 // roots::SerialSpawner, or the StreamRun of a fine search.
@@ -87,15 +24,15 @@ struct StreamSearch {
   Timestamp hi;  // closing.ts - 1
   EdgeId closing_id;
   bool bounded;
-  const StreamSearchScratch* prune;  // reverse-BFS marks, or null
+  const HopDistances* prune;  // reverse-BFS distances, or null
   CycleSink* sink;
   SearchBudgetState* budget;
 
   // May the search step into w with `rem_after` path edges still available
-  // after the step?
+  // after the step? (Unbounded, rem_after is kUnboundedRem, which every
+  // reached vertex's distance is below.)
   bool admissible(VertexId w, std::int32_t rem_after) const {
-    return prune == nullptr || (prune->reached(w) &&
-                                (!bounded || prune->distance(w) <= rem_after));
+    return prune == nullptr || prune->distance(w) <= rem_after;
   }
   bool expired() const { return budget != nullptr && budget->expired(); }
 };
@@ -141,14 +78,13 @@ void visit(Search& search, StreamSearchScratch& st, StreamOutEdges out,
     if (e.dst == search.target) {
       st.counters.cycles_found += 1;
       if (search.sink != nullptr) {
-        // The closing hops sit on the path only for the sink call; a copy
-        // taken meanwhile drops them when it truncates to its mark.
+        // The target sits on the path only for the sink call; a copy taken
+        // meanwhile drops it when it truncates to its mark.
         {
           Guard guard(st.lock());
-          st.path_vertices.push_back(search.target);
-          st.path_edges.insert(st.path_edges.end(), {e.id, search.closing_id});
+          st.push(search.target, e.id);
         }
-        search.sink->on_cycle(st.path_vertices, st.path_edges);
+        detail::report_cycle<true>(st, search.closing_id, search.sink);
         Guard guard(st.lock());
         st.pop();
       }
@@ -157,7 +93,7 @@ void visit(Search& search, StreamSearchScratch& st, StreamOutEdges out,
     if (search.bounded && rem <= 1) {
       continue;
     }
-    if (st.on_path.test(e.dst)) {
+    if (st.on_path(e.dst)) {
       continue;
     }
     const std::int32_t next = detail::child_rem(rem, search.bounded);
@@ -237,19 +173,27 @@ std::uint64_t search_lane(Run& run, const SlidingWindowGraph& graph,
   if (rem0 < 1) {
     return 0;  // max_cycle_length == 1 admits only self-loops
   }
+  const Timestamp lo = saturating_sub(closing.ts, window);
   const Timestamp hi = closing.ts - 1;
   scratch.ensure(graph.num_vertices());
   if (options.use_cycle_union) {
-    if (!compute_reverse_prune(graph, closing.src,
-                               saturating_sub(closing.ts, window), hi,
-                               bounded ? rem0 : -1, scratch, budget)) {
-      // Budget expired inside the BFS: the marks are incomplete, so the
+    // Reverse BFS from the tail over the window's in-edges: a superset of
+    // the vertices that can temporally reach the tail (it ignores time), so
+    // pruning on it never loses a cycle. Bounded, vertices further than the
+    // length bound cannot fit on a path. It charges the budget per scanned
+    // edge too: a window dense enough to blow the search budget usually
+    // blows it here, before the DFS starts.
+    if (!scratch.prune.compute(
+            closing.src, bounded ? rem0 : -1,
+            [&](VertexId v) { return graph.in_edges_in_window(v, lo, hi); },
+            [](const SlidingWindowGraph::InEdge& e) { return e.src; },
+            budget)) {
+      // Budget expired inside the BFS: the distances are incomplete, so the
       // whole search is abandoned (zero cycles, partial result).
       work.searches_truncated += 1;
       return 0;
     }
-    if (!scratch.reached(closing.dst) ||
-        (bounded && scratch.distance(closing.dst) > rem0)) {
+    if (scratch.prune.distance(closing.dst) > rem0) {
       return 0;
     }
   }
@@ -262,15 +206,15 @@ std::uint64_t search_lane(Run& run, const SlidingWindowGraph& graph,
   TraceSpan trace(tracer,
                   static_cast<unsigned>(Scheduler::current_worker_id()),
                   TraceName::kSearchRoot, closing.id);
-  const StreamSearchScratch* prune =
-      options.use_cycle_union ? &scratch : nullptr;
+  const HopDistances* prune =
+      options.use_cycle_union ? &scratch.prune : nullptr;
   StreamSearch<Run&> search{run,     graph, closing.src, hi,    closing.id,
                             bounded, prune, sink,        budget};
   assert(scratch.path_length() == 0);
   scratch.counters = WorkCounters{};
-  scratch.push(closing.dst);
+  scratch.push(closing.dst, kInvalidEdge);
   // Every visit waits for the branches it spawned, so the search has
-  // quiesced here and the scratch's prune marks are no longer read.
+  // quiesced here and the scratch's prune distances are no longer read.
   visit(search, scratch, lane.head_out, rem0);
   scratch.pop();
   if (search.expired()) {

@@ -14,8 +14,8 @@
 // Both entry points run one DFS visit, written once over a spawner the way
 // the batch drivers' searches are (core/driver.hpp), after one shared
 // prologue: the lane settle test and the optional pruning (a hop-aware
-// reverse BFS from the target over the window, gated by
-// EnumOptions::use_cycle_union).
+// reverse BFS from the target over the window, core/hop_distances.hpp,
+// gated by EnumOptions::use_cycle_union).
 //  * cycles_closed_by_edge       — the visit on roots::SerialSpawner: a
 //    plain recursive loop on caller-owned scratch;
 //  * fine_cycles_closed_by_edge  — the visit on a fine run: any branch may
@@ -30,113 +30,40 @@
 // edges). A self-loop arrival closes a 1-cycle immediately.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/cycle_types.hpp"
+#include "core/hop_distances.hpp"
 #include "core/options.hpp"
+#include "core/search_path.hpp"
 #include "graph/types.hpp"
 #include "robust/budget.hpp"
 #include "stream/sliding_window_graph.hpp"
-#include "support/dynamic_bitset.hpp"
 #include "support/scheduler.hpp"
-#include "support/spinlock.hpp"
+#include "support/scratch_pool.hpp"
 #include "support/stats.hpp"
 
 namespace parcycle {
 
-template <typename T>
-class ScratchPool;
-
-// Reusable per-searcher scratch: epoch-stamped reverse-BFS distances plus the
-// DFS path state. Not thread-safe, apart from the copy-on-steal contract
-// below; the engine pools them.
-class StreamSearchScratch {
+// Reusable per-searcher scratch: the DFS path (a SearchPath: a fine search
+// changes it only under lock(), and a branch stolen by another worker copies
+// it from there and truncates it back to the branch's spawn-time Mark; the
+// search keeps no blocking state, so that truncation is the whole repair)
+// and the reverse-BFS prune's hop distances. Not thread-safe, apart from that
+// copy-on-steal contract; the engine pools them.
+class StreamSearchScratch : public SearchPath {
  public:
   // Grows the scratch to cover vertex ids < n; cheap when already large
   // enough (the streaming vertex set grows monotonically).
-  void ensure(VertexId n);
-
-  // -- reverse-BFS prune marks (one epoch per per-edge search) --------------
-
-  // Opens a fresh epoch, invalidating all marks in O(1). On the (rare)
-  // 32-bit wrap the stamps are cleared so a mark from 2^32 searches ago can
-  // never alias the new epoch — O(V) once per 4.3e9 searches.
-  void begin_epoch() noexcept {
-    epoch_ += 1;
-    if (epoch_ == 0) {
-      std::fill(stamp_.begin(), stamp_.end(), 0u);
-      epoch_ = 1;
-    }
-  }
-  void mark(VertexId v, std::int32_t dist) noexcept {
-    stamp_[v] = epoch_;
-    dist_[v] = dist;
-  }
-  bool reached(VertexId v) const noexcept { return stamp_[v] == epoch_; }
-  // Minimum hops to the target over window-restricted reverse edges; valid
-  // only when reached(v).
-  std::int32_t distance(VertexId v) const noexcept { return dist_[v]; }
-
-  // -- DFS path state ---------------------------------------------------------
-  // The path from the closing edge's head: path_edges[i] enters
-  // path_vertices[i + 1], and on_path holds the path's vertices. A fine
-  // search changes the path only under lock(), and a branch stolen by
-  // another worker copies it from there (copy_from) and truncates it back to
-  // the branch's spawn-time Mark. The search keeps no blocking state, so that
-  // truncation is the whole repair.
-  DynamicBitset on_path;
-  std::vector<VertexId> path_vertices;
-  std::vector<EdgeId> path_edges;
-  std::vector<VertexId> bfs_queue;
-  // The counters of the search on this scratch, or of a stolen branch's.
-  WorkCounters counters;
-
-  std::size_t path_length() const noexcept { return path_vertices.size(); }
-  // Pushes the head (no entering edge), or a vertex entered by `via`.
-  void push(VertexId v) {
-    path_vertices.push_back(v);
-    on_path.set(v);
-  }
-  void push(VertexId v, EdgeId via) {
-    path_edges.push_back(via);
-    push(v);
-  }
-  void pop() { truncate(path_length() - 1); }
-  // Keeps the first `len` path vertices and the edges between them.
-  void truncate(std::size_t len) {
-    while (path_vertices.size() > len) {
-      on_path.reset(path_vertices.back());
-      path_vertices.pop_back();
-    }
-    path_edges.resize(len == 0 ? 0 : len - 1);
-  }
-  // An empty path and zeroed counters.
-  void reset() {
-    truncate(0);
-    counters = WorkCounters{};
+  void ensure(VertexId n) {
+    SearchPath::ensure(n);
+    prune.init(n);
   }
 
-  Spinlock& lock() noexcept { return lock_; }
-  // Copies `victim`'s path into this reset scratch. Caller holds
-  // victim.lock().
-  void copy_from(const StreamSearchScratch& victim);
-  // A branch's position at its spawn: what a stolen copy is truncated to.
-  struct Mark {
-    std::size_t path_len;
-  };
-  Mark mark() const noexcept { return {path_length()}; }
-  void repair_to_prefix(const Mark& mark) { truncate(mark.path_len); }
-  // With no blocking state to drop, the ablation restore is the same.
-  void naive_restore_to_prefix(std::size_t len) { truncate(len); }
-
- private:
-  std::vector<std::uint32_t> stamp_;
-  std::vector<std::int32_t> dist_;
-  std::uint32_t epoch_ = 0;
-  Spinlock lock_;
+  // Hop distances to the closing edge's tail over the window's reverse
+  // edges, one BFS per pruned search.
+  HopDistances prune;
 };
 
 // Out-edges of one vertex inside a search window.

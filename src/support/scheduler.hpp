@@ -143,8 +143,6 @@ enum class TimingMode : std::uint8_t {
   // Two steady_clock reads around every task body: exact per-task busy time,
   // at per-task cost (the pre-slab scheduler's behaviour).
   kPerTask,
-  // No busy-time accounting at all; busy_ns stays 0.
-  kOff,
 };
 
 struct SchedulerOptions {

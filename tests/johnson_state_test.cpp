@@ -1,27 +1,12 @@
 // Unit tests for the Johnson search state: blocking semantics, recursive
-// unblocking, budget-aware pruning, and the copy-on-steal repair contract.
+// unblocking, budget-aware pruning, and what copy-on-steal does to the
+// blocking (the path half is search_path_test's PrefixRepairState suite).
 #include "core/johnson_state.hpp"
 
 #include <gtest/gtest.h>
 
 namespace parcycle {
 namespace {
-
-TEST(JohnsonState, PathPushPop) {
-  JohnsonState st(10);
-  EXPECT_EQ(st.path_length(), 0u);
-  st.push(3, kInvalidEdge);
-  st.push(5, 42);
-  EXPECT_EQ(st.path_length(), 2u);
-  EXPECT_EQ(st.frontier(), 5u);
-  EXPECT_EQ(st.path_vertex(0), 3u);
-  EXPECT_EQ(st.path_edge(1), 42u);
-  EXPECT_TRUE(st.on_path(3));
-  EXPECT_TRUE(st.on_path(5));
-  st.pop();
-  EXPECT_FALSE(st.on_path(5));
-  EXPECT_TRUE(st.on_path(3));
-}
 
 TEST(JohnsonState, OnPathVertexBlocksEveryBudget) {
   JohnsonState st(10);
@@ -154,7 +139,7 @@ TEST(JohnsonState, RepairUnblocksRemovedSuffix) {
 
   JohnsonState thief(10);
   thief.copy_from(victim);
-  thief.repair_to_prefix(1);
+  thief.repair_to_prefix({1});
   EXPECT_EQ(thief.path_length(), 1u);
   EXPECT_FALSE(thief.on_path(1));
   EXPECT_FALSE(thief.on_path(2));
@@ -186,20 +171,6 @@ TEST(JohnsonState, CountersTrackOperations) {
   JohnsonState copy(10);
   copy.copy_from(st);
   EXPECT_EQ(copy.counters.state_copies, 1u);
-}
-
-TEST(ScratchPool, AcquireReleaseReuses) {
-  ScratchPool<JohnsonState> pool(
-      [] { return std::make_unique<JohnsonState>(8); });
-  auto a = pool.acquire();
-  JohnsonState* raw = a.get();
-  pool.release(std::move(a));
-  auto b = pool.acquire();
-  EXPECT_EQ(b.get(), raw);  // same object comes back
-  auto c = pool.acquire();  // pool empty: a fresh one is made
-  EXPECT_NE(c.get(), raw);
-  pool.release(std::move(b));
-  pool.release(std::move(c));
 }
 
 }  // namespace

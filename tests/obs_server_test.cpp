@@ -199,7 +199,7 @@ TEST(IntrospectionServer, HealthzFlipsWithOverloadLadder) {
   EXPECT_EQ(body.rfind("shedding", 0), 0u) << body;
 
   // Empty flushes are batch boundaries: the ladder steps down one rung per
-  // overload_recover_batches calm batches until /healthz recovers.
+  // kOverloadRecoverBatches calm batches until /healthz recovers.
   for (int i = 0; i < 64 && engine.overload_level() != OverloadLevel::kNormal;
        ++i) {
     engine.flush();

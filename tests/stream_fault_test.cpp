@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/cycle_types.hpp"
-#include "core/johnson_state.hpp"  // ScratchPool
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
 #include "robust/fault_injection.hpp"
@@ -33,6 +32,7 @@
 #include "stream/incremental.hpp"
 #include "stream/sliding_window_graph.hpp"
 #include "support/scheduler.hpp"
+#include "support/scratch_pool.hpp"
 
 namespace parcycle {
 namespace {
@@ -431,7 +431,6 @@ TEST(StreamFault, OverloadLadderClimbsShedsAndRecovers) {
   StreamOptions options = engine_options();
   options.batch_size = 64;
   options.overload_high_watermark = 8;  // a full batch = 8x the watermark
-  options.overload_recover_batches = 2;
 
   // Declared before the pool: ring reads require a quiescent recorder, so the
   // kOverloadShift instants are only counted after with_pool joins the workers.
@@ -456,7 +455,7 @@ TEST(StreamFault, OverloadLadderClimbsShedsAndRecovers) {
     EXPECT_EQ(engine.stats().edges_ingested, 64u);
 
     // Hysteretic recovery: each calm (empty) flush counts toward the streak;
-    // every `overload_recover_batches` consecutive calm batches step down one
+    // every kOverloadRecoverBatches consecutive calm batches step down one
     // rung. 4 rungs x 2 batches = 8 flushes back to normal.
     for (int i = 0; i < 8; ++i) {
       engine.flush();

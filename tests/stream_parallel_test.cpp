@@ -17,13 +17,13 @@
 #include <vector>
 
 #include "core/cycle_types.hpp"
-#include "core/johnson_state.hpp"  // ScratchPool
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
 #include "stream/engine.hpp"
 #include "stream/incremental.hpp"
 #include "stream/sliding_window_graph.hpp"
 #include "support/scheduler.hpp"
+#include "support/scratch_pool.hpp"
 #include "temporal/temporal_johnson.hpp"
 
 namespace parcycle {

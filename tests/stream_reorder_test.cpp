@@ -119,9 +119,9 @@ struct EngineModel {
     if (level == 0) {
       return;
     }
-    if (occupancy() > options.overload_low_watermark) {
+    if (occupancy() > high / 2) {
       calm = 0;
-    } else if (++calm >= options.overload_recover_batches) {
+    } else if (++calm >= kOverloadRecoverBatches) {
       calm = 0;
       set_level(level - 1);
     }
@@ -215,7 +215,6 @@ StreamOptions with_ladder(StreamOptions options,
   }
   options.overload_high_watermark = std::max<std::size_t>(
       2, static_cast<std::size_t>(static_cast<double>(dry.busiest) * fraction));
-  options.overload_low_watermark = options.overload_high_watermark / 2;
   return options;
 }
 

@@ -255,16 +255,6 @@ TEST(Scheduler, PerTaskTimingRecordsBusyTime) {
   EXPECT_GT(total_busy_ns(sched), 0u);
 }
 
-TEST(Scheduler, TimingOffLeavesBusyZero) {
-  Scheduler sched(2, SchedulerOptions{.timing = TimingMode::kOff});
-  TaskGroup group(sched);
-  for (int i = 0; i < 64; ++i) {
-    group.spawn(spin_for_a_while);
-  }
-  group.wait();
-  EXPECT_EQ(total_busy_ns(sched), 0u);
-}
-
 TEST(Scheduler, SmallClosuresTakeTheSlabPath) {
   static_assert(spawn_uses_slab_v<decltype([] {})>);
   Scheduler sched(2);

@@ -8,11 +8,11 @@
 #include <vector>
 
 #include "core/driver.hpp"
-#include "core/johnson_state.hpp"  // ScratchPool
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "support/prng.hpp"
 #include "support/scheduler.hpp"
+#include "support/scratch_pool.hpp"
 
 namespace parcycle {
 namespace {
